@@ -6,9 +6,9 @@ restricted 3-CNF formulas to best-response instances.
 """
 
 from .engine import run_sequential_allocation, run_with_report
-from .kernel import BACKEND
 from .model import (
     Allocation,
+    BudgetExceededError,
     Instance,
     UtilityFunction,
     ValidationError,
@@ -17,7 +17,6 @@ from .model import (
     validate_instance,
 )
 from .oracle import (
-    BudgetExceededError,
     OracleResult,
     brute_force_best_response,
     enumerate_achievable_bundles,

@@ -13,25 +13,28 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import golden, oracle, reduction, two_agent
 from .engine import run_sequential_allocation
-from .instance_io import InstanceParseError, parse_instance, serialize_instance
-from .kernel import BACKEND
-from .model import ValidationError, bundle_utility, make_lexicographic_utilities
-from .oracle import BudgetExceededError
+from .instance_io import (
+    InstanceParseError,
+    parse_instance,
+    render_fraction,
+    serialize_instance,
+)
+from .model import (
+    BudgetExceededError,
+    ValidationError,
+    bundle_utility,
+    make_lexicographic_utilities,
+)
 from .reduction import FormulaError
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _digest(path: str) -> str:
@@ -91,12 +94,12 @@ def cmd_best_response(args) -> int:
     if args.mode == "two-agent":
         rep, bundle, value = two_agent.best_response(inst, utility, agent)
         report.doc["results"].update(
-            {"report": list(rep), "bundle": sorted(bundle), "utility": _frac(value)}
+            {"report": list(rep), "bundle": sorted(bundle), "utility": render_fraction(value)}
         )
         lines += [
             "report : " + " ".join(rep),
             "bundle : {" + ", ".join(sorted(bundle)) + "}",
-            "utility: " + _frac(value),
+            "utility: " + render_fraction(value),
         ]
     elif args.mode == "oracle":
         res = oracle.brute_force_best_response(
@@ -107,11 +110,11 @@ def cmd_best_response(args) -> int:
             ",".join(sorted(b)): list(res.witness_reports[b]) for b in res.optimal_bundles
         }
         report.doc["results"].update(
-            max_utility=_frac(res.max_utility),
+            max_utility=render_fraction(res.max_utility),
             optimal_bundles=bundles,
             witness_reports=witnesses,
         )
-        lines += [f"max utility: {_frac(res.max_utility)}"]
+        lines += [f"max utility: {render_fraction(res.max_utility)}"]
         for b in res.optimal_bundles:
             lines += [
                 "optimal bundle {" + ", ".join(sorted(b)) + "} via report "
@@ -120,10 +123,10 @@ def cmd_best_response(args) -> int:
     else:  # refuted-greedy
         bundle = oracle.refuted_greedy_best_response(inst, agent, node_budget=args.budget)
         value = bundle_utility(utility, agent, bundle)
-        report.doc["results"].update(bundle=sorted(bundle), utility=_frac(value))
+        report.doc["results"].update(bundle=sorted(bundle), utility=render_fraction(value))
         lines += [
             "bundle : {" + ", ".join(sorted(bundle)) + "}",
-            "utility: " + _frac(value),
+            "utility: " + render_fraction(value),
         ]
     report.emit(args, lines)
     return EXIT_OK
@@ -141,9 +144,9 @@ def cmd_nash_verify(args) -> int:
         "agents": {
             e.agent: {
                 "current_bundle": sorted(e.current_bundle),
-                "current_utility": _frac(e.current_utility),
+                "current_utility": render_fraction(e.current_utility),
                 "best_response_bundle": sorted(e.best_response_bundle),
-                "best_response_utility": _frac(e.best_response_utility),
+                "best_response_utility": render_fraction(e.best_response_utility),
                 "can_improve": e.can_improve,
             }
             for e in evidence
@@ -153,9 +156,9 @@ def cmd_nash_verify(args) -> int:
     for e in evidence:
         lines.append(
             f"  agent {e.agent}: holds {{{', '.join(sorted(e.current_bundle))}}}"
-            f" worth {_frac(e.current_utility)}; best response"
+            f" worth {render_fraction(e.current_utility)}; best response"
             f" {{{', '.join(sorted(e.best_response_bundle))}}}"
-            f" worth {_frac(e.best_response_utility)}"
+            f" worth {render_fraction(e.best_response_utility)}"
             + (" (improves)" if e.can_improve else "")
         )
     report.emit(args, lines)
@@ -170,13 +173,13 @@ def cmd_reduce(args) -> int:
     registry_path = Path(args.out + ".registry.json")
     instance_path.write_text(serialize_instance(out.instance, out.utility))
     registry_doc = json.loads(out.registry.to_json())
-    registry_doc["target_utility"] = _frac(out.target)
+    registry_doc["target_utility"] = render_fraction(out.target)
     registry_path.write_text(json.dumps(registry_doc, indent=2, sort_keys=True))
     report.doc["results"] = {
         "agents": len(out.instance.agents),
         "items": len(out.instance.items),
         "stages": len(out.instance.sequence),
-        "target_utility": _frac(out.target),
+        "target_utility": render_fraction(out.target),
         "instance_file": str(instance_path),
         "registry_file": str(registry_path),
     }
@@ -185,7 +188,7 @@ def cmd_reduce(args) -> int:
         [
             f"wrote {instance_path} and {registry_path}",
             f"{len(out.instance.agents)} agents, {len(out.instance.items)} items,"
-            f" {len(out.instance.sequence)} stages, target {_frac(out.target)}",
+            f" {len(out.instance.sequence)} stages, target {render_fraction(out.target)}",
         ],
     )
     return EXIT_OK
@@ -195,9 +198,15 @@ def _parse_assignment(text: str, num_vars: int) -> dict[int, bool]:
     assignment: dict[int, bool] = {}
     for part in text.split(","):
         name, _, value = part.strip().partition("=")
-        if not name.startswith("x") or value.upper() not in ("T", "F"):
+        digits = name[1:]
+        if not (name.startswith("x") and digits.isdecimal()) or value.upper() not in ("T", "F"):
             raise ValidationError([f"bad assignment entry {part!r}, expected e.g. x1=T"])
-        assignment[int(name[1:])] = value.upper() == "T"
+        var = int(digits)
+        if not 1 <= var <= num_vars:
+            raise ValidationError([f"variable {name} outside x1..x{num_vars}"])
+        if var in assignment:
+            raise ValidationError([f"variable {name} assigned twice"])
+        assignment[var] = value.upper() == "T"
     missing = [v for v in range(1, num_vars + 1) if v not in assignment]
     if missing:
         raise ValidationError([f"assignment missing variables {missing}"])
@@ -234,14 +243,14 @@ def cmd_verify_reduction(args) -> int:
     fwd = reduction.verify_forward(out, assignment)
     report.doc["results"] = {
         "assignment": {f"x{v}": ("T" if b else "F") for v, b in assignment.items()},
-        "utility": _frac(fwd.utility),
-        "target": _frac(out.target),
+        "utility": render_fraction(fwd.utility),
+        "target": render_fraction(out.target),
         "meets_target": fwd.meets_target,
         "manipulator_bundle": sorted(fwd.manipulator_bundle),
         "trace": [[s, a, o] for s, a, o in fwd.allocation.trace],
     }
     lines = [
-        f"utility {_frac(fwd.utility)} vs target {_frac(out.target)}",
+        f"utility {render_fraction(fwd.utility)} vs target {render_fraction(out.target)}",
         f"meets target: {'yes' if fwd.meets_target else 'no'}",
     ]
     report.emit(args, lines)
@@ -265,18 +274,8 @@ def cmd_examples(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT_FALSE
 
 
-def cmd_bench(args) -> int:
-    from .benchmark import run_benchmark
-
-    run_benchmark(repeats=args.repeat)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="seqalloc",
-        description=f"sequential allocation toolkit (kernel backend: {BACKEND})",
-    )
+    parser = argparse.ArgumentParser(prog="seqalloc", description="sequential allocation toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("allocate", help="run sequential allocation on an instance file")
@@ -310,17 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--assignment", help="e.g. x1=T,x2=F,x3=F")
     group.add_argument("--patterns", action="store_true", help="enumerate all choice patterns")
-    p.add_argument("--budget", type=int, default=65536)
+    p.add_argument("--budget", type=int, default=reduction.DEFAULT_PATTERN_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_reduction)
 
     p = sub.add_parser("examples", help="run all built-in golden checks")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_examples)
-
-    p = sub.add_parser("bench", help="compare the compiled and pure-Python kernels")
-    p.add_argument("--repeat", type=int, default=200)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 
@@ -333,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceParseError, ValidationError, FormulaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceededError, reduction.BudgetError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -1,30 +1,88 @@
 """Sequential allocation engine.
 
 At each stage the agent named by the sequence receives their most-preferred
-remaining item. Pure functions; the inner loop runs in the selected kernel
-(compiled or pure Python, see ``seqalloc.kernel``).
+remaining item. ``Encoded`` is the one integer view of an instance and
+``PickState`` the one picking loop; the oracle resumes and copies the same
+state to branch over the manipulator's picks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from . import kernel
 from .model import Allocation, Instance, ValidationError
 
 
-def _encode(inst: Instance):
-    item_index = {o: k for k, o in enumerate(inst.items)}
-    agent_index = {a: i for i, a in enumerate(inst.agents)}
-    prefs = [[item_index[o] for o in inst.preferences[a]] for a in inst.agents]
-    seq = [agent_index[a] for a in inst.sequence]
-    return prefs, seq, item_index
+class Encoded:
+    """Integer view of an instance: items and agents replaced by indices.
+
+    ``prefs[i][k]`` is the index of the item that the agent with index ``i``
+    ranks k-th; ``seq[t]`` is the agent index of stage ``t``.
+    """
+
+    __slots__ = ("item_index", "agent_index", "prefs", "seq", "m")
+
+    def __init__(self, inst: Instance):
+        # locals, not attributes, inside the comprehensions: the lookups run
+        # once per item per agent on every replay
+        item_index = {o: k for k, o in enumerate(inst.items)}
+        agent_index = {a: i for i, a in enumerate(inst.agents)}
+        self.item_index = item_index
+        self.agent_index = agent_index
+        self.prefs = [[item_index[o] for o in inst.preferences[a]] for a in inst.agents]
+        self.seq = [agent_index[a] for a in inst.sequence]
+        self.m = len(inst.items)
+
+
+class PickState:
+    """A resumable run of the picking sequence over an ``Encoded`` instance.
+
+    ``stage`` is the next stage to play, ``taken[k]`` marks item k as
+    allocated and ``cursor[i]`` is the first position of agent i's
+    preference that may still be free.
+    """
+
+    __slots__ = ("enc", "stage", "taken", "cursor")
+
+    def __init__(self, enc: Encoded):
+        self.enc = enc
+        self.stage = 0
+        self.taken = bytearray(enc.m)
+        self.cursor = [0] * len(enc.prefs)
+
+    def advance(self, until: int) -> list[int]:
+        """Play greedy stages up to, not including, ``until``; return the picks."""
+        prefs, seq, taken, cursor = self.enc.prefs, self.enc.seq, self.taken, self.cursor
+        picks = []
+        for agent in seq[self.stage : until]:
+            row = prefs[agent]
+            p = cursor[agent]
+            while taken[row[p]]:
+                p += 1
+            item = row[p]
+            taken[item] = 1
+            cursor[agent] = p + 1
+            picks.append(item)
+        self.stage = max(self.stage, until)
+        return picks
+
+    def take(self, item: int) -> None:
+        """The agent of the current stage takes ``item``, which must be free."""
+        self.taken[item] = 1
+        self.stage += 1
+
+    def copy(self) -> "PickState":
+        twin = PickState.__new__(PickState)
+        twin.enc = self.enc
+        twin.stage = self.stage
+        twin.taken = self.taken[:]
+        twin.cursor = self.cursor[:]
+        return twin
 
 
 def run_sequential_allocation(inst: Instance) -> Allocation:
     """Execute the picking sequence and return bundles plus the full trace."""
-    prefs, seq, _ = _encode(inst)
-    picks = kernel.allocate(prefs, seq, len(inst.items))
+    picks = PickState(Encoded(inst)).advance(len(inst.sequence))
     trace = tuple(
         (stage + 1, inst.sequence[stage], inst.items[item])
         for stage, item in enumerate(picks)

@@ -68,6 +68,8 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
             sequence = fields[2:]
         elif kind == "util":
             agent, values = _directive(fields, line_no, "util")
+            if agent in utils:
+                raise InstanceParseError(line_no, f"duplicate utilities for agent {agent}")
             try:
                 utils[agent] = [Fraction(v) for v in values]
             except (ValueError, ZeroDivisionError):
@@ -121,10 +123,11 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
     lines.append("seq : " + " ".join(inst.sequence))
     if utility is not None:
         for a in utility.agents():
-            row = " ".join(_render(utility.of(a, o)) for o in inst.preferences[a])
+            row = " ".join(render_fraction(utility.of(a, o)) for o in inst.preferences[a])
             lines.append(f"util {a} : {row}")
     return "\n".join(lines) + "\n"
 
 
-def _render(x: Fraction) -> str:
+def render_fraction(x: Fraction) -> str:
+    """Exact text of a rational: ``7`` or ``7/3``, never a binary float."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

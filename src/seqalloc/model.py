@@ -22,6 +22,11 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class BudgetExceededError(RuntimeError):
+    """A search guard tripped: the oracle's node or turn limit, or the
+    reduction verifier's pattern budget."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete allocation setting: items, agents, preferences, sequence.

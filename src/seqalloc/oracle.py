@@ -12,14 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .model import Instance, UtilityFunction, bundle_utility
+from .engine import Encoded, PickState
+from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_MAX_TURNS = 16
-
-
-class BudgetExceededError(RuntimeError):
-    """Search guard tripped: too many nodes or too many manipulator turns."""
 
 
 @dataclass(frozen=True)
@@ -36,51 +33,44 @@ def _leaf_bundles(
 
     Bundles repeat when different pick orders coincide; items are indices
     into ``inst.items``. Deterministic order: picks tried in canonical item
-    order at every branch.
+    order at every branch. The agent and the turn guard are checked before
+    the first leaf is asked for.
     """
-    if inst.turns(manipulator) > max_turns:
+    enc = Encoded(inst)
+    if manipulator not in enc.agent_index:
+        raise ValidationError([f"unknown agent {manipulator}"])
+    manip = enc.agent_index[manipulator]
+    turns = [t for t, a in enumerate(enc.seq) if a == manip]
+    if len(turns) > max_turns:
         raise BudgetExceededError(
-            f"manipulator has {inst.turns(manipulator)} turns, guard allows {max_turns}"
+            f"manipulator has {len(turns)} turns, guard allows {max_turns}"
         )
-    item_index = {o: k for k, o in enumerate(inst.items)}
-    agent_index = {a: i for i, a in enumerate(inst.agents)}
-    prefs = [[item_index[o] for o in inst.preferences[a]] for a in inst.agents]
-    seq = [agent_index[a] for a in inst.sequence]
-    manip = agent_index[manipulator]
-    m = len(inst.items)
-    L = len(seq)
-    taken = bytearray(m)
+    m = enc.m
     nodes = 0
 
-    def walk(t: int, picks: list[int]):
+    def walk(state: PickState, picks: list[int]):
+        # ``state`` is the parent's, shared with the siblings and standing
+        # before this node's own pick ``picks[-1]``
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"search exceeded node budget {node_budget}")
-        # advance through non-manipulator stages
-        auto: list[int] = []
-        while t < L and seq[t] != manip:
-            row = prefs[seq[t]]
-            for item in row:
-                if not taken[item]:
-                    taken[item] = 1
-                    auto.append(item)
-                    break
-            t += 1
-        if t == L:
+        if len(picks) == len(turns):
+            # later stages cannot change the manipulator's bundle
             yield frozenset(picks), tuple(picks)
-        else:
-            for item in range(m):
-                if not taken[item]:
-                    taken[item] = 1
-                    picks.append(item)
-                    yield from walk(t + 1, picks)
-                    picks.pop()
-                    taken[item] = 0
-        for item in auto:
-            taken[item] = 0
+            return
+        if picks:
+            state = state.copy()
+            state.take(picks[-1])
+        state.advance(turns[len(picks)])
+        taken = state.taken
+        for item in range(m):
+            if not taken[item]:
+                picks.append(item)
+                yield from walk(state, picks)
+                picks.pop()
 
-    yield from walk(0, [])
+    return walk(PickState(enc), [])
 
 
 def enumerate_achievable_bundles(
@@ -110,11 +100,12 @@ def brute_force_best_response(
     max_turns: int = DEFAULT_MAX_TURNS,
 ) -> OracleResult:
     """Exact maximum utility, every optimal bundle, one witness report each."""
+    leaves = _leaf_bundles(inst, manipulator, node_budget, max_turns)
     vals = u.values[manipulator]
     item_values = [vals[o] for o in inst.items]
     best: Fraction | None = None
     argmax: dict[frozenset[int], tuple[int, ...]] = {}
-    for bundle, picks in _leaf_bundles(inst, manipulator, node_budget, max_turns):
+    for bundle, picks in leaves:
         utility = sum((item_values[k] for k in bundle), Fraction(0))
         if best is None or utility > best:
             best = utility
@@ -123,13 +114,10 @@ def brute_force_best_response(
             argmax[bundle] = picks
     assert best is not None  # L >= 1 guarantees at least one leaf
     named = {
-        frozenset(inst.items[k] for k in bundle): _witness_report(inst, picks)
-        for bundle, picks in argmax.items()
+        frozenset(inst.items[k] for k in bundle): _witness_report(inst, argmax[bundle])
+        for bundle in sorted(argmax, key=sorted)
     }
-    ordered = tuple(
-        sorted(named, key=lambda b: sorted(inst.items.index(o) for o in b))
-    )
-    return OracleResult(best, ordered, named)
+    return OracleResult(best, tuple(named), named)
 
 
 def refuted_greedy_best_response(

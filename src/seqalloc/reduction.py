@@ -21,9 +21,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .engine import run_with_report
-from .model import Allocation, Instance, UtilityFunction, validate_instance
+from .model import Allocation, BudgetExceededError, Instance, UtilityFunction, validate_instance
 
 MANIPULATOR = "1"
+DEFAULT_PATTERN_BUDGET = 4 ** 8  # choice patterns of an 8-variable formula
 
 
 class FormulaError(ValueError):
@@ -565,7 +566,7 @@ class PatternReport:
 
 
 def verify_choice_patterns(
-    out: ReductionOutput, max_patterns: int = 65536
+    out: ReductionOutput, max_patterns: int = DEFAULT_PATTERN_BUDGET
 ) -> PatternReport:
     """Replay every combination of per-round choices and audit the outcomes.
 
@@ -577,7 +578,7 @@ def verify_choice_patterns(
     f = out.formula
     total = 4 ** f.num_vars
     if total > max_patterns:
-        raise BudgetError(f"{total} patterns exceed the budget {max_patterns}")
+        raise BudgetExceededError(f"{total} patterns exceed the budget {max_patterns}")
     outcomes = []
     pattern_sat = False
     for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):
@@ -616,7 +617,3 @@ def verify_choice_patterns(
         )
     direct_sat = bool(f.satisfying_assignments())
     return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == direct_sat)
-
-
-class BudgetError(RuntimeError):
-    pass

@@ -39,7 +39,7 @@ def _report(number: int, title: str, ok: bool, detail: str = ""):
 
 
 def _timed(fn):
-    fn()  # warm up (imports, kernel dispatch)
+    fn()  # warm up (imports)
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0

@@ -173,6 +173,25 @@ def test_verify_reduction_rejects_partial_assignment(capsys, formula_file):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("xa=T,x1=T,x2=F,x3=F", "bad assignment entry 'xa=T'"),
+        ("x1=T,x2=F,x3=F,x9=T", "variable x9 outside x1..x3"),
+        ("x0=T,x1=T,x2=F,x3=F", "variable x0 outside x1..x3"),
+        ("x1=T,x1=F,x2=F,x3=F", "variable x1 assigned twice"),
+    ],
+)
+def test_verify_reduction_rejects_malformed_assignment(
+    capsys, formula_file, assignment, message
+):
+    argv = ["verify-reduction", formula_file, "--assignment", assignment, "--json"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_verify_reduction_patterns(capsys, formula_file):
     code, doc = _run_json(capsys, ["verify-reduction", formula_file, "--patterns"])
     assert code == cli.EXIT_OK

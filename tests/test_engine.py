@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from seqalloc.engine import run_sequential_allocation, run_with_report
+from seqalloc.engine import (
+    Encoded,
+    PickState,
+    run_sequential_allocation,
+    run_with_report,
+)
 from seqalloc.model import ValidationError, validate_instance
 
 from conftest import random_instance
@@ -19,6 +24,49 @@ def test_each_stage_takes_most_preferred_remaining():
             preferred = next(o for o in inst.preferences[agent] if o in remaining)
             assert item == preferred
             remaining.remove(item)
+
+
+def test_pick_semantics():
+    inst = validate_instance(
+        items=["a", "b", "c"],
+        agents=["1", "2"],
+        preferences={"1": ["a", "b", "c"], "2": ["c", "b", "a"]},
+        sequence=["1", "2", "1"],
+    )
+    assert PickState(Encoded(inst)).advance(3) == [0, 2, 1]
+
+
+def test_pick_state_copies_branch_independently():
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(60):
+        inst = random_instance(rng, n=rng.randint(2, 4), m=rng.randint(2, 8))
+        L = len(inst.sequence)
+        stage = rng.randrange(L)
+        agent = inst.sequence[stage]
+        enc = Encoded(inst)
+        state = PickState(enc)
+        before = state.advance(stage)
+        free = [k for k in range(enc.m) if not state.taken[k]]
+        if len(free) < 2:
+            continue
+        snapshot = (state.stage, bytes(state.taken), list(state.cursor))
+        for item in rng.sample(free, 2):
+            branch = state.copy()
+            branch.take(item)
+            picks = before + [item] + branch.advance(L)
+            # the agent's earlier picks, then the chosen item, lead the report;
+            # the rest keeps the true order, which the later greedy stages follow
+            lead = [inst.items[k] for t, k in enumerate(before) if inst.sequence[t] == agent]
+            lead.append(inst.items[item])
+            report = lead + [o for o in inst.preferences[agent] if o not in lead]
+            fresh = run_with_report(inst, agent, report)
+            assert [o for _, _, o in fresh.trace] == [inst.items[k] for k in picks]
+        assert (state.stage, bytes(state.taken), list(state.cursor)) == snapshot
+        truthful = run_sequential_allocation(inst)
+        assert before + state.advance(L) == [enc.item_index[o] for _, _, o in truthful.trace]
+        checked += 1
+    assert checked >= 30
 
 
 def test_trace_and_bundles_agree():

@@ -54,6 +54,10 @@ def test_utilities_optional():
         (("util 1 : 3.1 3 2 1", "util 1 : 3.1 3 2"), "3 utilities for 4 items"),
         (("util 1 : 3.1 3 2 1", "util 1 : 3.1 3 x 1"), "decimal or rational"),
         (("util 1 : 3.1 3 2 1", "util 9 : 3.1 3 2 1"), "unknown agent 9"),
+        (
+            ("util 1 : 3.1 3 2 1", "util 1 : 3.1 3 2 1\nutil 1 : 4 3 2 1"),
+            "line 11: duplicate utilities for agent 1",
+        ),
     ],
 )
 def test_parse_errors(mutation, message):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from seqalloc.engine import run_with_report
-from seqalloc.model import bundle_utility
+from seqalloc.model import ValidationError, bundle_utility, make_lexicographic_utilities
 from seqalloc.oracle import (
     BudgetExceededError,
     brute_force_best_response,
@@ -113,3 +113,15 @@ def test_turn_guard_is_enforced():
     inst = _manipulator_heavy_instance(12)
     with pytest.raises(BudgetExceededError, match="turns"):
         enumerate_achievable_bundles(inst, "1", max_turns=5)
+
+
+def test_unknown_manipulator_is_validation_error():
+    inst = _manipulator_heavy_instance(4)
+    u = make_lexicographic_utilities(inst.preferences)
+    for search in (
+        lambda: brute_force_best_response(inst, u, "9"),
+        lambda: enumerate_achievable_bundles(inst, "9"),
+        lambda: refuted_greedy_best_response(inst, "9"),
+    ):
+        with pytest.raises(ValidationError, match="unknown agent 9"):
+            search()

@@ -157,9 +157,9 @@ def test_choice_patterns_on_random_formula():
 def test_pattern_budget_guard():
     rng = random.Random(64)
     out = build_instance(random_restricted_formula(rng, num_vars=6))
-    from seqalloc.reduction import BudgetError
+    from seqalloc.model import BudgetExceededError
 
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetExceededError):
         verify_choice_patterns(out, max_patterns=5)
 
 
