@@ -17,19 +17,13 @@ from pathlib import Path
 
 from . import golden, oracle, reduction, two_agent
 from .engine import run_sequential_allocation
-from .instance_io import (
-    InstanceParseError,
-    parse_instance,
-    render_fraction,
-    serialize_instance,
-)
+from .instance_io import parse_instance, render_fraction, serialize_instance
 from .model import (
     BudgetExceededError,
     ValidationError,
     bundle_utility,
     make_lexicographic_utilities,
 )
-from .reduction import FormulaError
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -325,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceParseError, ValidationError, FormulaError, FileNotFoundError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import Instance, UtilityFunction, validate_instance, validate_utilities
+from .model import Instance, UtilityFunction, ValidationError, validate_instance, validate_utilities
 
 
-class InstanceParseError(ValueError):
+class InstanceParseError(ValidationError):
+    """Malformed instance text; ``line_no`` is 0 for whole-file problems."""
+
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__([f"line {line_no}: {message}"])
 
 
 def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:

@@ -120,6 +120,12 @@ class UtilityFunction:
     def of(self, agent: str, item: str) -> Fraction:
         return self.values[agent][item]
 
+    def values_of(self, agent: str) -> Mapping[str, Fraction]:
+        """The agent's item values; ValidationError if the agent is not covered."""
+        if agent not in self.values:
+            raise ValidationError([f"no utilities for agent {agent}"])
+        return self.values[agent]
+
     def agents(self) -> tuple[str, ...]:
         return tuple(self.values)
 
@@ -168,15 +174,20 @@ def bundle_utility(u: UtilityFunction, agent: str, bundle: Iterable[str]) -> Fra
     return sum((vals[o] for o in bundle), Fraction(0))
 
 
+def complete_order(prefix: list[str], items: Iterable[str]) -> tuple[str, ...]:
+    """``prefix``, then every other item in the canonical order ``items``."""
+    seen = set(prefix)
+    return tuple(prefix + [o for o in items if o not in seen])
+
+
 def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -> tuple[str, ...]:
     """The strict preference order induced by an agent's utilities.
 
     Raises ValidationError if two items are valued equally (the induced
     order would not be strict).
     """
-    items = tuple(items)
-    vals = u.values[agent]
-    ranked = sorted(items, key=lambda o: (-vals[o], items.index(o)))
+    vals = u.values_of(agent)
+    ranked = sorted(items, key=lambda o: -vals[o])
     for a, b in zip(ranked, ranked[1:]):
         if vals[a] == vals[b]:
             raise ValidationError(

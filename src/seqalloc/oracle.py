@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .engine import Encoded, PickState
-from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError
+from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError, complete_order
+from .two_agent import ordinal_greedy
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_MAX_TURNS = 16
@@ -86,12 +87,6 @@ def enumerate_achievable_bundles(
     return out
 
 
-def _witness_report(inst: Instance, picks: tuple[int, ...]) -> tuple[str, ...]:
-    chosen = [inst.items[k] for k in picks]
-    rest = [o for o in inst.items if o not in set(chosen)]
-    return tuple(chosen + rest)
-
-
 def brute_force_best_response(
     inst: Instance,
     u: UtilityFunction,
@@ -101,7 +96,7 @@ def brute_force_best_response(
 ) -> OracleResult:
     """Exact maximum utility, every optimal bundle, one witness report each."""
     leaves = _leaf_bundles(inst, manipulator, node_budget, max_turns)
-    vals = u.values[manipulator]
+    vals = u.values_of(manipulator)
     item_values = [vals[o] for o in inst.items]
     best: Fraction | None = None
     argmax: dict[frozenset[int], tuple[int, ...]] = {}
@@ -114,7 +109,9 @@ def brute_force_best_response(
             argmax[bundle] = picks
     assert best is not None  # L >= 1 guarantees at least one leaf
     named = {
-        frozenset(inst.items[k] for k in bundle): _witness_report(inst, argmax[bundle])
+        frozenset(inst.items[k] for k in bundle): complete_order(
+            [inst.items[k] for k in argmax[bundle]], inst.items
+        )
         for bundle in sorted(argmax, key=sorted)
     }
     return OracleResult(best, tuple(named), named)
@@ -133,12 +130,9 @@ def refuted_greedy_best_response(
     two agents, not in general.
     """
     achievable = enumerate_achievable_bundles(inst, manipulator, node_budget, max_turns)
-    turns = inst.turns(manipulator)
-    kept: set[str] = set()
-    for o in inst.preferences[manipulator]:
-        if len(kept) == turns:
-            break
-        trial = kept | {o}
-        if any(trial <= bundle for bundle in achievable):
-            kept.add(o)
-    return frozenset(kept)
+
+    def contained(trial: list[str]) -> bool:
+        wanted = set(trial)
+        return any(wanted <= bundle for bundle in achievable)
+
+    return frozenset(ordinal_greedy(inst, manipulator, contained))

@@ -21,16 +21,23 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .engine import run_with_report
-from .model import Allocation, BudgetExceededError, Instance, UtilityFunction, validate_instance
+from .model import (
+    Allocation,
+    BudgetExceededError,
+    Instance,
+    UtilityFunction,
+    ValidationError,
+    bundle_utility,
+    complete_order,
+    validate_instance,
+)
 
 MANIPULATOR = "1"
 DEFAULT_PATTERN_BUDGET = 4 ** 8  # choice patterns of an 8-variable formula
 
 
-class FormulaError(ValueError):
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+class FormulaError(ValidationError):
+    """A formula that is not restricted 3-CNF, or malformed DIMACS text."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def parse_formula(text: str) -> RestrictedFormula:
             continue
         if line.startswith("p"):
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+            if len(fields) != 4 or fields[1] != "cnf" or not all(map(str.isdecimal, fields[2:])):
                 raise FormulaError([f"line {line_no}: malformed problem line"])
             num_vars, declared_clauses = int(fields[2]), int(fields[3])
             continue
@@ -213,18 +220,21 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     n_vars = f.num_vars
     n_clauses = len(f.clauses)
 
-    # canonical item order: per variable the manipulator-relevant block then
-    # the dummies, then all clause items
+    # canonical item order: per variable the manipulator-relevant block (the
+    # keys of its round's weight table) then the dummies, then all clause
+    # items; the manipulator's explicit list is those blocks, then the top
+    # clause items
     items: list[str] = []
+    manip: list[str] = []
     for v in f.variables():
-        x, nx = v, -v
-        items += [choice_item(x, 1), choice_item(nx, 1), choice_item(x, 2), choice_item(nx, 2)]
-        items += [consistency_item(nx, j) for j in (1, 2, 3)]
-        items += [consistency_item(x, j) for j in (1, 2, 3)]
-        items += [dummy_item(x, j) for j in ("11", "12", "21", "22")]
-        items += [dummy_item(nx, j) for j in ("11", "12", "21", "22")]
+        relevant = list(_round_values(v, 1))
+        manip += relevant
+        items += relevant
+        items += [dummy_item(v, j) for j in ("11", "12", "21", "22")]
+        items += [dummy_item(-v, j) for j in ("11", "12", "21", "22")]
     for c in range(1, n_clauses + 1):
         items += [clause_item(c, j) for j in (1, 2, 3)]
+    manip += [clause_item(c, 1) for c in range(1, n_clauses + 1)]
 
     agents = [MANIPULATOR]
     literal_agents: dict[tuple[int, int], str] = {}
@@ -262,23 +272,14 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     rounds.append(RoundSpan("collection", "", start, len(sequence)))
 
     # preferences: explicit relevant lists, completed with the canonical order
-    prefs: dict[str, tuple[str, ...]] = {}
-
-    manip: list[str] = []
-    for v in f.variables():
-        x, nx = v, -v
-        manip += [choice_item(x, 1), choice_item(nx, 1), choice_item(x, 2), choice_item(nx, 2)]
-        manip += [consistency_item(nx, j) for j in (1, 2, 3)]
-        manip += [consistency_item(x, j) for j in (1, 2, 3)]
-    manip += [clause_item(c, 1) for c in range(1, n_clauses + 1)]
-    prefs[MANIPULATOR] = _complete(manip, items)
+    prefs: dict[str, tuple[str, ...]] = {MANIPULATOR: complete_order(manip, items)}
 
     for v in f.variables():
         x, nx = v, -v
         first_x, second_x = occ[x]
         first_nx, second_nx = occ[nx]
         # agents of the negative literal chase items of the positive one
-        prefs[agent_id(nx, 1)] = _complete(
+        prefs[agent_id(nx, 1)] = complete_order(
             [
                 choice_item(x, 1), dummy_item(x, "11"), dummy_item(x, "12"),
                 choice_item(x, 2),
@@ -287,7 +288,7 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
             + _clause_block(first_x),
             items,
         )
-        prefs[agent_id(nx, 2)] = _complete(
+        prefs[agent_id(nx, 2)] = complete_order(
             [
                 dummy_item(x, "21"), choice_item(x, 1), choice_item(x, 2),
                 dummy_item(x, "22"),
@@ -297,7 +298,7 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
             items,
         )
         # agents of the positive literal chase items of the negative one
-        prefs[agent_id(x, 1)] = _complete(
+        prefs[agent_id(x, 1)] = complete_order(
             [
                 choice_item(nx, 1), dummy_item(nx, "11"), consistency_item(nx, 1),
                 choice_item(nx, 2),
@@ -306,7 +307,7 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
             + _clause_block(first_nx),
             items,
         )
-        prefs[agent_id(x, 2)] = _complete(
+        prefs[agent_id(x, 2)] = complete_order(
             [
                 dummy_item(nx, "21"), choice_item(nx, 1), choice_item(nx, 2),
                 consistency_item(nx, 1), consistency_item(nx, 2), consistency_item(nx, 3),
@@ -346,29 +347,15 @@ def _clause_block(c: int) -> list[str]:
     return [clause_item(c, 3), clause_item(c, 2), clause_item(c, 1)]
 
 
-def _complete(explicit: list[str], items: list[str]) -> tuple[str, ...]:
-    seen = set(explicit)
-    return tuple(explicit + [o for o in items if o not in seen])
-
-
 # --- manipulator utility ---------------------------------------------------
-
-# per-round relative values, in units of the round scale B
-_ROUND_WEIGHTS = {
-    "o_x^1": 100, "o_~x^1": 100, "o_x^2": 90, "o_~x^2": 90,
-    "h_~x^1": 60, "h_~x^2": 45, "h_~x^3": 31, "h_x^1": 30, "h_x^2": 15, "h_x^3": 1,
-}
-_ROUND_TOTAL = sum(_ROUND_WEIGHTS.values())  # 562, plus 2 for the epsilon bonuses
-# value guaranteed per round by the cheaper consistent branch: both choice
-# items of one literal plus the worse top/bottom consistency pair
-_ROUND_FLOOR = 100 + 90 + 31 + 30  # = 251
 
 
 def _round_values(v: int, B: int) -> dict[str, int]:
     """Concrete utilities of the ten manipulator-relevant items of round v.
 
-    A +1 epsilon separates each positive-literal choice item from its
-    negative twin; everything else scales with B.
+    Keys are in the manipulator's preference order. A +1 epsilon separates
+    each positive-literal choice item from its negative twin; everything
+    else scales with B.
     """
     x, nx = v, -v
     return {
@@ -412,14 +399,13 @@ def _manipulator_utility(
     clause_sum = sum(values[clause_item(c, 1)] for c in range(1, n_clauses + 1))
 
     below = tail_sum + clause_sum
-    scales: dict[int, int] = {}
+    target = clause_sum
     for v in range(n_vars, 0, -1):
-        B = below + 2 * n_vars + 3
-        scales[v] = B
-        values.update(_round_values(v, B))
-        below += _ROUND_TOTAL * B + 2
-
-    target = sum(_ROUND_FLOOR * scales[v] for v in f.variables()) + clause_sum
+        round_values = _round_values(v, below + 2 * n_vars + 3)
+        values.update(round_values)
+        below += sum(round_values.values())
+        # each round guarantees the value of its cheaper consistent branch
+        target += sum(round_values[o] for o in _round_quadruple(v, "T"))
     utility = UtilityFunction(
         {MANIPULATOR: {o: Fraction(values[o]) for o in inst.items}}
     )
@@ -511,8 +497,7 @@ def _pattern_report(out: ReductionOutput, kinds: Sequence[str]) -> tuple[str, ..
     for v, kind in zip(out.formula.variables(), kinds):
         body += _round_quadruple(v, kind)
     body += [clause_item(c, 1) for c in range(1, len(out.formula.clauses) + 1)]
-    seen = set(body)
-    return tuple(body + [o for o in out.instance.items if o not in seen])
+    return complete_order(body, out.instance.items)
 
 
 def assignment_to_report(
@@ -526,7 +511,7 @@ def assignment_to_report(
     """
     missing = [v for v in out.formula.variables() if v not in assignment]
     if missing:
-        raise ValueError(f"assignment is not total, missing variables {missing}")
+        raise ValidationError([f"assignment is not total, missing variables {missing}"])
     kinds = ["T" if assignment[v] else "F" for v in out.formula.variables()]
     return _pattern_report(out, kinds)
 
@@ -544,7 +529,7 @@ def verify_forward(out: ReductionOutput, assignment: Mapping[int, bool]) -> Forw
     report = assignment_to_report(out, assignment)
     alloc = run_with_report(out.instance, MANIPULATOR, report)
     bundle = alloc.bundles[MANIPULATOR]
-    utility = sum((out.utility.of(MANIPULATOR, o) for o in bundle), Fraction(0))
+    utility = bundle_utility(out.utility, MANIPULATOR, bundle)
     return ForwardResult(utility, utility >= out.target, alloc, bundle)
 
 
@@ -585,7 +570,7 @@ def verify_choice_patterns(
         report = _pattern_report(out, kinds)
         alloc = run_with_report(out.instance, MANIPULATOR, report)
         bundle = alloc.bundles[MANIPULATOR]
-        utility = sum((out.utility.of(MANIPULATOR, o) for o in bundle), Fraction(0))
+        utility = bundle_utility(out.utility, MANIPULATOR, bundle)
         meets = utility >= out.target
         consistent = all(k in ("T", "F") for k in kinds)
         assignment = satisfies = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .engine import run_sequential_allocation, run_with_report
 from .model import (
@@ -18,6 +18,7 @@ from .model import (
     UtilityFunction,
     ValidationError,
     bundle_utility,
+    complete_order,
     order_from_utilities,
     validate_utilities,
 )
@@ -48,13 +49,11 @@ def canonical_report(
     order is used to keep outputs deterministic.
     """
     S = set(S)
-    unknown = S - set(all_items)
+    unknown = S.difference(all_items)
     if unknown:
         raise ValidationError([f"unknown items in target set: {sorted(unknown)}"])
     rank = {o: k for k, o in enumerate(opponent_pref)}
-    prefix = sorted(S, key=rank.__getitem__)
-    tail = [o for o in all_items if o not in S]
-    return tuple(prefix + tail)
+    return complete_order(sorted(S, key=rank.__getitem__), all_items)
 
 
 def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
@@ -78,8 +77,9 @@ def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str
     opponent = _opponent(inst, manipulator)
     opp_pref = inst.preferences[opponent]
     rank = {o: k for k, o in enumerate(opp_pref)}
-    prefix = sorted(set(S), key=rank.__getitem__)
-    report = canonical_report(prefix, opp_pref, inst.items)
+    S = set(S)
+    report = canonical_report(S, opp_pref, inst.items)
+    prefix = report[: len(S)]
     alloc = run_with_report(inst, manipulator, report)
 
     opponent_holdings: list[str] = []
@@ -99,6 +99,25 @@ def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str
     return own_picks >= len(prefix)
 
 
+def ordinal_greedy(
+    inst: Instance, manipulator: str, achievable: Callable[[list[str]], bool]
+) -> list[str]:
+    """Bouveret and Lang's greedy over the manipulator's true order.
+
+    Keeps an item whenever ``achievable`` accepts the kept items plus it,
+    until the manipulator's turns are used up. A best response for two
+    agents, not for three or more.
+    """
+    turns = inst.turns(manipulator)
+    kept: list[str] = []
+    for o in inst.preferences[manipulator]:
+        if len(kept) == turns:
+            break
+        if achievable(kept + [o]):
+            kept.append(o)
+    return kept
+
+
 def lexicographic_best_response(
     inst: Instance, manipulator: str
 ) -> tuple[tuple[str, ...], frozenset[str]]:
@@ -109,13 +128,7 @@ def lexicographic_best_response(
     """
     _require_two_agents(inst)
     opponent = _opponent(inst, manipulator)
-    turns = inst.turns(manipulator)
-    S: list[str] = []
-    for o in inst.preferences[manipulator]:
-        if len(S) == turns:
-            break
-        if is_achievable(S + [o], inst, manipulator):
-            S.append(o)
+    S = ordinal_greedy(inst, manipulator, lambda trial: is_achievable(trial, inst, manipulator))
     report = canonical_report(S, inst.preferences[opponent], inst.items)
     return report, frozenset(S)
 
@@ -129,7 +142,7 @@ def best_response(
     supplied; they are only used to report the achieved utility.
     """
     _require_two_agents(inst)
-    validate_utilities(UtilityFunction({manipulator: u.values[manipulator]}), inst)
+    validate_utilities(UtilityFunction({manipulator: u.values_of(manipulator)}), inst)
     report, bundle = lexicographic_best_response(inst, manipulator)
     return report, bundle, bundle_utility(u, manipulator, bundle)
 
@@ -154,14 +167,12 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     true utilities, whose induced order is that agent's true preference.
     """
     _require_two_agents(inst)
+    true_orders = {a: order_from_utilities(u, a, inst.items) for a in inst.agents}
     current = run_sequential_allocation(inst)
     out = []
     for agent in inst.agents:
-        true_order = order_from_utilities(u, agent, inst.items)
-        deviation_setting = inst.with_preference(agent, true_order)
-        _, bundle, utility = best_response(
-            deviation_setting, UtilityFunction({agent: u.values[agent]}), agent
-        )
+        deviation_setting = inst.with_preference(agent, true_orders[agent])
+        _, bundle, utility = best_response(deviation_setting, u, agent)
         out.append(
             NashEvidence(
                 agent=agent,

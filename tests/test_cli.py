@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import seqalloc
 from seqalloc import cli
 from seqalloc.golden import REFERENCE_FORMULA
 
@@ -230,3 +234,28 @@ def test_json_results_are_deterministic(capsys, instance_file):
     first.pop("elapsed_seconds")
     second.pop("elapsed_seconds")
     assert first == second
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """Input errors exit 2 from a real process.
+
+    An uncaught exception also exits 1, the "verdict false" code, which
+    only a separate process can tell apart from a verdict.
+    """
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(seqalloc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    formula = tmp_path / "bad_counts.cnf"
+    formula.write_text("p cnf a 3\n1 2 3 0\n")
+    instance = tmp_path / "bad_header.instance"
+    instance.write_text("agents 1 items 1\n")
+    for argv, expected in [
+        (["examples"], cli.EXIT_OK),
+        (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE),
+        (["allocate", str(instance)], cli.EXIT_USAGE),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqalloc.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == expected, (argv, proc.stderr)

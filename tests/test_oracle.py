@@ -4,7 +4,12 @@ import random
 import pytest
 
 from seqalloc.engine import run_with_report
-from seqalloc.model import ValidationError, bundle_utility, make_lexicographic_utilities
+from seqalloc.model import (
+    UtilityFunction,
+    ValidationError,
+    bundle_utility,
+    make_lexicographic_utilities,
+)
 from seqalloc.oracle import (
     BudgetExceededError,
     brute_force_best_response,
@@ -125,3 +130,11 @@ def test_unknown_manipulator_is_validation_error():
     ):
         with pytest.raises(ValidationError, match="unknown agent 9"):
             search()
+
+
+def test_oracle_requires_manipulator_utilities():
+    inst = _manipulator_heavy_instance(4)
+    only_2 = UtilityFunction({"2": make_lexicographic_utilities(inst.preferences).values["2"]})
+    # a zero node budget trips on the search's first node
+    with pytest.raises(ValidationError, match="no utilities for agent 1"):
+        brute_force_best_response(inst, only_2, "1", node_budget=0)

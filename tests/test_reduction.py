@@ -38,6 +38,8 @@ def test_parse_formula_rejects_garbage():
         parse_formula("p cnf 3 1\n1 two 3 0\n")
     with pytest.raises(FormulaError, match="declares 2 clauses"):
         parse_formula("p cnf 3 2\n1 2 3 0\n")
+    with pytest.raises(FormulaError, match="line 1: malformed problem line"):
+        parse_formula("p cnf a 3\n1 2 3 0\n")
 
 
 def test_validate_formula_enforces_restrictions():
@@ -60,6 +62,24 @@ def test_reference_dimensions(reference):
     assert len(reference.instance.agents) == 1 + 4 * f.num_vars == 13
     assert len(reference.instance.items) == 18 * f.num_vars + 3 * len(f.clauses) == 66
     assert len(reference.instance.sequence) == 16 * f.num_vars + 4 * len(f.clauses) == 64
+
+
+def test_reference_compile_is_pinned(reference):
+    """Exact target and manipulator utilities, along their preference order."""
+    assert reference.target == 214475092837
+    row = [
+        reference.utility.of(MANIPULATOR, o)
+        for o in reference.instance.preferences[MANIPULATOR]
+    ]
+    assert row == [
+        85296470701, 85296470700, 76766823631, 76766823630, 51177882420,
+        38383411815, 26441905917, 25588941210, 12794470605, 852964707,
+        151503501, 151503500, 136353151, 136353150, 90902100,
+        68176575, 46966085, 45451050, 22725525, 1515035,
+        269101, 269100, 242191, 242190, 161460,
+        121095, 83421, 80730, 40365, 2691,
+        540, 539, 538, 537,
+    ] + list(range(32, 0, -1))
 
 
 def test_dimensions_scale_with_formula_size():

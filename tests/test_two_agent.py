@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from seqalloc import two_agent
 from seqalloc.engine import run_sequential_allocation, run_with_report
-from seqalloc.model import UtilityFunction, ValidationError, bundle_utility
+from seqalloc.model import (
+    UtilityFunction,
+    ValidationError,
+    bundle_utility,
+    make_lexicographic_utilities,
+)
 from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
 from seqalloc.two_agent import (
     achievability_certificate,
@@ -166,3 +172,28 @@ def test_nash_verification_agrees_with_oracle_on_random_profiles():
             for a in inst.agents
         )
         assert verify_nash_two_agents(inst, u) == (not improvable)
+
+
+def _no_replay(*args):
+    raise AssertionError("a best-response search started")
+
+
+def test_best_response_requires_manipulator_utilities(monkeypatch):
+    inst = two_agent_example()
+    only_2 = UtilityFunction({"2": make_lexicographic_utilities(inst.preferences).values["2"]})
+    monkeypatch.setattr(two_agent, "run_with_report", _no_replay)
+    with pytest.raises(ValidationError, match="no utilities for agent 1"):
+        best_response(inst, only_2, "1")
+
+
+def test_nash_evidence_requires_every_agents_utilities(monkeypatch):
+    inst = two_agent_example()
+    only_1 = UtilityFunction({"1": make_lexicographic_utilities(inst.preferences).values["1"]})
+    monkeypatch.setattr(two_agent, "run_with_report", _no_replay)
+    with pytest.raises(ValidationError, match="no utilities for agent 2"):
+        nash_evidence(inst, only_1)
+
+
+def test_achievability_certificate_rejects_unknown_items():
+    with pytest.raises(ValidationError, match="unknown items"):
+        achievability_certificate({"zz"}, two_agent_example(), "1")
