@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .engine import Encoded, PickState
 from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError, complete_order
 from .two_agent import ordinal_greedy
 
 DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_MAX_TURNS = 16
+MAX_TURNS = 16  # checked before any node is visited
 
 
 @dataclass(frozen=True)
@@ -27,64 +27,71 @@ class OracleResult:
     witness_reports: Mapping[frozenset, tuple[str, ...]]
 
 
-def _leaf_bundles(
-    inst: Instance, manipulator: str, node_budget: int, max_turns: int
-) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
-    """Yield (bundle, manipulator pick order) for every leaf of the search.
-
-    Bundles repeat when different pick orders coincide; items are indices
-    into ``inst.items``. Deterministic order: picks tried in canonical item
-    order at every branch. The agent and the turn guard are checked before
-    the first leaf is asked for.
-    """
-    enc = Encoded(inst)
+def _manipulator_turns(enc: Encoded, manipulator: str) -> list[int]:
+    """The manipulator's stages, after the agent check and the turn guard."""
     if manipulator not in enc.agent_index:
         raise ValidationError([f"unknown agent {manipulator}"])
     manip = enc.agent_index[manipulator]
     turns = [t for t, a in enumerate(enc.seq) if a == manip]
-    if len(turns) > max_turns:
-        raise BudgetExceededError(
-            f"manipulator has {len(turns)} turns, guard allows {max_turns}"
-        )
-    m = enc.m
-    nodes = 0
+    if len(turns) > MAX_TURNS:
+        raise BudgetExceededError(f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}")
+    return turns
 
-    def walk(state: PickState, picks: list[int]):
-        # ``state`` is the parent's, shared with the siblings and standing
-        # before this node's own pick ``picks[-1]``
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(f"search exceeded node budget {node_budget}")
-        if len(picks) == len(turns):
-            # later stages cannot change the manipulator's bundle
-            yield frozenset(picks), tuple(picks)
-            return
-        if picks:
-            state = state.copy()
-            state.take(picks[-1])
-        state.advance(turns[len(picks)])
-        taken = state.taken
-        for item in range(m):
-            if not taken[item]:
-                picks.append(item)
-                yield from walk(state, picks)
-                picks.pop()
 
-    return walk(PickState(enc), [])
+def _achievable(
+    enc: Encoded, turns: list[int], node_budget: int
+) -> dict[frozenset[int], tuple[int, ...]]:
+    """Map each achievable bundle to the first pick order that reaches it.
+
+    Items are indices into the instance's items. Picks are tried in
+    canonical item order at every branch, so the first pick order to reach
+    a bundle is its smallest by item index.
+    """
+    reached: dict[frozenset[int], tuple[int, ...]] = {}
+    _walk(PickState(enc), turns, [], reached, 0, node_budget)
+    return reached
+
+
+def _walk(
+    state: PickState,
+    turns: list[int],
+    picks: list[int],
+    reached: dict[frozenset[int], tuple[int, ...]],
+    nodes: int,
+    node_budget: int,
+) -> int:
+    """Visit the node reached by ``picks``; return the nodes counted so far.
+
+    ``state`` is the parent's, shared with the siblings and standing before
+    this node's own pick ``picks[-1]``.
+    """
+    nodes += 1
+    if nodes > node_budget:
+        raise BudgetExceededError(f"search exceeded node budget {node_budget}")
+    if len(picks) == len(turns):
+        # later stages cannot change the manipulator's bundle
+        reached.setdefault(frozenset(picks), tuple(picks))
+        return nodes
+    if picks:
+        state = state.copy()
+        state.take(picks[-1])
+    state.advance(turns[len(picks)])
+    taken = state.taken
+    for item in range(len(taken)):
+        if not taken[item]:
+            picks.append(item)
+            nodes = _walk(state, turns, picks, reached, nodes, node_budget)
+            picks.pop()
+    return nodes
 
 
 def enumerate_achievable_bundles(
-    inst: Instance,
-    manipulator: str,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_turns: int = DEFAULT_MAX_TURNS,
+    inst: Instance, manipulator: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> set[frozenset[str]]:
     """All bundles the manipulator can end up holding under some report."""
-    out = set()
-    for bundle, _ in _leaf_bundles(inst, manipulator, node_budget, max_turns):
-        out.add(frozenset(inst.items[k] for k in bundle))
-    return out
+    enc = Encoded(inst)
+    reached = _achievable(enc, _manipulator_turns(enc, manipulator), node_budget)
+    return {frozenset(inst.items[k] for k in bundle) for bundle in reached}
 
 
 def brute_force_best_response(
@@ -92,36 +99,26 @@ def brute_force_best_response(
     u: UtilityFunction,
     manipulator: str,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    max_turns: int = DEFAULT_MAX_TURNS,
 ) -> OracleResult:
     """Exact maximum utility, every optimal bundle, one witness report each."""
-    leaves = _leaf_bundles(inst, manipulator, node_budget, max_turns)
+    enc = Encoded(inst)
+    turns = _manipulator_turns(enc, manipulator)
     vals = u.values_of(manipulator)
+    reached = _achievable(enc, turns, node_budget)
     item_values = [vals[o] for o in inst.items]
-    best: Fraction | None = None
-    argmax: dict[frozenset[int], tuple[int, ...]] = {}
-    for bundle, picks in leaves:
-        utility = sum((item_values[k] for k in bundle), Fraction(0))
-        if best is None or utility > best:
-            best = utility
-            argmax = {bundle: picks}
-        elif utility == best and bundle not in argmax:
-            argmax[bundle] = picks
-    assert best is not None  # L >= 1 guarantees at least one leaf
+    utility = {b: sum((item_values[k] for k in b), Fraction(0)) for b in reached}
+    best = max(utility.values())
     named = {
         frozenset(inst.items[k] for k in bundle): complete_order(
-            [inst.items[k] for k in argmax[bundle]], inst.items
+            [inst.items[k] for k in reached[bundle]], inst.items
         )
-        for bundle in sorted(argmax, key=sorted)
+        for bundle in sorted((b for b in reached if utility[b] == best), key=sorted)
     }
     return OracleResult(best, tuple(named), named)
 
 
 def refuted_greedy_best_response(
-    inst: Instance,
-    manipulator: str,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_turns: int = DEFAULT_MAX_TURNS,
+    inst: Instance, manipulator: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> frozenset[str]:
     """The ordinal greedy known to be suboptimal for three or more agents.
 
@@ -129,7 +126,7 @@ def refuted_greedy_best_response(
     set plus that item is contained in some achievable bundle. Correct for
     two agents, not in general.
     """
-    achievable = enumerate_achievable_bundles(inst, manipulator, node_budget, max_turns)
+    achievable = enumerate_achievable_bundles(inst, manipulator, node_budget)
 
     def contained(trial: list[str]) -> bool:
         wanted = set(trial)

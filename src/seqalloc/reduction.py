@@ -412,6 +412,12 @@ def _manipulator_utility(
     return utility, Fraction(target)
 
 
+def _check(ok: bool, message: str) -> None:
+    """An audit check that, unlike ``assert``, also runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def audit_utilities(out: ReductionOutput) -> None:
     """Re-check every inequality the construction relies on.
 
@@ -423,8 +429,8 @@ def audit_utilities(out: ReductionOutput) -> None:
 
     # strict decrease along the manipulator's full preference order
     for a, b in zip(pref, pref[1:]):
-        assert vals[a] > vals[b], f"order violated at {a} vs {b}"
-    assert all(v > 0 for v in vals.values()), "non-positive utility"
+        _check(vals[a] > vals[b], f"order violated at {a} vs {b}")
+    _check(all(v > 0 for v in vals.values()), "non-positive utility")
 
     n_clauses = len(f.clauses)
     explicit = 10 * f.num_vars + n_clauses
@@ -443,32 +449,26 @@ def audit_utilities(out: ReductionOutput) -> None:
         }
         B = h[(1, 3)]
         # near-ties between a literal's items and its negation's
-        assert 0 < o1p - o1n <= eps_total, f"x{v}: o^1 twins not nearly tied"
-        assert 0 < o2p - o2n <= eps_total, f"x{v}: o^2 twins not nearly tied"
-        assert o1n - o2p >= B, f"x{v}: o^1 items do not dominate o^2 items"
+        _check(0 < o1p - o1n <= eps_total, f"x{v}: o^1 twins not nearly tied")
+        _check(0 < o2p - o2n <= eps_total, f"x{v}: o^2 twins not nearly tied")
+        _check(o1n - o2p >= B, f"x{v}: o^1 items do not dominate o^2 items")
         # consistency ordering h_~x^1 > h_~x^2 > h_~x^3 > h_x^1 > h_x^2 > h_x^3
         ordered = [h[(-1, 1)], h[(-1, 2)], h[(-1, 3)], h[(1, 1)], h[(1, 2)], h[(1, 3)]]
-        assert all(a > b for a, b in zip(ordered, ordered[1:])), f"x{v}: h order violated"
+        _check(all(a > b for a, b in zip(ordered, ordered[1:])), f"x{v}: h order violated")
         # the two consistent pairs tie and beat the inconsistent pair
-        assert h[(1, 2)] + h[(-1, 2)] < h[(-1, 1)] + h[(1, 3)] == h[(1, 1)] + h[(-1, 3)], (
-            f"x{v}: consistency pair inequality violated"
-        )
+        pairs_ok = h[(1, 2)] + h[(-1, 2)] < h[(-1, 1)] + h[(1, 3)] == h[(1, 1)] + h[(-1, 3)]
+        _check(pairs_ok, f"x{v}: consistency pair inequality violated")
         # inter-round dominance: one unit of this round's scale exceeds the
         # total value of everything below it, epsilon bonuses included
         round_min = min([o1p, o1n, o2p, o2n] + list(h.values()))
-        lower = [o for o in pref if vals[o] < round_min]
-        assert round_min - eps_total > sum(vals[o] for o in lower), (
-            f"x{v}: round scale does not dominate later items"
-        )
+        below = sum(vals[o] for o in pref if vals[o] < round_min)
+        _check(round_min - eps_total > below, f"x{v}: round scale does not dominate later items")
 
     # top clause items dominate everything the collection round could scrape up
-    for c in range(1, n_clauses + 1):
-        assert vals[clause_item(c, 1)] - eps_total > tail_max, (
-            f"c{c}: top clause item does not dominate leftovers"
-        )
-    assert min(vals[clause_item(c, 1)] for c in range(1, n_clauses + 1)) > tail_sum, (
-        "clause scale does not dominate the tail"
-    )
+    tops = [vals[clause_item(c, 1)] for c in range(1, n_clauses + 1)]
+    for c, top in enumerate(tops, 1):
+        _check(top - eps_total > tail_max, f"c{c}: top clause item does not dominate leftovers")
+    _check(min(tops) > tail_sum, "clause scale does not dominate the tail")
 
 
 # --- report construction and verification ----------------------------------

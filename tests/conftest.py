@@ -1,10 +1,20 @@
 """Shared generators for randomized tests. Everything is seeded."""
 
+import os
 import random
 from fractions import Fraction
 
+import seqalloc
 from seqalloc.model import UtilityFunction, validate_instance
 from seqalloc.reduction import RestrictedFormula, validate_formula
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a subprocess that must import this same package."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(seqalloc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_instance(rng: random.Random, n: int, m: int, L: int | None = None):

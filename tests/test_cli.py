@@ -1,13 +1,13 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import seqalloc
 from seqalloc import cli
 from seqalloc.golden import REFERENCE_FORMULA
+
+from conftest import package_env
 
 INSTANCE = """\
 agents 2 items 4 seq 4
@@ -242,20 +242,24 @@ def test_module_entry_point_exit_codes(tmp_path):
     An uncaught exception also exits 1, the "verdict false" code, which
     only a separate process can tell apart from a verdict.
     """
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(seqalloc.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     formula = tmp_path / "bad_counts.cnf"
     formula.write_text("p cnf a 3\n1 2 3 0\n")
     instance = tmp_path / "bad_header.instance"
     instance.write_text("agents 1 items 1\n")
+    not_utf8 = tmp_path / "latin1.instance"
+    not_utf8.write_bytes(b"# caf\xe9\nagents 1 items 1 seq 1\n")
     for argv, expected in [
         (["examples"], cli.EXIT_OK),
         (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE),
         (["allocate", str(instance)], cli.EXIT_USAGE),
+        # a directory and a file that is not UTF-8 are unreadable input
+        (["allocate", str(tmp_path)], cli.EXIT_USAGE),
+        (["verify-reduction", str(tmp_path), "--patterns"], cli.EXIT_USAGE),
+        (["allocate", str(not_utf8)], cli.EXIT_USAGE),
+        (["verify-reduction", str(not_utf8), "--patterns"], cli.EXIT_USAGE),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "seqalloc.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=package_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == expected, (argv, proc.stderr)

@@ -8,6 +8,7 @@ from seqalloc.model import (
     UtilityFunction,
     ValidationError,
     bundle_utility,
+    complete_order,
     make_lexicographic_utilities,
 )
 from seqalloc.oracle import (
@@ -67,6 +68,32 @@ def test_witness_reports_replay_to_their_bundles():
             assert run_with_report(inst, manip, report).bundles[manip] == bundle
 
 
+def test_witness_is_first_pick_order_by_item_index():
+    """Each witness starts with the bundle's smallest manipulator pick order.
+
+    Pick orders compare by canonical item index, over every one of the m!
+    reports; the rest of the witness is ``complete_order``'s canonical tail.
+    """
+    rng = random.Random(55)
+    for _ in range(40):
+        m = rng.randint(4, 6)
+        inst = random_instance(rng, n=rng.choice([2, 3]), m=m, L=m)
+        manip = rng.choice(inst.agents)
+        u = random_consistent_utilities(rng, inst, manip)
+        first_picks = {}
+        for perm in itertools.permutations(inst.items):
+            alloc = run_with_report(inst, manip, perm)
+            picks = [o for _, agent, o in alloc.trace if agent == manip]
+            key = [inst.items.index(o) for o in picks]
+            bundle = alloc.bundles[manip]
+            if bundle not in first_picks or key < first_picks[bundle][0]:
+                first_picks[bundle] = (key, picks)
+        res = brute_force_best_response(inst, u, manip)
+        for bundle in res.optimal_bundles:
+            picks = first_picks[bundle][1]
+            assert res.witness_reports[bundle] == complete_order(picks, inst.items)
+
+
 def test_optimal_bundles_are_deduplicated_and_ordered():
     inst = three_agent_counterexample()
     res = brute_force_best_response(inst, counterexample_utilities(tie=True), "1")
@@ -115,9 +142,10 @@ def test_node_budget_is_enforced():
 
 
 def test_turn_guard_is_enforced():
-    inst = _manipulator_heavy_instance(12)
+    inst = _manipulator_heavy_instance(34)  # 17 manipulator turns
+    # a zero node budget would trip on the search's first node
     with pytest.raises(BudgetExceededError, match="turns"):
-        enumerate_achievable_bundles(inst, "1", max_turns=5)
+        enumerate_achievable_bundles(inst, "1", node_budget=0)
 
 
 def test_unknown_manipulator_is_validation_error():

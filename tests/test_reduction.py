@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from seqalloc.reduction import (
 )
 from seqalloc.golden import REFERENCE_ASSIGNMENT, REFERENCE_FORMULA
 
-from conftest import random_restricted_formula
+from conftest import package_env, random_restricted_formula
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,32 @@ def test_audit_passes_on_random_formulas():
     for num_vars in (3, 6, 9):
         out = build_instance(random_restricted_formula(rng, num_vars))
         audit_utilities(out)  # raises on any broken inequality
+
+
+# Swap the manipulator's two top values on the reference compile.
+_BROKEN_LEDGER_AUDIT = """
+import dataclasses
+from seqalloc.golden import REFERENCE_FORMULA
+from seqalloc.model import UtilityFunction
+from seqalloc.reduction import MANIPULATOR, audit_utilities, build_instance, parse_formula
+
+out = build_instance(parse_formula(REFERENCE_FORMULA))
+vals = dict(out.utility.values[MANIPULATOR])
+first, second = out.instance.preferences[MANIPULATOR][:2]
+vals[first], vals[second] = vals[second], vals[first]
+audit_utilities(dataclasses.replace(out, utility=UtilityFunction({MANIPULATOR: vals})))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_audit_rejects_broken_ledger_under_any_flag(flags):
+    """``python -O`` strips ``assert`` statements; the audit must not rely on them."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_LEDGER_AUDIT],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: order violated at o_x1^1 vs o_~x1^1" in proc.stderr
 
 
 def test_assignment_to_report_requires_total_assignment(reference):
