@@ -31,19 +31,29 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_input(path: str) -> tuple[str, str]:
+    """The file's text and the SHA-256 of its bytes, from one read."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError([f"{path}: not UTF-8 text ({exc})"]) from exc
+    return text, hashlib.sha256(data).hexdigest()
 
 
 class Report:
-    """One structured document per run; timing excluded from determinism."""
+    """One structured document per run; timing excluded from determinism.
+
+    ``text`` is the input file's content, read once with its digest.
+    """
 
     def __init__(self, command: list[str], input_path: str | None):
         self.t0 = time.perf_counter()
         self.doc = {"command": command, "results": {}}
+        self.text = ""
         if input_path is not None:
             self.doc["input"] = input_path
-            self.doc["input_sha256"] = _digest(input_path)
+            self.text, self.doc["input_sha256"] = _read_input(input_path)
 
     def emit(self, args, text_lines: list[str]) -> None:
         self.doc["elapsed_seconds"] = round(time.perf_counter() - self.t0, 6)
@@ -54,13 +64,9 @@ class Report:
                 print(line)
 
 
-def _load_instance(path: str):
-    return parse_instance(Path(path).read_text())
-
-
 def cmd_allocate(args) -> int:
     report = Report(["allocate", args.instance], args.instance)
-    inst, _ = _load_instance(args.instance)
+    inst, _ = parse_instance(report.text)
     alloc = run_sequential_allocation(inst)
     report.doc["results"] = {
         "bundles": {a: sorted(b) for a, b in alloc.bundles.items()},
@@ -76,7 +82,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_best_response(args) -> int:
     report = Report(["best-response", args.instance, args.agent, args.mode], args.instance)
-    inst, utility = _load_instance(args.instance)
+    inst, utility = parse_instance(report.text)
     agent = args.agent
     if agent not in inst.agents:
         raise ValidationError([f"unknown agent {agent}"])
@@ -128,7 +134,7 @@ def cmd_best_response(args) -> int:
 
 def cmd_nash_verify(args) -> int:
     report = Report(["nash-verify", args.instance], args.instance)
-    inst, utility = _load_instance(args.instance)
+    inst, utility = parse_instance(report.text)
     if utility is None or set(utility.values) != set(inst.agents):
         raise ValidationError(["nash-verify requires utilities for every agent"])
     evidence = two_agent.nash_evidence(inst, utility)
@@ -161,7 +167,7 @@ def cmd_nash_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     report = Report(["reduce", args.formula, args.out], args.formula)
-    formula = reduction.parse_formula(Path(args.formula).read_text())
+    formula = reduction.parse_formula(report.text)
     out = reduction.build_instance(formula)
     instance_path = Path(args.out + ".instance")
     registry_path = Path(args.out + ".registry.json")
@@ -209,7 +215,7 @@ def _parse_assignment(text: str, num_vars: int) -> dict[int, bool]:
 
 def cmd_verify_reduction(args) -> int:
     report = Report(["verify-reduction", args.formula], args.formula)
-    formula = reduction.parse_formula(Path(args.formula).read_text())
+    formula = reduction.parse_formula(report.text)
     out = reduction.build_instance(formula)
     if args.patterns:
         pattern_report = reduction.verify_choice_patterns(out, max_patterns=args.budget)
@@ -319,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

@@ -1,9 +1,13 @@
 """Exact polynomial-time best response and Nash verification for two agents.
 
-Achievability of a target set is decided by one engine run with the
-canonical report (the target items first, in the opponent's relative
-order). For a target smaller than the manipulator's turn count,
-"achievable" means some report yields a bundle containing it.
+Achievability of a target set S is decided in closed form, without running
+the engine. Let s_0 < s_1 < ... be the 0-based stages at which the
+manipulator picks, and p_0 < p_1 < ... the opponent's 0-based ranks of the
+items of S. S is achievable iff |S| is at most the manipulator's turn count
+and s_j <= p_j for every j: the canonical report (the target items first,
+in the opponent's relative order) then yields a bundle containing S, and no
+report does otherwise. For a target smaller than the manipulator's turn
+count, "achievable" means some report yields a bundle containing it.
 """
 
 from __future__ import annotations
@@ -48,30 +52,45 @@ def canonical_report(
     The tail order never affects the outcome, so the fixed canonical item
     order is used to keep outputs deterministic.
     """
-    S = set(S)
-    unknown = S.difference(all_items)
-    if unknown:
-        raise ValidationError([f"unknown items in target set: {sorted(unknown)}"])
+    S = _known_items(S, all_items)
     rank = {o: k for k, o in enumerate(opponent_pref)}
     return complete_order(sorted(S, key=rank.__getitem__), all_items)
 
 
+def _known_items(S: Iterable[str], items: Iterable[str]) -> set[str]:
+    """``S`` as a set; ValidationError if it names an item outside ``items``."""
+    S = set(S)
+    unknown = S.difference(items)
+    if unknown:
+        raise ValidationError([f"unknown items in target set: {sorted(unknown)}"])
+    return S
+
+
 def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
-    """True iff some report gives the manipulator a bundle containing S."""
+    """True iff some report gives the manipulator a bundle containing S.
+
+    Closed form, O(m) and no engine run: with s_j the stage of the
+    manipulator's j-th pick and p_j the j-th smallest opponent rank among
+    the items of S (both 0-based), S is achievable iff |S| <= turns and
+    s_j <= p_j for every j. Before stage s_j the opponent has picked
+    s_j - j times, and p_j - j items outside S rank above the j-th target.
+    """
     _require_two_agents(inst)
     opponent = _opponent(inst, manipulator)
-    S = set(S)
-    report = canonical_report(S, inst.preferences[opponent], inst.items)
-    alloc = run_with_report(inst, manipulator, report)
-    return S <= alloc.bundles[manipulator]
+    opp_pref = inst.preferences[opponent]
+    rank = dict(zip(opp_pref, range(len(opp_pref))))
+    ranks = sorted(rank[o] for o in _known_items(S, rank))
+    stages = [t for t, a in enumerate(inst.sequence) if a == manipulator]
+    return len(ranks) <= len(stages) and all(s <= p for s, p in zip(stages, ranks))
 
 
 def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
-    """Direct stage-wise check of achievability on the canonical-report trace.
+    """The engine-replay reference for ``is_achievable``.
 
-    At every stage where the manipulator takes the i-th target item, each
-    item already held by the opponent must be strictly preferred by the
-    opponent to that target item.
+    Replays the canonical report through the engine and checks its trace
+    stage by stage: at every stage where the manipulator takes the i-th
+    target item, each item already held by the opponent must be strictly
+    preferred by the opponent to that target item.
     """
     _require_two_agents(inst)
     opponent = _opponent(inst, manipulator)

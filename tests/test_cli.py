@@ -248,18 +248,21 @@ def test_module_entry_point_exit_codes(tmp_path):
     instance.write_text("agents 1 items 1\n")
     not_utf8 = tmp_path / "latin1.instance"
     not_utf8.write_bytes(b"# caf\xe9\nagents 1 items 1 seq 1\n")
-    for argv, expected in [
-        (["examples"], cli.EXIT_OK),
-        (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE),
-        (["allocate", str(instance)], cli.EXIT_USAGE),
-        # a directory and a file that is not UTF-8 are unreadable input
-        (["allocate", str(tmp_path)], cli.EXIT_USAGE),
-        (["verify-reduction", str(tmp_path), "--patterns"], cli.EXIT_USAGE),
-        (["allocate", str(not_utf8)], cli.EXIT_USAGE),
-        (["verify-reduction", str(not_utf8), "--patterns"], cli.EXIT_USAGE),
+    for argv, expected, message in [
+        (["examples"], cli.EXIT_OK, ""),
+        (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE, "malformed"),
+        (["allocate", str(instance)], cli.EXIT_USAGE, "malformed header"),
+        # a directory and a file that is not UTF-8 are unreadable input,
+        # and the error names the file
+        (["allocate", str(tmp_path)], cli.EXIT_USAGE, str(tmp_path)),
+        (["verify-reduction", str(tmp_path), "--patterns"], cli.EXIT_USAGE, str(tmp_path)),
+        (["allocate", str(not_utf8)], cli.EXIT_USAGE, f"{not_utf8}: not UTF-8"),
+        (["verify-reduction", str(not_utf8), "--patterns"], cli.EXIT_USAGE,
+         f"{not_utf8}: not UTF-8"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "seqalloc.cli", *argv],
             env=package_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == expected, (argv, proc.stderr)
+        assert message in proc.stderr, (argv, proc.stderr)

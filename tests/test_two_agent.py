@@ -11,6 +11,7 @@ from seqalloc.model import (
     ValidationError,
     bundle_utility,
     make_lexicographic_utilities,
+    validate_instance,
 )
 from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
 from seqalloc.two_agent import (
@@ -72,6 +73,59 @@ def test_achievability_matches_certificate_exhaustively():
                 assert is_achievable(S, inst, manip) == achievability_certificate(
                     S, inst, manip
                 ), (inst, manip, S)
+
+
+def _replay_achievable(S, inst, manip):
+    """The engine reference: replay the canonical report and look."""
+    (opponent,) = set(inst.agents) - {manip}
+    report = canonical_report(S, inst.preferences[opponent], inst.items)
+    return set(S) <= run_with_report(inst, manip, report).bundles[manip]
+
+
+def test_closed_form_matches_engine_replay_on_every_subset():
+    rng = random.Random(47)
+    seen = {"empty": 0, "over_turns": 0, "short_sequence": 0, True: 0, False: 0}
+    for _ in range(150):
+        inst = random_instance(rng, n=2, m=rng.randint(1, 8))
+        manip = rng.choice(inst.agents)
+        seen["short_sequence"] += len(inst.sequence) < len(inst.items)
+        for size in range(len(inst.items) + 1):
+            for S in itertools.combinations(inst.items, size):
+                verdict = is_achievable(S, inst, manip)
+                assert verdict == _replay_achievable(S, inst, manip), (inst, manip, S)
+                seen[verdict] += 1
+                seen["empty"] += not S
+                seen["over_turns"] += size > inst.turns(manip)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["1221", "random"])
+def test_closed_form_on_64_items(blocked):
+    rng = random.Random(64)
+    items = [f"o{k}" for k in range(64)]
+    if blocked:
+        sequence = [("1", "2", "2", "1")[k % 4] for k in range(64)]
+    else:
+        sequence = [rng.choice("12") for _ in range(64)]
+    prefs = {a: rng.sample(items, 64) for a in ("1", "2")}
+    inst = validate_instance(items, ["1", "2"], prefs, sequence)
+    verdicts = set()
+    for manip in inst.agents:
+        u = random_consistent_utilities(rng, inst, manip)
+        report, bundle, _ = best_response(inst, u, manip)
+        assert run_with_report(inst, manip, report).bundles[manip] == bundle
+        kept = sorted(bundle)
+        for _ in range(100):
+            S = rng.sample(kept, rng.randint(0, len(kept) - 1)) + rng.sample(items, 1)
+            verdict = is_achievable(S, inst, manip)
+            assert verdict == _replay_achievable(S, inst, manip), (manip, S)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_is_achievable_rejects_unknown_items():
+    with pytest.raises(ValidationError, match="unknown items"):
+        is_achievable({"zz"}, two_agent_example(), "1")
 
 
 def test_achievable_sets_match_oracle_containment():
@@ -174,14 +228,20 @@ def test_nash_verification_agrees_with_oracle_on_random_profiles():
         assert verify_nash_two_agents(inst, u) == (not improvable)
 
 
-def _no_replay(*args):
+def _no_search(*args):
     raise AssertionError("a best-response search started")
+
+
+def _forbid_search(monkeypatch):
+    """Make any replay or achievability test of a search fail the test."""
+    monkeypatch.setattr(two_agent, "run_with_report", _no_search)
+    monkeypatch.setattr(two_agent, "is_achievable", _no_search)
 
 
 def test_best_response_requires_manipulator_utilities(monkeypatch):
     inst = two_agent_example()
     only_2 = UtilityFunction({"2": make_lexicographic_utilities(inst.preferences).values["2"]})
-    monkeypatch.setattr(two_agent, "run_with_report", _no_replay)
+    _forbid_search(monkeypatch)
     with pytest.raises(ValidationError, match="no utilities for agent 1"):
         best_response(inst, only_2, "1")
 
@@ -189,7 +249,7 @@ def test_best_response_requires_manipulator_utilities(monkeypatch):
 def test_nash_evidence_requires_every_agents_utilities(monkeypatch):
     inst = two_agent_example()
     only_1 = UtilityFunction({"1": make_lexicographic_utilities(inst.preferences).values["1"]})
-    monkeypatch.setattr(two_agent, "run_with_report", _no_replay)
+    _forbid_search(monkeypatch)
     with pytest.raises(ValidationError, match="no utilities for agent 2"):
         nash_evidence(inst, only_1)
 
