@@ -121,7 +121,7 @@ def cmd_best_response(args) -> int:
                 + " ".join(res.witness_reports[b])
             ]
     else:  # refuted-greedy
-        bundle = oracle.refuted_greedy_best_response(inst, agent, node_budget=args.budget)
+        bundle = oracle.refuted_greedy_best_response(inst, agent)
         value = bundle_utility(utility, agent, bundle)
         report.doc["results"].update(bundle=sorted(bundle), utility=render_fraction(value))
         lines += [
@@ -274,6 +274,13 @@ def cmd_examples(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT_FALSE
 
 
+def _budget(text: str) -> int:
+    """A search budget: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqalloc", description="sequential allocation toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -289,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=["two-agent", "oracle", "refuted-greedy"], default="two-agent"
     )
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--budget", type=_budget, default=oracle.DEFAULT_NODE_BUDGET,
+        help="search node budget of --mode oracle",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_best_response)
 
@@ -309,7 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--assignment", help="e.g. x1=T,x2=F,x3=F")
     group.add_argument("--patterns", action="store_true", help="enumerate all choice patterns")
-    p.add_argument("--budget", type=int, default=reduction.DEFAULT_PATTERN_BUDGET)
+    p.add_argument(
+        "--budget", type=_budget, default=reduction.DEFAULT_PATTERN_BUDGET,
+        help="most choice patterns that --patterns may check",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_reduction)
 

@@ -3,12 +3,13 @@
 At each stage the agent named by the sequence receives their most-preferred
 remaining item. ``Encoded`` is the one integer view of an instance and
 ``PickState`` the one picking loop; the oracle resumes and copies the same
-state to branch over the manipulator's picks.
+state to branch over the manipulator's picks, and ``can_achieve`` plays it
+forward to decide which item sets the manipulator can secure.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import Allocation, Instance, ValidationError
 
@@ -78,6 +79,50 @@ class PickState:
         twin.taken = self.taken[:]
         twin.cursor = self.cursor[:]
         return twin
+
+
+def stages_of(sequence: Sequence, agent: str | int) -> list[int]:
+    """The 0-based stages at which ``agent`` picks, by name or by index."""
+    return [t for t, a in enumerate(sequence) if a == agent]
+
+
+def can_achieve(enc: Encoded, manipulator: int, target: Iterable[int]) -> bool:
+    """True iff some report gives the manipulator a bundle containing ``target``.
+
+    ``manipulator`` is an agent index and ``target`` holds item indices.
+    Earliest deadline first: at each of the manipulator's stages, take the
+    needed item that the other agents would take first if the manipulator
+    passed from then on, or any needed item if they would take none. The
+    target is achievable iff no other agent takes a needed item first.
+    """
+    needed = set(target)
+    turns = stages_of(enc.seq, manipulator)
+    if len(needed) > len(turns):
+        return False
+    state = PickState(enc)
+    for c, t in enumerate(turns[: len(needed)]):  # one needed item per turn
+        state.advance(t)
+        if any(state.taken[k] for k in needed):
+            return False
+        item = _first_lost(state, turns[c + 1 :], needed)
+        state.take(item)
+        needed.remove(item)
+    return True
+
+
+def _first_lost(state: PickState, later_turns: list[int], needed: set[int]) -> int:
+    """The needed item the other agents take first if the manipulator passes.
+
+    ``state`` stands at one of the manipulator's stages and is not changed;
+    ``later_turns`` are the manipulator's stages after it.
+    """
+    look = state.copy()
+    for stop in later_turns + [len(state.enc.seq)]:
+        look.stage += 1  # the manipulator passes
+        for item in look.advance(stop):
+            if item in needed:
+                return item
+    return min(needed)
 
 
 def run_sequential_allocation(inst: Instance) -> Allocation:

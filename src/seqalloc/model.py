@@ -120,11 +120,18 @@ class UtilityFunction:
     def of(self, agent: str, item: str) -> Fraction:
         return self.values[agent][item]
 
-    def values_of(self, agent: str) -> Mapping[str, Fraction]:
-        """The agent's item values; ValidationError if the agent is not covered."""
+    def values_of(self, agent: str, items: Iterable[str]) -> Mapping[str, Fraction]:
+        """The agent's item values.
+
+        ValidationError if the agent has no utilities or they miss one of
+        ``items``; consistency with a preference is not checked.
+        """
         if agent not in self.values:
             raise ValidationError([f"no utilities for agent {agent}"])
-        return self.values[agent]
+        vals = self.values[agent]
+        if not all(o in vals for o in items):
+            raise ValidationError([f"utilities of agent {agent} do not cover the item set"])
+        return vals
 
     def agents(self) -> tuple[str, ...]:
         return tuple(self.values)
@@ -183,10 +190,11 @@ def complete_order(prefix: list[str], items: Iterable[str]) -> tuple[str, ...]:
 def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -> tuple[str, ...]:
     """The strict preference order induced by an agent's utilities.
 
-    Raises ValidationError if two items are valued equally (the induced
-    order would not be strict).
+    Raises ValidationError if the utilities miss one of ``items`` or value
+    two of them equally (the induced order would not be strict).
     """
-    vals = u.values_of(agent)
+    items = tuple(items)
+    vals = u.values_of(agent, items)
     ranked = sorted(items, key=lambda o: -vals[o])
     for a, b in zip(ranked, ranked[1:]):
         if vals[a] == vals[b]:

@@ -3,7 +3,12 @@
 The search branches over the manipulator's pick at each of their turns;
 between turns every other agent picks greedily. This is outcome-equivalent
 to searching over all m! reports because a report only influences the
-outcome through the item picked at each of the manipulator's turns.
+outcome through the item picked at each of the manipulator's turns. The
+search is bounded by a node budget and by a guard of ``MAX_TURNS``
+manipulator turns.
+
+The refuted ordinal greedy does not search: it asks ``engine.can_achieve``,
+a polynomial test, whether each extension of its kept set is achievable.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .engine import Encoded, PickState
+from .engine import Encoded, PickState, can_achieve, stages_of
 from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError, complete_order
 from .two_agent import ordinal_greedy
 
@@ -27,19 +32,15 @@ class OracleResult:
     witness_reports: Mapping[frozenset, tuple[str, ...]]
 
 
-def _manipulator_turns(enc: Encoded, manipulator: str) -> list[int]:
-    """The manipulator's stages, after the agent check and the turn guard."""
+def _agent(enc: Encoded, manipulator: str) -> int:
+    """The manipulator's agent index; ValidationError if it is unknown."""
     if manipulator not in enc.agent_index:
         raise ValidationError([f"unknown agent {manipulator}"])
-    manip = enc.agent_index[manipulator]
-    turns = [t for t, a in enumerate(enc.seq) if a == manip]
-    if len(turns) > MAX_TURNS:
-        raise BudgetExceededError(f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}")
-    return turns
+    return enc.agent_index[manipulator]
 
 
 def _achievable(
-    enc: Encoded, turns: list[int], node_budget: int
+    enc: Encoded, manip: int, node_budget: int
 ) -> dict[frozenset[int], tuple[int, ...]]:
     """Map each achievable bundle to the first pick order that reaches it.
 
@@ -47,6 +48,9 @@ def _achievable(
     canonical item order at every branch, so the first pick order to reach
     a bundle is its smallest by item index.
     """
+    turns = stages_of(enc.seq, manip)
+    if len(turns) > MAX_TURNS:
+        raise BudgetExceededError(f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}")
     reached: dict[frozenset[int], tuple[int, ...]] = {}
     _walk(PickState(enc), turns, [], reached, 0, node_budget)
     return reached
@@ -90,7 +94,7 @@ def enumerate_achievable_bundles(
 ) -> set[frozenset[str]]:
     """All bundles the manipulator can end up holding under some report."""
     enc = Encoded(inst)
-    reached = _achievable(enc, _manipulator_turns(enc, manipulator), node_budget)
+    reached = _achievable(enc, _agent(enc, manipulator), node_budget)
     return {frozenset(inst.items[k] for k in bundle) for bundle in reached}
 
 
@@ -102,9 +106,9 @@ def brute_force_best_response(
 ) -> OracleResult:
     """Exact maximum utility, every optimal bundle, one witness report each."""
     enc = Encoded(inst)
-    turns = _manipulator_turns(enc, manipulator)
-    vals = u.values_of(manipulator)
-    reached = _achievable(enc, turns, node_budget)
+    manip = _agent(enc, manipulator)
+    vals = u.values_of(manipulator, inst.items)
+    reached = _achievable(enc, manip, node_budget)
     item_values = [vals[o] for o in inst.items]
     utility = {b: sum((item_values[k] for k in b), Fraction(0)) for b in reached}
     best = max(utility.values())
@@ -117,19 +121,18 @@ def brute_force_best_response(
     return OracleResult(best, tuple(named), named)
 
 
-def refuted_greedy_best_response(
-    inst: Instance, manipulator: str, node_budget: int = DEFAULT_NODE_BUDGET
-) -> frozenset[str]:
+def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[str]:
     """The ordinal greedy known to be suboptimal for three or more agents.
 
-    Scans the manipulator's true order and keeps an item whenever the kept
-    set plus that item is contained in some achievable bundle. Correct for
-    two agents, not in general.
+    Scans the manipulator's true order and keeps an item whenever some
+    report gives a bundle containing the kept set plus that item
+    (``engine.can_achieve``). Correct for two agents, not in general.
     """
-    achievable = enumerate_achievable_bundles(inst, manipulator, node_budget)
-
-    def contained(trial: list[str]) -> bool:
-        wanted = set(trial)
-        return any(wanted <= bundle for bundle in achievable)
-
-    return frozenset(ordinal_greedy(inst, manipulator, contained))
+    enc = Encoded(inst)
+    manip = _agent(enc, manipulator)
+    index = enc.item_index
+    return frozenset(
+        ordinal_greedy(
+            inst, manipulator, lambda trial: can_achieve(enc, manip, [index[o] for o in trial])
+        )
+    )

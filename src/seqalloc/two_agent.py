@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .engine import run_sequential_allocation, run_with_report
+from .engine import Encoded, can_achieve, run_sequential_allocation, stages_of
 from .model import (
     Instance,
     UtilityFunction,
@@ -80,42 +80,22 @@ def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
     opp_pref = inst.preferences[opponent]
     rank = dict(zip(opp_pref, range(len(opp_pref))))
     ranks = sorted(rank[o] for o in _known_items(S, rank))
-    stages = [t for t, a in enumerate(inst.sequence) if a == manipulator]
+    stages = stages_of(inst.sequence, manipulator)
     return len(ranks) <= len(stages) and all(s <= p for s, p in zip(stages, ranks))
 
 
 def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
-    """The engine-replay reference for ``is_achievable``.
+    """The engine reference for ``is_achievable``: ``engine.can_achieve``.
 
-    Replays the canonical report through the engine and checks its trace
-    stage by stage: at every stage where the manipulator takes the i-th
-    target item, each item already held by the opponent must be strictly
-    preferred by the opponent to that target item.
+    Plays the instance forward on the engine's picking state, taking at each
+    of the manipulator's stages the target item the opponent would take
+    first; it does not use the closed form.
     """
     _require_two_agents(inst)
-    opponent = _opponent(inst, manipulator)
-    opp_pref = inst.preferences[opponent]
-    rank = {o: k for k, o in enumerate(opp_pref)}
-    S = set(S)
-    report = canonical_report(S, opp_pref, inst.items)
-    prefix = report[: len(S)]
-    alloc = run_with_report(inst, manipulator, report)
-
-    opponent_holdings: list[str] = []
-    own_picks = 0
-    for _, agent, item in alloc.trace:
-        if agent == opponent:
-            opponent_holdings.append(item)
-            continue
-        own_picks += 1
-        if own_picks > len(prefix):
-            break
-        target = prefix[own_picks - 1]
-        if item != target:
-            return False
-        if any(rank[held] >= rank[target] for held in opponent_holdings):
-            return False
-    return own_picks >= len(prefix)
+    _opponent(inst, manipulator)  # rejects an unknown manipulator
+    S = _known_items(S, inst.items)
+    enc = Encoded(inst)
+    return can_achieve(enc, enc.agent_index[manipulator], [enc.item_index[o] for o in S])
 
 
 def ordinal_greedy(
@@ -161,7 +141,7 @@ def best_response(
     supplied; they are only used to report the achieved utility.
     """
     _require_two_agents(inst)
-    validate_utilities(UtilityFunction({manipulator: u.values_of(manipulator)}), inst)
+    validate_utilities(UtilityFunction({manipulator: u.values_of(manipulator, inst.items)}), inst)
     report, bundle = lexicographic_best_response(inst, manipulator)
     return report, bundle, bundle_utility(u, manipulator, bundle)
 

@@ -248,6 +248,10 @@ def test_module_entry_point_exit_codes(tmp_path):
     instance.write_text("agents 1 items 1\n")
     not_utf8 = tmp_path / "latin1.instance"
     not_utf8.write_bytes(b"# caf\xe9\nagents 1 items 1 seq 1\n")
+    good_instance = tmp_path / "case.instance"
+    good_instance.write_text(INSTANCE)
+    good_formula = tmp_path / "reference.cnf"
+    good_formula.write_text(REFERENCE_FORMULA)
     for argv, expected, message in [
         (["examples"], cli.EXIT_OK, ""),
         (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE, "malformed"),
@@ -259,6 +263,11 @@ def test_module_entry_point_exit_codes(tmp_path):
         (["allocate", str(not_utf8)], cli.EXIT_USAGE, f"{not_utf8}: not UTF-8"),
         (["verify-reduction", str(not_utf8), "--patterns"], cli.EXIT_USAGE,
          f"{not_utf8}: not UTF-8"),
+        # a negative budget is a usage error, not an exhausted budget
+        (["best-response", str(good_instance), "--agent", "1", "--mode", "oracle",
+          "--budget", "-5"], cli.EXIT_USAGE, "--budget"),
+        (["verify-reduction", str(good_formula), "--patterns", "--budget", "-1"],
+         cli.EXIT_USAGE, "--budget"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "seqalloc.cli", *argv],

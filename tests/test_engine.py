@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from seqalloc.engine import (
     Encoded,
     PickState,
+    can_achieve,
     run_sequential_allocation,
     run_with_report,
 )
 from seqalloc.model import ValidationError, validate_instance
+from seqalloc.oracle import enumerate_achievable_bundles
 
 from conftest import random_instance
 
@@ -67,6 +70,27 @@ def test_pick_state_copies_branch_independently():
         assert before + state.advance(L) == [enc.item_index[o] for _, _, o in truthful.trace]
         checked += 1
     assert checked >= 30
+
+
+def test_can_achieve_matches_exhaustive_walk_on_every_subset():
+    """The earliest-deadline rule against containment in the oracle's bundles."""
+    rng = random.Random(25)
+    seen = {"empty": 0, "over_turns": 0, "short_sequence": 0, True: 0, False: 0}
+    for _ in range(200):
+        inst = random_instance(rng, n=rng.randint(2, 4), m=rng.randint(1, 8))
+        manip = rng.choice(inst.agents)
+        bundles = enumerate_achievable_bundles(inst, manip)
+        enc = Encoded(inst)
+        seen["short_sequence"] += len(inst.sequence) < len(inst.items)
+        for size in range(enc.m + 1):
+            for S in itertools.combinations(range(enc.m), size):
+                named = {inst.items[k] for k in S}
+                verdict = can_achieve(enc, enc.agent_index[manip], S)
+                assert verdict == any(named <= b for b in bundles), (inst, manip, named)
+                seen[verdict] += 1
+                seen["empty"] += not S
+                seen["over_turns"] += size > inst.turns(manip)
+    assert all(seen.values()), seen
 
 
 def test_trace_and_bundles_agree():

@@ -10,6 +10,7 @@ from seqalloc.model import (
     bundle_utility,
     complete_order,
     make_lexicographic_utilities,
+    validate_instance,
 )
 from seqalloc.oracle import (
     BudgetExceededError,
@@ -18,6 +19,7 @@ from seqalloc.oracle import (
     refuted_greedy_best_response,
 )
 from seqalloc.golden import counterexample_utilities, three_agent_counterexample
+from seqalloc.two_agent import lexicographic_best_response
 
 from conftest import random_consistent_utilities, random_instance
 
@@ -135,6 +137,29 @@ def _manipulator_heavy_instance(m: int):
     )
 
 
+def test_refuted_greedy_has_no_turn_guard():
+    inst = _manipulator_heavy_instance(34)  # 17 manipulator turns
+    _, expected = lexicographic_best_response(inst, "1")
+    assert refuted_greedy_best_response(inst, "1") == expected
+
+
+def test_refuted_greedy_has_no_node_budget():
+    # round robin over near-identical preferences: the oracle's walk for
+    # agent 1's 10 turns exceeds its default node budget, so only a greedy
+    # that does not enumerate bundles answers here
+    rng = random.Random(56)
+    items = [f"o{k}" for k in range(30)]
+    prefs = {}
+    for agent in "123":
+        order = items[:]
+        for _ in range(5):
+            k = rng.randrange(len(items) - 1)
+            order[k], order[k + 1] = order[k + 1], order[k]
+        prefs[agent] = order
+    inst = validate_instance(items, list("123"), prefs, list("123") * 10)
+    assert len(refuted_greedy_best_response(inst, "1")) == 10
+
+
 def test_node_budget_is_enforced():
     inst = _manipulator_heavy_instance(8)
     with pytest.raises(BudgetExceededError, match="node budget"):
@@ -166,3 +191,13 @@ def test_oracle_requires_manipulator_utilities():
     # a zero node budget trips on the search's first node
     with pytest.raises(ValidationError, match="no utilities for agent 1"):
         brute_force_best_response(inst, only_2, "1", node_budget=0)
+
+
+def test_oracle_requires_utilities_on_every_item():
+    inst = three_agent_counterexample()
+    vals = dict(counterexample_utilities(tie=False).values["1"])
+    del vals["d"]
+    # inconsistent with agent 1's preference, which the oracle does not require
+    vals["a"] = vals["b"] = 1
+    with pytest.raises(ValidationError, match="agent 1 do not cover the item set"):
+        brute_force_best_response(inst, UtilityFunction({"1": vals}), "1", node_budget=0)

@@ -234,7 +234,8 @@ def _no_search(*args):
 
 def _forbid_search(monkeypatch):
     """Make any replay or achievability test of a search fail the test."""
-    monkeypatch.setattr(two_agent, "run_with_report", _no_search)
+    monkeypatch.setattr(two_agent, "run_sequential_allocation", _no_search)
+    monkeypatch.setattr(two_agent, "can_achieve", _no_search)
     monkeypatch.setattr(two_agent, "is_achievable", _no_search)
 
 
@@ -252,6 +253,15 @@ def test_nash_evidence_requires_every_agents_utilities(monkeypatch):
     _forbid_search(monkeypatch)
     with pytest.raises(ValidationError, match="no utilities for agent 2"):
         nash_evidence(inst, only_1)
+
+
+def test_nash_evidence_requires_utilities_on_every_item(monkeypatch):
+    inst = two_agent_example()
+    u = make_lexicographic_utilities(inst.preferences)
+    partial = UtilityFunction({**u.values, "2": {o: v for o, v in u.values["2"].items() if o != "o4"}})
+    _forbid_search(monkeypatch)
+    with pytest.raises(ValidationError, match="utilities of agent 2 do not cover the item set"):
+        nash_evidence(inst, partial)
 
 
 def test_achievability_certificate_rejects_unknown_items():
