@@ -1,8 +1,8 @@
 """Sequential allocation toolkit.
 
 Picking-sequence simulation, exact best-response computation (polynomial
-for two agents, brute-force oracle for any number), and a compiler from
-restricted 3-CNF formulas to best-response instances.
+for two agents, branch and bound over target sets for any number), and a
+compiler from restricted 3-CNF formulas to best-response instances.
 """
 
 from .engine import run_sequential_allocation, run_with_report

@@ -102,9 +102,8 @@ def cmd_best_response(args) -> int:
             "utility: " + render_fraction(value),
         ]
     elif args.mode == "oracle":
-        res = oracle.brute_force_best_response(
-            inst, utility, agent, node_budget=args.budget
-        )
+        budget = _budget_or(args, oracle.DEFAULT_NODE_BUDGET)
+        res = oracle.brute_force_best_response(inst, utility, agent, node_budget=budget)
         bundles = [sorted(b) for b in res.optimal_bundles]
         witnesses = {
             ",".join(sorted(b)): list(res.witness_reports[b]) for b in res.optimal_bundles
@@ -113,6 +112,8 @@ def cmd_best_response(args) -> int:
             max_utility=render_fraction(res.max_utility),
             optimal_bundles=bundles,
             witness_reports=witnesses,
+            checks=res.checks,
+            budget=budget,
         )
         lines += [f"max utility: {render_fraction(res.max_utility)}"]
         for b in res.optimal_bundles:
@@ -120,6 +121,7 @@ def cmd_best_response(args) -> int:
                 "optimal bundle {" + ", ".join(sorted(b)) + "} via report "
                 + " ".join(res.witness_reports[b])
             ]
+        lines += [f"achievability checks: {res.checks} of budget {budget}"]
     else:  # refuted-greedy
         bundle = oracle.refuted_greedy_best_response(inst, agent)
         value = bundle_utility(utility, agent, bundle)
@@ -218,7 +220,9 @@ def cmd_verify_reduction(args) -> int:
     formula = reduction.parse_formula(report.text)
     out = reduction.build_instance(formula)
     if args.patterns:
-        pattern_report = reduction.verify_choice_patterns(out, max_patterns=args.budget)
+        pattern_report = reduction.verify_choice_patterns(
+            out, max_patterns=_budget_or(args, reduction.DEFAULT_PATTERN_BUDGET)
+        )
         if not pattern_report.sat_enumeration_agrees:
             raise RuntimeError("pattern verdict disagrees with direct SAT enumeration")
         report.doc["results"] = {
@@ -281,6 +285,17 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _budget_or(args, default: int) -> int:
+    """The ``--budget`` given, or the search's default."""
+    return default if args.budget is None else args.budget
+
+
+def _budget_bounds_nothing(args) -> bool:
+    """``--budget`` was given to a run that makes no budgeted search."""
+    searches = getattr(args, "mode", None) == "oracle" or getattr(args, "patterns", False)
+    return getattr(args, "budget", None) is not None and not searches
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqalloc", description="sequential allocation toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -297,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["two-agent", "oracle", "refuted-greedy"], default="two-agent"
     )
     p.add_argument(
-        "--budget", type=_budget, default=oracle.DEFAULT_NODE_BUDGET,
-        help="search node budget of --mode oracle",
+        "--budget", type=_budget,
+        help=f"most achievability checks that --mode oracle may make"
+        f" (default {oracle.DEFAULT_NODE_BUDGET})",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_best_response)
@@ -320,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--assignment", help="e.g. x1=T,x2=F,x3=F")
     group.add_argument("--patterns", action="store_true", help="enumerate all choice patterns")
     p.add_argument(
-        "--budget", type=_budget, default=reduction.DEFAULT_PATTERN_BUDGET,
-        help="most choice patterns that --patterns may check",
+        "--budget", type=_budget,
+        help=f"most choice patterns that --patterns may check"
+        f" (default {reduction.DEFAULT_PATTERN_BUDGET})",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_reduction)
@@ -336,6 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if _budget_bounds_nothing(args):
+        parser.error(
+            "--budget bounds only best-response --mode oracle and verify-reduction --patterns"
+        )
     try:
         return args.fn(args)
     except (ValidationError, OSError) as exc:

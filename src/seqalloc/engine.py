@@ -3,8 +3,9 @@
 At each stage the agent named by the sequence receives their most-preferred
 remaining item. ``Encoded`` is the one integer view of an instance and
 ``PickState`` the one picking loop; the oracle resumes and copies the same
-state to branch over the manipulator's picks, and ``can_achieve`` plays it
-forward to decide which item sets the manipulator can secure.
+state to branch over the manipulator's picks, and ``can_achieve`` (or
+``secures``, from a given state) plays it forward to decide which item sets
+the manipulator can secure.
 """
 
 from __future__ import annotations
@@ -95,11 +96,18 @@ def can_achieve(enc: Encoded, manipulator: int, target: Iterable[int]) -> bool:
     passed from then on, or any needed item if they would take none. The
     target is achievable iff no other agent takes a needed item first.
     """
-    needed = set(target)
-    turns = stages_of(enc.seq, manipulator)
+    return secures(PickState(enc), stages_of(enc.seq, manipulator), set(target))
+
+
+def secures(state: PickState, turns: list[int], needed: set[int]) -> bool:
+    """``can_achieve`` resumed from ``state``: can the manipulator still get ``needed``?
+
+    ``turns`` are the manipulator's stages from ``state.stage`` on. Plays
+    the rule on ``state`` and ``needed`` themselves, so pass copies to keep
+    them.
+    """
     if len(needed) > len(turns):
         return False
-    state = PickState(enc)
     for c, t in enumerate(turns[: len(needed)]):  # one needed item per turn
         state.advance(t)
         if any(state.taken[k] for k in needed):

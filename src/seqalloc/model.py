@@ -23,8 +23,20 @@ class ValidationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A search guard tripped: the oracle's node or turn limit, or the
-    reduction verifier's pattern budget."""
+    """A search guard tripped: the oracle's check, node or turn limit, or
+    the reduction verifier's pattern budget.
+
+    ``limit`` is the bound and ``unit`` what it counts ("achievability
+    checks", "nodes", "turns" or "patterns"). ``used`` is how far the search
+    got; for a guard checked before the search starts, it is what the
+    search would need.
+    """
+
+    def __init__(self, message: str, *, limit: int, used: int, unit: str):
+        self.limit = limit
+        self.used = used
+        self.unit = unit
+        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,22 @@
-"""Exponential-time ground truth for best responses, any number of agents.
+"""Exact best responses for any number of agents, by search.
 
-The search branches over the manipulator's pick at each of their turns;
-between turns every other agent picks greedily. This is outcome-equivalent
-to searching over all m! reports because a report only influences the
-outcome through the item picked at each of the manipulator's turns. The
-search is bounded by a node budget and by a guard of ``MAX_TURNS``
-manipulator turns.
+``brute_force_best_response`` is a branch and bound over target sets. It
+tries items in falling order of the manipulator's value and extends the
+kept set by an item only if ``engine.can_achieve`` says some report still
+secures the extended set. Achievable sets are closed under subsets, and the
+manipulator always ends with one item per turn, so the leaves are exactly
+the achievable bundles and the recursion is at most as deep as the
+manipulator's turn count. A branch is cut when its kept value plus the best
+values that could fill its free turns is below the best bundle found, so
+tied optima all survive. ``node_budget`` bounds the achievability checks,
+those that build the witnesses included; there is no turn guard.
+
+``enumerate_achievable_bundles`` is the exhaustive reference. It branches
+over the manipulator's pick at each of their turns; between turns every
+other agent picks greedily. This is outcome-equivalent to searching over
+all m! reports because a report only influences the outcome through the
+item picked at each of the manipulator's turns. It is bounded by a node
+budget and by a guard of ``MAX_TURNS`` manipulator turns.
 
 The refuted ordinal greedy does not search: it asks ``engine.can_achieve``,
 a polynomial test, whether each extension of its kept set is achievable.
@@ -15,14 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf, lcm
 from typing import Mapping
 
-from .engine import Encoded, PickState, can_achieve, stages_of
+from .engine import Encoded, PickState, can_achieve, secures, stages_of
 from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError, complete_order
 from .two_agent import ordinal_greedy
 
 DEFAULT_NODE_BUDGET = 2_000_000
-MAX_TURNS = 16  # checked before any node is visited
+MAX_TURNS = 16  # of enumerate_achievable_bundles, checked before any node is visited
 
 
 @dataclass(frozen=True)
@@ -30,6 +42,7 @@ class OracleResult:
     max_utility: Fraction
     optimal_bundles: tuple[frozenset[str], ...]
     witness_reports: Mapping[frozenset, tuple[str, ...]]
+    checks: int  # achievability checks made, the unit of ``node_budget``
 
 
 def _agent(enc: Encoded, manipulator: str) -> int:
@@ -39,28 +52,11 @@ def _agent(enc: Encoded, manipulator: str) -> int:
     return enc.agent_index[manipulator]
 
 
-def _achievable(
-    enc: Encoded, manip: int, node_budget: int
-) -> dict[frozenset[int], tuple[int, ...]]:
-    """Map each achievable bundle to the first pick order that reaches it.
-
-    Items are indices into the instance's items. Picks are tried in
-    canonical item order at every branch, so the first pick order to reach
-    a bundle is its smallest by item index.
-    """
-    turns = stages_of(enc.seq, manip)
-    if len(turns) > MAX_TURNS:
-        raise BudgetExceededError(f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}")
-    reached: dict[frozenset[int], tuple[int, ...]] = {}
-    _walk(PickState(enc), turns, [], reached, 0, node_budget)
-    return reached
-
-
 def _walk(
     state: PickState,
     turns: list[int],
     picks: list[int],
-    reached: dict[frozenset[int], tuple[int, ...]],
+    reached: set[frozenset[int]],
     nodes: int,
     node_budget: int,
 ) -> int:
@@ -69,12 +65,16 @@ def _walk(
     ``state`` is the parent's, shared with the siblings and standing before
     this node's own pick ``picks[-1]``.
     """
+    if nodes == node_budget:
+        raise BudgetExceededError(
+            f"search exceeded node budget {node_budget} after {nodes} nodes,"
+            f" {len(reached)} bundles found",
+            limit=node_budget, used=nodes, unit="nodes",
+        )
     nodes += 1
-    if nodes > node_budget:
-        raise BudgetExceededError(f"search exceeded node budget {node_budget}")
     if len(picks) == len(turns):
         # later stages cannot change the manipulator's bundle
-        reached.setdefault(frozenset(picks), tuple(picks))
+        reached.add(frozenset(picks))
         return nodes
     if picks:
         state = state.copy()
@@ -94,7 +94,14 @@ def enumerate_achievable_bundles(
 ) -> set[frozenset[str]]:
     """All bundles the manipulator can end up holding under some report."""
     enc = Encoded(inst)
-    reached = _achievable(enc, _agent(enc, manipulator), node_budget)
+    turns = stages_of(enc.seq, _agent(enc, manipulator))
+    if len(turns) > MAX_TURNS:
+        raise BudgetExceededError(
+            f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}",
+            limit=MAX_TURNS, used=len(turns), unit="turns",
+        )
+    reached: set[frozenset[int]] = set()
+    _walk(PickState(enc), turns, [], reached, 0, node_budget)
     return {frozenset(inst.items[k] for k in bundle) for bundle in reached}
 
 
@@ -104,21 +111,87 @@ def brute_force_best_response(
     manipulator: str,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> OracleResult:
-    """Exact maximum utility, every optimal bundle, one witness report each."""
+    """Exact maximum utility, every optimal bundle, one witness report each.
+
+    Optimal bundles come in canonical order: by their item indices, sorted
+    and compared lexicographically. Each witness is its bundle's smallest
+    manipulator pick order by item index, completed by ``complete_order``.
+    """
     enc = Encoded(inst)
     manip = _agent(enc, manipulator)
-    vals = u.values_of(manipulator, inst.items)
-    reached = _achievable(enc, manip, node_budget)
-    item_values = [vals[o] for o in inst.items]
-    utility = {b: sum((item_values[k] for k in b), Fraction(0)) for b in reached}
-    best = max(utility.values())
+    named_vals = u.values_of(manipulator, inst.items)
+    vals = [named_vals[o] for o in inst.items]
+    turns = stages_of(enc.seq, manip)
+    checks = 0
+
+    def spend_check() -> None:
+        nonlocal checks
+        if checks == node_budget:
+            raise BudgetExceededError(
+                f"search exceeded node budget {node_budget} after {checks} achievability checks",
+                limit=node_budget, used=checks, unit="achievability checks",
+            )
+        checks += 1
+
+    # integer values over the common denominator; items by falling value
+    scale = lcm(*(v.denominator for v in vals))
+    worth = [v.numerator * (scale // v.denominator) for v in vals]
+    order = sorted(range(enc.m), key=lambda k: (-worth[k], k))
+    prefix = [0]  # prefix[j]: worth of the first j items in ``order``
+    for k in order:
+        prefix.append(prefix[-1] + worth[k])
+    kept: list[int] = []
+    optima: list[list[int]] = []
+    best = -inf
+
+    def extend(pos: int, value: int) -> None:
+        """Fill the free turns from ``order[pos:]``, given ``kept`` worth ``value``."""
+        nonlocal best
+        free = len(turns) - len(kept)
+        if not free:
+            if value > best:
+                best = value
+                optima.clear()
+            if value == best:
+                optima.append(sorted(kept))
+            return
+        for j in range(pos, enc.m - free + 1):
+            if value + prefix[j + free] - prefix[j] < best:
+                break  # later windows are worth no more
+            spend_check()
+            kept.append(order[j])
+            if can_achieve(enc, manip, kept):
+                extend(j + 1, value + worth[order[j]])
+            kept.pop()
+
+    def first_pick_order(bundle: list[int]) -> list[int]:
+        """At each turn, the smallest item after which the rest stays achievable."""
+        state = PickState(enc)
+        needed = set(bundle)
+        picks = []
+        for c, t in enumerate(turns):
+            state.advance(t)
+            for item in sorted(needed)[:-1]:
+                spend_check()
+                trial = state.copy()
+                trial.take(item)
+                if secures(trial, turns[c + 1 :], needed - {item}):
+                    break
+            else:  # the last candidate: some item must work
+                item = max(needed)
+            state.take(item)
+            needed.remove(item)
+            picks.append(item)
+        return picks
+
+    extend(0, 0)
     named = {
         frozenset(inst.items[k] for k in bundle): complete_order(
-            [inst.items[k] for k in reached[bundle]], inst.items
+            [inst.items[k] for k in first_pick_order(bundle)], inst.items
         )
-        for bundle in sorted((b for b in reached if utility[b] == best), key=sorted)
+        for bundle in sorted(optima)
     }
-    return OracleResult(best, tuple(named), named)
+    return OracleResult(Fraction(best, scale), tuple(named), named, checks)
 
 
 def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[str]:

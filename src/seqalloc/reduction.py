@@ -563,7 +563,10 @@ def verify_choice_patterns(
     f = out.formula
     total = 4 ** f.num_vars
     if total > max_patterns:
-        raise BudgetExceededError(f"{total} patterns exceed the budget {max_patterns}")
+        raise BudgetExceededError(
+            f"{total} patterns exceed the budget {max_patterns}",
+            limit=max_patterns, used=total, unit="patterns",
+        )
     outcomes = []
     pattern_sat = False
     for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from seqalloc import cli
+from seqalloc import cli, oracle
 from seqalloc.golden import REFERENCE_FORMULA
 
 from conftest import package_env
@@ -115,6 +115,20 @@ def test_oracle_budget_exhaustion_exit_code(capsys, instance_file):
         ["best-response", instance_file, "--agent", "1", "--mode", "oracle", "--budget", "1"]
     )
     assert code == cli.EXIT_BUDGET
+
+
+def test_oracle_reports_checks_against_budget(capsys, instance_file):
+    argv = ["best-response", instance_file, "--agent", "1", "--mode", "oracle"]
+    code, doc = _run_json(capsys, argv)
+    assert code == cli.EXIT_OK
+    checks = doc["results"]["checks"]
+    assert checks > 0
+    assert doc["results"]["budget"] == oracle.DEFAULT_NODE_BUDGET
+    # the checks counted are the ones the budget bounds
+    assert cli.main(argv + ["--budget", str(checks)]) == cli.EXIT_OK
+    assert f"achievability checks: {checks} of budget {checks}" in capsys.readouterr().out
+    assert cli.main(argv + ["--budget", str(checks - 1)]) == cli.EXIT_BUDGET
+    assert f"node budget {checks - 1}" in capsys.readouterr().err
 
 
 def test_nash_verify_verdicts(capsys, tmp_path):
@@ -268,6 +282,13 @@ def test_module_entry_point_exit_codes(tmp_path):
           "--budget", "-5"], cli.EXIT_USAGE, "--budget"),
         (["verify-reduction", str(good_formula), "--patterns", "--budget", "-1"],
          cli.EXIT_USAGE, "--budget"),
+        # a budget where no search runs is a usage error, not ignored
+        (["best-response", str(good_instance), "--agent", "1", "--mode", "two-agent",
+          "--budget", "0"], cli.EXIT_USAGE, "--budget"),
+        (["best-response", str(good_instance), "--agent", "1", "--mode", "refuted-greedy",
+          "--budget", "0"], cli.EXIT_USAGE, "--budget"),
+        (["verify-reduction", str(good_formula), "--assignment", "x1=T,x2=T,x3=T",
+          "--budget", "0"], cli.EXIT_USAGE, "--budget"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "seqalloc.cli", *argv],

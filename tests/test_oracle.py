@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,10 +144,8 @@ def test_refuted_greedy_has_no_turn_guard():
     assert refuted_greedy_best_response(inst, "1") == expected
 
 
-def test_refuted_greedy_has_no_node_budget():
-    # round robin over near-identical preferences: the oracle's walk for
-    # agent 1's 10 turns exceeds its default node budget, so only a greedy
-    # that does not enumerate bundles answers here
+def _near_identical_round_robin():
+    """n = 3, m = 30, round robin: agent 1 has 10 turns."""
     rng = random.Random(56)
     items = [f"o{k}" for k in range(30)]
     prefs = {}
@@ -156,21 +155,107 @@ def test_refuted_greedy_has_no_node_budget():
             k = rng.randrange(len(items) - 1)
             order[k], order[k + 1] = order[k + 1], order[k]
         prefs[agent] = order
-    inst = validate_instance(items, list("123"), prefs, list("123") * 10)
+    return validate_instance(items, list("123"), prefs, list("123") * 10)
+
+
+def test_refuted_greedy_has_no_node_budget():
+    # round robin over near-identical preferences: the pick-order walk of
+    # enumerate_achievable_bundles for agent 1's 10 turns exceeds its
+    # default node budget, so only a search that does not enumerate bundles
+    # answers here
+    inst = _near_identical_round_robin()
     assert len(refuted_greedy_best_response(inst, "1")) == 10
+
+
+def test_oracle_answers_where_the_walk_exceeds_its_budget():
+    # under lexicographic utilities the ordinal greedy is optimal for any n
+    inst = _near_identical_round_robin()
+    u = make_lexicographic_utilities(inst.preferences)
+    res = brute_force_best_response(inst, u, "1")
+    greedy = refuted_greedy_best_response(inst, "1")
+    assert res.optimal_bundles == (greedy,)
+    assert res.max_utility == bundle_utility(u, "1", greedy)
+
+
+def test_oracle_has_no_turn_guard():
+    inst = _manipulator_heavy_instance(34)  # 17 manipulator turns
+    u = make_lexicographic_utilities(inst.preferences)
+    _, expected = lexicographic_best_response(inst, "1")
+    res = brute_force_best_response(inst, u, "1")
+    assert res.optimal_bundles == (expected,)
+    report = res.witness_reports[expected]
+    assert run_with_report(inst, "1", report).bundles["1"] == expected
+
+
+def _random_values(rng, items):
+    """Values with ties, zeros, negatives or fractions, in no particular order."""
+    kind = rng.choice(["ties", "signed", "fractions"])
+    if kind == "ties":
+        return {o: Fraction(rng.randint(0, 2)) for o in items}
+    if kind == "signed":
+        return {o: Fraction(rng.randint(-3, 3)) for o in items}
+    return {o: Fraction(rng.randint(-5, 9), rng.randint(1, 6)) for o in items}
+
+
+def test_branch_and_bound_matches_exhaustive_reference():
+    rng = random.Random(57)
+    for trial in range(600):
+        n, m = rng.randint(2, 4), rng.randint(1, 9)
+        inst = random_instance(rng, n=n, m=m, L=rng.randint(0, m))
+        if trial % 10 == 0:  # a manipulator with no turn
+            absent = [a for a in inst.agents if a not in inst.sequence]
+            manip = absent[0] if absent else rng.choice(inst.agents)
+        else:
+            manip = rng.choice(inst.agents)
+        vals = _random_values(rng, inst.items)
+        res = brute_force_best_response(inst, UtilityFunction({manip: vals}), manip)
+        worth = {
+            b: sum((vals[o] for o in b), Fraction(0))
+            for b in enumerate_achievable_bundles(inst, manip)
+        }
+        best = max(worth.values())
+        expected = sorted(
+            (b for b, w in worth.items() if w == best),
+            key=lambda b: sorted(inst.items.index(o) for o in b),
+        )
+        assert res.max_utility == best, (inst, manip, vals)
+        assert res.optimal_bundles == tuple(expected), (inst, manip, vals)
+        for bundle in res.optimal_bundles:
+            report = res.witness_reports[bundle]
+            assert run_with_report(inst, manip, report).bundles[manip] == bundle
+
+
+def test_node_budget_counts_achievability_checks():
+    """The budget trips exactly when it is below the deterministic check count."""
+    rng = random.Random(58)
+    for _ in range(20):
+        inst = random_instance(rng, n=3, m=7, L=7)
+        manip = inst.sequence[0]
+        u = random_consistent_utilities(rng, inst, manip)
+        res = brute_force_best_response(inst, u, manip)
+        assert res.checks > 0
+        assert brute_force_best_response(inst, u, manip, node_budget=res.checks) == res
+        with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
+            brute_force_best_response(inst, u, manip, node_budget=res.checks - 1)
+        err = excinfo.value
+        assert (err.limit, err.used, err.unit) == (
+            res.checks - 1, res.checks - 1, "achievability checks"
+        )
 
 
 def test_node_budget_is_enforced():
     inst = _manipulator_heavy_instance(8)
-    with pytest.raises(BudgetExceededError, match="node budget"):
+    with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
         enumerate_achievable_bundles(inst, "1", node_budget=3)
+    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (3, 3, "nodes")
 
 
 def test_turn_guard_is_enforced():
     inst = _manipulator_heavy_instance(34)  # 17 manipulator turns
     # a zero node budget would trip on the search's first node
-    with pytest.raises(BudgetExceededError, match="turns"):
+    with pytest.raises(BudgetExceededError, match="turns") as excinfo:
         enumerate_achievable_bundles(inst, "1", node_budget=0)
+    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (16, 17, "turns")
 
 
 def test_unknown_manipulator_is_validation_error():

@@ -207,8 +207,9 @@ def test_pattern_budget_guard():
     out = build_instance(random_restricted_formula(rng, num_vars=6))
     from seqalloc.model import BudgetExceededError
 
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="patterns exceed the budget") as excinfo:
         verify_choice_patterns(out, max_patterns=5)
+    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (5, 4**6, "patterns")
 
 
 def test_compiled_instance_roundtrips_through_text_format(reference):
