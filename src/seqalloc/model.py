@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 
 class ValidationError(ValueError):
@@ -93,10 +94,11 @@ def validate_instance(
         problems.append("item and agent ids overlap")
 
     item_set = set(items)
+    sorted_items = sorted(items)
     for a in agents:
         if a not in prefs:
             problems.append(f"agent {a} has no preference list")
-        elif sorted(prefs[a]) != sorted(items):
+        elif sorted(prefs[a]) != sorted_items:
             if set(prefs[a]) <= item_set and len(set(prefs[a])) == len(prefs[a]):
                 problems.append(f"incomplete preference for agent {a}")
             else:
@@ -147,6 +149,18 @@ class UtilityFunction:
 
     def agents(self) -> tuple[str, ...]:
         return tuple(self.values)
+
+
+def integer_values(u: UtilityFunction, agent: str, items: Sequence[str]) -> tuple[list[int], int]:
+    """The agent's values over ``items`` as integers over their common denominator.
+
+    Returns ``(worth, scale)``: ``worth[k] / scale`` is the value of
+    ``items[k]``. ValidationError as for ``UtilityFunction.values_of``.
+    """
+    vals = u.values_of(agent, items)
+    row = [vals[o] for o in items]
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
 def validate_utilities(u: UtilityFunction, inst: Instance) -> None:

@@ -26,11 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 from typing import Mapping
 
 from .engine import Encoded, PickState, can_achieve, secures, stages_of
-from .model import BudgetExceededError, Instance, UtilityFunction, ValidationError, complete_order
+from .model import (
+    BudgetExceededError,
+    Instance,
+    UtilityFunction,
+    ValidationError,
+    complete_order,
+    integer_values,
+)
 from .two_agent import ordinal_greedy
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -119,8 +126,7 @@ def brute_force_best_response(
     """
     enc = Encoded(inst)
     manip = _agent(enc, manipulator)
-    named_vals = u.values_of(manipulator, inst.items)
-    vals = [named_vals[o] for o in inst.items]
+    worth, scale = integer_values(u, manipulator, inst.items)
     turns = stages_of(enc.seq, manip)
     checks = 0
 
@@ -133,9 +139,7 @@ def brute_force_best_response(
             )
         checks += 1
 
-    # integer values over the common denominator; items by falling value
-    scale = lcm(*(v.denominator for v in vals))
-    worth = [v.numerator * (scale // v.denominator) for v in vals]
+    # items by falling value
     order = sorted(range(enc.m), key=lambda k: (-worth[k], k))
     prefix = [0]  # prefix[j]: worth of the first j items in ``order``
     for k in order:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engine import run_with_report
+from .engine import Encoded, PickState, run_with_report, stages_of
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -29,6 +30,7 @@ from .model import (
     ValidationError,
     bundle_utility,
     complete_order,
+    integer_values,
     validate_instance,
 )
 
@@ -421,10 +423,15 @@ def _check(ok: bool, message: str) -> None:
 def audit_utilities(out: ReductionOutput) -> None:
     """Re-check every inequality the construction relies on.
 
-    Raises AssertionError with a named inequality on any failure.
+    Works on the manipulator's values scaled to integers over their common
+    denominator ``scale``, so every constant compared with a value is scaled
+    too. Raises AssertionError with a named inequality on any failure, and
+    ValidationError if the utilities miss an item.
     """
     f = out.formula
-    vals = {o: out.utility.of(MANIPULATOR, o) for o in out.instance.items}
+    items = out.instance.items
+    worth, scale = integer_values(out.utility, MANIPULATOR, items)
+    vals = dict(zip(items, worth))
     pref = out.instance.preferences[MANIPULATOR]
 
     # strict decrease along the manipulator's full preference order
@@ -436,7 +443,11 @@ def audit_utilities(out: ReductionOutput) -> None:
     explicit = 10 * f.num_vars + n_clauses
     tail_sum = sum(vals[o] for o in pref[explicit:])
     tail_max = max(vals[o] for o in pref[explicit:])
-    eps_total = 2 * f.num_vars
+    eps_total = 2 * f.num_vars * scale
+    ascending = sorted(worth)
+    ascending_sum = [0]  # ascending_sum[j]: total of the j smallest values
+    for w in ascending:
+        ascending_sum.append(ascending_sum[-1] + w)
 
     for v in f.variables():
         x, nx = v, -v
@@ -461,7 +472,7 @@ def audit_utilities(out: ReductionOutput) -> None:
         # inter-round dominance: one unit of this round's scale exceeds the
         # total value of everything below it, epsilon bonuses included
         round_min = min([o1p, o1n, o2p, o2n] + list(h.values()))
-        below = sum(vals[o] for o in pref if vals[o] < round_min)
+        below = ascending_sum[bisect_left(ascending, round_min)]
         _check(round_min - eps_total > below, f"x{v}: round scale does not dominate later items")
 
     # top clause items dominate everything the collection round could scrape up
@@ -567,13 +578,21 @@ def verify_choice_patterns(
             f"{total} patterns exceed the budget {max_patterns}",
             limit=max_patterns, used=total, unit="patterns",
         )
+    items = out.instance.items
+    worth, scale = integer_values(out.utility, MANIPULATOR, items)
+    # one encoding for the whole sweep; each pattern replaces only the
+    # manipulator's row, which is safe as the encoding never leaves this call
+    enc = Encoded(out.instance)
+    manip = enc.agent_index[MANIPULATOR]
+    turns = stages_of(enc.seq, manip)
     outcomes = []
     pattern_sat = False
     for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):
-        report = _pattern_report(out, kinds)
-        alloc = run_with_report(out.instance, MANIPULATOR, report)
-        bundle = alloc.bundles[MANIPULATOR]
-        utility = bundle_utility(out.utility, MANIPULATOR, bundle)
+        enc.prefs[manip] = [enc.item_index[o] for o in _pattern_report(out, kinds)]
+        picks = PickState(enc).advance(len(enc.seq))
+        mine = [picks[t] for t in turns]
+        bundle = frozenset(items[k] for k in mine)
+        utility = Fraction(sum(worth[k] for k in mine), scale)
         meets = utility >= out.target
         consistent = all(k in ("T", "F") for k in kinds)
         assignment = satisfies = None

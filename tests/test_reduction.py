@@ -1,14 +1,21 @@
+import dataclasses
 import json
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from seqalloc import reduction
+from seqalloc.engine import PickState, run_with_report, stages_of
 from seqalloc.instance_io import parse_instance, serialize_instance
+from seqalloc.model import UtilityFunction, ValidationError, bundle_utility
 from seqalloc.reduction import (
     MANIPULATOR,
     FormulaError,
+    _pattern_report,
     assignment_to_report,
     audit_utilities,
     build_instance,
@@ -122,9 +129,84 @@ def test_rounds_tile_the_sequence(reference):
 
 def test_audit_passes_on_random_formulas():
     rng = random.Random(62)
-    for num_vars in (3, 6, 9):
+    for num_vars in (3, 6, 9, 30):
         out = build_instance(random_restricted_formula(rng, num_vars))
         audit_utilities(out)  # raises on any broken inequality
+
+
+def _with_values(out, edits=None, scale=1, preference=None):
+    """``out`` with some of the manipulator's values replaced, all values
+    then divided by ``scale``, and optionally a new manipulator preference."""
+    vals = dict(out.utility.values[MANIPULATOR])
+    vals.update({o: Fraction(v) for o, v in (edits or {}).items()})
+    vals = {o: v / scale for o, v in vals.items()}
+    instance = out.instance
+    if preference is not None:
+        instance = instance.with_preference(MANIPULATOR, preference)
+    return dataclasses.replace(
+        out, instance=instance, utility=UtilityFunction({MANIPULATOR: vals})
+    )
+
+
+# One hand-edited value row per named inequality of the reference ledger
+# (values as in test_reference_compile_is_pinned; eps_total = 6, the tail
+# holds 32..1 with sum 528, and round x1's scale exceeds all below by 9).
+# Every edit keeps the earlier inequalities and breaks its own by the
+# smallest step, so an audit that is off by one there passes it.
+_BROKEN_LEDGERS = {
+    "order": ({"o_c2^1": 540}, "order violated at o_c1^1 vs o_c2^1"),
+    "non-positive": ({"o_c4^3": 0}, "non-positive utility"),
+    "o1-near-tie": ({"o_x1^1": 85296470700 + 7}, "x1: o^1 twins not nearly tied"),
+    "o2-near-tie": ({"o_x1^2": 76766823630 + 7}, "x1: o^2 twins not nearly tied"),
+    "o1-over-o2": (
+        {"o_x1^2": 85296470700 - 852964707 + 1, "o_~x1^2": 85296470700 - 852964707},
+        "x1: o^1 items do not dominate o^2 items",
+    ),
+    "consistency-pairs": ({"h_x1^1": 25588941210 + 1}, "x1: consistency pair inequality violated"),
+    "round-dominance": ({"o_x2^1": 151503501 + 3}, "x1: round scale does not dominate later items"),
+    "clause-top": ({"o_c4^1": 32 + 6}, "c4: top clause item does not dominate leftovers"),
+    "clause-scale": ({"o_c4^1": 528}, "clause scale does not dominate the tail"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_LEDGERS))
+def test_audit_names_each_broken_inequality(reference, case):
+    edits, message = _BROKEN_LEDGERS[case]
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        audit_utilities(_with_values(reference, edits))
+
+
+def test_audit_names_broken_h_order(reference):
+    """The h items sit in h order inside the manipulator's preference, so
+    breaking that order without breaking the preference order needs both
+    swapped."""
+    pref = list(reference.instance.preferences[MANIPULATOR])
+    i, j = pref.index("h_x1^1"), pref.index("h_x1^2")
+    pref[i], pref[j] = pref[j], pref[i]
+    broken = _with_values(
+        reference, {"h_x1^1": 12794470605, "h_x1^2": 25588941210}, preference=pref
+    )
+    with pytest.raises(AssertionError, match=r"^x1: h order violated$"):
+        audit_utilities(broken)
+
+
+def test_audit_scales_its_constants_with_the_values(reference):
+    """Divided by 7, round x1's margin of 9 units becomes 9/7, below the
+    epsilon allowance of 6; an audit comparing unscaled constants with
+    integers over the denominator 7 would pass this ledger."""
+    with pytest.raises(
+        AssertionError, match=r"^x1: round scale does not dominate later items$"
+    ):
+        audit_utilities(_with_values(reference, scale=7))
+    audit_utilities(_with_values(reference, scale=1))
+
+
+def test_audit_requires_utilities_on_every_item(reference):
+    vals = dict(reference.utility.values[MANIPULATOR])
+    del vals["o_c4^3"]
+    broken = dataclasses.replace(reference, utility=UtilityFunction({MANIPULATOR: vals}))
+    with pytest.raises(ValidationError, match="utilities of agent 1 do not cover the item set"):
+        audit_utilities(broken)
 
 
 # Swap the manipulator's two top values on the reference compile.
@@ -200,6 +282,41 @@ def test_choice_patterns_on_random_formula():
     out = build_instance(random_restricted_formula(rng, num_vars=3))
     report = verify_choice_patterns(out)
     assert report.sat_enumeration_agrees
+
+
+def test_pattern_sweep_matches_engine_replay(monkeypatch):
+    """The sweep's one shared encoding against a fresh engine replay per pattern."""
+    runs = []
+
+    class RecordingPickState(PickState):
+        def advance(self, until):
+            picks = super().advance(until)
+            runs.append(picks)
+            return picks
+
+    monkeypatch.setattr(reduction, "PickState", RecordingPickState)
+    rng = random.Random(66)
+    formulas = [random_restricted_formula(rng, 3) for _ in range(4)]
+    formulas.append(random_restricted_formula(rng, 6))
+    for f in formulas:
+        out = build_instance(f)
+        runs.clear()
+        report = verify_choice_patterns(out)
+        assert len(report.outcomes) == len(runs) == 4 ** f.num_vars
+        turns = stages_of(out.instance.sequence, MANIPULATOR)
+        consistent = 0
+        for outcome, picks in zip(report.outcomes, runs):
+            swept = frozenset(out.instance.items[picks[t]] for t in turns)
+            alloc = run_with_report(out.instance, MANIPULATOR, _pattern_report(out, outcome.kinds))
+            bundle = alloc.bundles[MANIPULATOR]
+            assert swept == bundle, outcome.kinds
+            assert outcome.utility == bundle_utility(out.utility, MANIPULATOR, bundle)
+            if outcome.consistent:
+                consistent += 1
+                fwd = verify_forward(out, outcome.assignment)
+                assert (fwd.manipulator_bundle, fwd.utility) == (bundle, outcome.utility)
+                assert fwd.meets_target == outcome.meets_target
+        assert consistent == 2 ** f.num_vars
 
 
 def test_pattern_budget_guard():
