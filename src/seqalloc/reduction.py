@@ -2,8 +2,13 @@
 
 Input formulas are 3-CNF where every literal (each variable in each
 polarity) occurs in exactly two clauses. The compiler emits an allocation
-setting in which one designated manipulator (agent "1") can reach a target
-utility T under some report iff the formula is satisfiable.
+setting with one designated manipulator (agent "1") and a target utility T.
+What is checked is one direction: every satisfying assignment's report
+meets T (``verify_forward``), and of the 4^|X| choice patterns exactly the
+consistent, satisfying ones do (``verify_choice_patterns``). The converse
+is open: on the reference compile a report that encodes no assignment
+yields 228,252,147,873 > T = 214,475,092,837, so reaching T does not yet
+certify satisfiability.
 
 Structure of the generated picking sequence: one 16-stage choice round per
 variable (the manipulator commits to a polarity by picking both choice
@@ -108,6 +113,8 @@ def parse_formula(text: str) -> RestrictedFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise FormulaError([f"line {line_no}: duplicate problem line"])
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf" or not all(map(str.isdecimal, fields[2:])):
                 raise FormulaError([f"line {line_no}: malformed problem line"])
@@ -117,6 +124,8 @@ def parse_formula(text: str) -> RestrictedFormula:
             tokens.extend(int(t) for t in line.split())
         except ValueError:
             raise FormulaError([f"line {line_no}: unknown token"]) from None
+        if num_vars is None:
+            raise FormulaError([f"line {line_no}: clause before the problem line"])
     if num_vars is None:
         raise FormulaError(["missing 'p cnf' problem line"])
     clauses: list[list[int]] = []
@@ -217,42 +226,39 @@ def _occurrences(f: RestrictedFormula) -> dict[int, tuple[int, int]]:
 
 
 def build_instance(f: RestrictedFormula) -> ReductionOutput:
-    """Compile the formula. The utility ledger is audited before returning."""
+    """Compile the formula. The utility ledger is audited before returning.
+
+    One pass per variable appends its whole gadget and one pass per clause
+    its round. The canonical item order is, per variable, the
+    manipulator-relevant block (the keys of its round's weight table) then
+    the dummies, then all clause items. Every agent's preference is an
+    explicit head completed with that order; the manipulator's head is the
+    relevant blocks, then the top clause items.
+    """
     occ = _occurrences(f)
-    n_vars = f.num_vars
-    n_clauses = len(f.clauses)
-
-    # canonical item order: per variable the manipulator-relevant block (the
-    # keys of its round's weight table) then the dummies, then all clause
-    # items; the manipulator's explicit list is those blocks, then the top
-    # clause items
     items: list[str] = []
-    manip: list[str] = []
-    for v in f.variables():
-        relevant = list(_round_values(v, 1))
-        manip += relevant
-        items += relevant
-        items += [dummy_item(v, j) for j in ("11", "12", "21", "22")]
-        items += [dummy_item(-v, j) for j in ("11", "12", "21", "22")]
-    for c in range(1, n_clauses + 1):
-        items += [clause_item(c, j) for j in (1, 2, 3)]
-    manip += [clause_item(c, 1) for c in range(1, n_clauses + 1)]
-
     agents = [MANIPULATOR]
+    sequence: list[str] = []
+    rounds: list[RoundSpan] = []
+    heads: dict[str, list[str]] = {MANIPULATOR: []}
     literal_agents: dict[tuple[int, int], str] = {}
+    choice: dict[int, tuple[str, str]] = {}
+    consistency: dict[int, tuple[str, str, str]] = {}
+    dummies: dict[int, tuple[str, str, str, str]] = {}
+
     for v in f.variables():
         for lit in (-v, v):
             for copy in (1, 2):
-                a = agent_id(lit, copy)
-                literal_agents[(lit, copy)] = a
-                agents.append(a)
-
-    # picking sequence
-    sequence: list[str] = []
-    rounds: list[RoundSpan] = []
-    for v in f.variables():
-        neg1, neg2 = agent_id(-v, 1), agent_id(-v, 2)
-        pos1, pos2 = agent_id(v, 1), agent_id(v, 2)
+                literal_agents[(lit, copy)] = agent_id(lit, copy)
+            choice[lit] = (choice_item(lit, 1), choice_item(lit, 2))
+            consistency[lit] = tuple(consistency_item(lit, j) for j in (1, 2, 3))
+            dummies[lit] = tuple(dummy_item(lit, j) for j in ("11", "12", "21", "22"))
+        relevant = list(_round_values(v, 1))
+        heads[MANIPULATOR] += relevant
+        items += relevant + list(dummies[v]) + list(dummies[-v])
+        neg1, neg2 = literal_agents[(-v, 1)], literal_agents[(-v, 2)]
+        pos1, pos2 = literal_agents[(v, 1)], literal_agents[(v, 2)]
+        agents += [neg1, neg2, pos1, pos2]
         start = len(sequence) + 1
         sequence += [
             MANIPULATOR, neg1, neg2, pos1, pos2,
@@ -260,85 +266,38 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
             neg1, neg2, MANIPULATOR, pos1, pos2, MANIPULATOR,
         ]
         rounds.append(RoundSpan("choice", lit_name(v), start, len(sequence)))
+        # agents of each literal chase the items of its negation
+        (ox1, ox2), (hx1, hx2, hx3), (dx11, dx12, dx21, dx22) = choice[v], consistency[v], dummies[v]
+        (on1, on2), (hn1, hn2, hn3), (dn11, dn12, dn21, dn22) = choice[-v], consistency[-v], dummies[-v]
+        heads[neg1] = [ox1, dx11, dx12, ox2, hx1, hx2, hx3] + _clause_block(occ[v][0])
+        heads[neg2] = [dx21, ox1, ox2, dx22, hx1, hx2, hx3] + _clause_block(occ[v][1])
+        heads[pos1] = [on1, dn11, hn1, on2, hn2, hn3, dn12] + _clause_block(occ[-v][0])
+        heads[pos2] = [dn21, on1, on2, hn1, hn2, hn3, dn22] + _clause_block(occ[-v][1])
+
+    clause_items: dict[int, tuple[str, str, str]] = {}
     clause_agents: dict[int, tuple[str, str, str]] = {}
     for c, clause in enumerate(f.clauses, start=1):
-        start = len(sequence) + 1
-        scheduled = tuple(
-            agent_id(-lit, 1 if occ[lit][0] == c else 2) for lit in clause
+        clause_items[c] = tuple(clause_item(c, j) for j in (1, 2, 3))
+        items += clause_items[c]
+        heads[MANIPULATOR].append(clause_items[c][0])
+        # copy 1 of a literal's opponents plays its first clause, copy 2 its second
+        clause_agents[c] = tuple(
+            literal_agents[(-lit, 1 if occ[lit][0] == c else 2)] for lit in clause
         )
-        clause_agents[c] = scheduled
-        sequence += list(scheduled)
+        start = len(sequence) + 1
+        sequence += clause_agents[c]
         rounds.append(RoundSpan("clause", f"c{c}", start, len(sequence)))
     start = len(sequence) + 1
-    sequence += [MANIPULATOR] * n_clauses
+    sequence += [MANIPULATOR] * len(f.clauses)
     rounds.append(RoundSpan("collection", "", start, len(sequence)))
 
-    # preferences: explicit relevant lists, completed with the canonical order
-    prefs: dict[str, tuple[str, ...]] = {MANIPULATOR: complete_order(manip, items)}
-
-    for v in f.variables():
-        x, nx = v, -v
-        first_x, second_x = occ[x]
-        first_nx, second_nx = occ[nx]
-        # agents of the negative literal chase items of the positive one
-        prefs[agent_id(nx, 1)] = complete_order(
-            [
-                choice_item(x, 1), dummy_item(x, "11"), dummy_item(x, "12"),
-                choice_item(x, 2),
-                consistency_item(x, 1), consistency_item(x, 2), consistency_item(x, 3),
-            ]
-            + _clause_block(first_x),
-            items,
-        )
-        prefs[agent_id(nx, 2)] = complete_order(
-            [
-                dummy_item(x, "21"), choice_item(x, 1), choice_item(x, 2),
-                dummy_item(x, "22"),
-                consistency_item(x, 1), consistency_item(x, 2), consistency_item(x, 3),
-            ]
-            + _clause_block(second_x),
-            items,
-        )
-        # agents of the positive literal chase items of the negative one
-        prefs[agent_id(x, 1)] = complete_order(
-            [
-                choice_item(nx, 1), dummy_item(nx, "11"), consistency_item(nx, 1),
-                choice_item(nx, 2),
-                consistency_item(nx, 2), consistency_item(nx, 3), dummy_item(nx, "12"),
-            ]
-            + _clause_block(first_nx),
-            items,
-        )
-        prefs[agent_id(x, 2)] = complete_order(
-            [
-                dummy_item(nx, "21"), choice_item(nx, 1), choice_item(nx, 2),
-                consistency_item(nx, 1), consistency_item(nx, 2), consistency_item(nx, 3),
-                dummy_item(nx, "22"),
-            ]
-            + _clause_block(second_nx),
-            items,
-        )
-
+    prefs = {a: complete_order(head, items) for a, head in heads.items()}
     instance = validate_instance(items, agents, prefs, sequence)
     utility, target = _manipulator_utility(f, instance, prefs[MANIPULATOR])
-
     registry = GadgetRegistry(
-        literal_agents=literal_agents,
-        choice_items={
-            lit: (choice_item(lit, 1), choice_item(lit, 2)) for lit in occ
-        },
-        consistency_items={
-            lit: tuple(consistency_item(lit, j) for j in (1, 2, 3)) for lit in occ
-        },
-        dummy_items={
-            lit: tuple(dummy_item(lit, j) for j in ("11", "12", "21", "22")) for lit in occ
-        },
-        clause_items={
-            c: tuple(clause_item(c, j) for j in (1, 2, 3)) for c in range(1, n_clauses + 1)
-        },
-        clause_agents=clause_agents,
-        occurrences=occ,
-        rounds=tuple(rounds),
+        literal_agents=literal_agents, choice_items=choice, consistency_items=consistency,
+        dummy_items=dummies, clause_items=clause_items, clause_agents=clause_agents,
+        occurrences=occ, rounds=tuple(rounds),
     )
     out = ReductionOutput(f, instance, utility, target, registry)
     audit_utilities(out)  # every build re-checks the utility ledger
@@ -585,6 +544,12 @@ def verify_choice_patterns(
     enc = Encoded(out.instance)
     manip = enc.agent_index[MANIPULATOR]
     turns = stages_of(enc.seq, manip)
+    # per round: its six consistency items and the middle pair that an
+    # inconsistent choice must leave the manipulator with
+    consistency = {}
+    for v in f.variables():
+        h, nh = out.registry.consistency_items[v], out.registry.consistency_items[-v]
+        consistency[v] = (frozenset(h + nh), {h[1], nh[1]})
     outcomes = []
     pattern_sat = False
     for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):
@@ -608,10 +573,8 @@ def verify_choice_patterns(
             for v, k in zip(f.variables(), kinds):
                 if k in ("T", "F"):
                     continue
-                pair = {consistency_item(v, 2), consistency_item(-v, 2)}
-                got = bundle & set(
-                    consistency_item(s * v, j) for s in (1, -1) for j in (1, 2, 3)
-                )
+                six, pair = consistency[v]
+                got = bundle & six
                 if got != pair:
                     raise RuntimeError(
                         f"pattern {kinds}: round x{v} consistency items {sorted(got)},"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -49,6 +50,12 @@ def test_parse_formula_rejects_garbage():
         parse_formula("p cnf 3 2\n1 2 3 0\n")
     with pytest.raises(FormulaError, match="line 1: malformed problem line"):
         parse_formula("p cnf a 3\n1 2 3 0\n")
+    # both would otherwise parse as the valid reference formula
+    with pytest.raises(FormulaError, match="line 3: duplicate problem line"):
+        parse_formula("p cnf 9 9\n" + REFERENCE_FORMULA)
+    moved = "1 2 3 0\n" + REFERENCE_FORMULA.replace("\n1 2 3 0\n", "\n", 1)
+    with pytest.raises(FormulaError, match="line 1: clause before the problem line"):
+        parse_formula(moved)
 
 
 def test_validate_formula_enforces_restrictions():
@@ -89,6 +96,33 @@ def test_reference_compile_is_pinned(reference):
         121095, 83421, 80730, 40365, 2691,
         540, 539, 538, 537,
     ] + list(range(32, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "formula, instance_sha, registry_sha",
+    [
+        (
+            "reference",
+            "01c92bff64dbc323b0e895ec9dae446b868a67d3e4093101e5137ad5a7a769d9",
+            "5429cd70eb9b222c3bd5d6f0defcdbc73e104a5ae744aa6a4fba7e47ae321619",
+        ),
+        (
+            "random6",
+            "9d22a54e11cc4510918caff112c5ed8cdc562c1e7d35bdbfb8464386e3aedaa8",
+            "2b06b39fc79757e5cdd427f07f69a823a8d2388d16757863064a974cfb17d272",
+        ),
+    ],
+)
+def test_whole_compile_is_pinned(formula, instance_sha, registry_sha):
+    """Every item, agent, preference list, stage, utility and registry entry."""
+    if formula == "reference":
+        f = parse_formula(REFERENCE_FORMULA)
+    else:
+        f = random_restricted_formula(random.Random(61), num_vars=6)
+    out = build_instance(f)
+    text = serialize_instance(out.instance, out.utility)
+    assert hashlib.sha256(text.encode()).hexdigest() == instance_sha
+    assert hashlib.sha256(out.registry.to_json().encode()).hexdigest() == registry_sha
 
 
 def test_dimensions_scale_with_formula_size():
