@@ -174,11 +174,12 @@ def validate_utilities(u: UtilityFunction, inst: Instance) -> None:
         if set(vals) != set(inst.items):
             problems.append(f"utilities of agent {agent} do not cover the item set")
             continue
-        for o in order:
-            if vals[o] <= 0:
+        worth, _ = integer_values(u, agent, order)
+        for o, w in zip(order, worth):
+            if w <= 0:
                 problems.append(f"non-positive utility for agent {agent}, item {o}")
-        for better, worse in zip(order, order[1:]):
-            if not vals[better] > vals[worse]:
+        for k, (better, worse) in enumerate(zip(order, order[1:])):
+            if not worth[k] > worth[k + 1]:
                 problems.append(
                     f"utilities of agent {agent} not strictly decreasing at {better} vs {worse}"
                 )
@@ -220,14 +221,15 @@ def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -
     two of them equally (the induced order would not be strict).
     """
     items = tuple(items)
-    vals = u.values_of(agent, items)
-    ranked = sorted(items, key=lambda o: -vals[o])
-    for a, b in zip(ranked, ranked[1:]):
-        if vals[a] == vals[b]:
+    worth, _ = integer_values(u, agent, items)
+    ranked = sorted(range(len(items)), key=lambda k: -worth[k])
+    for j, k in zip(ranked, ranked[1:]):
+        if worth[j] == worth[k]:
+            a, b = items[j], items[k]
             raise ValidationError(
                 [f"agent {agent} values {a} and {b} equally; induced order is not strict"]
             )
-    return tuple(ranked)
+    return tuple(items[k] for k in ranked)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,21 @@ and s_j <= p_j for every j: the canonical report (the target items first,
 in the opponent's relative order) then yields a bundle containing S, and no
 report does otherwise. For a target smaller than the manipulator's turn
 count, "achievable" means some report yields a bundle containing it.
+
+The same rule in prefix form: with H(x) the number of manipulator stages
+<= x, S is achievable iff every prefix x of the opponent's order holds at
+most H(x) items of S (x = m - 1 bounds |S| by the turns, as the sequence is
+no longer than m). The best response keeps the slack H(x) - |{p in S:
+p <= x}| in one list across the greedy scan, so each scanned item costs
+O(m) list operations and a best response O(m * turns), with no call of the
+closed form per item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .engine import Encoded, can_achieve, run_sequential_allocation, stages_of
@@ -105,7 +114,8 @@ def ordinal_greedy(
 
     Keeps an item whenever ``achievable`` accepts the kept items plus it,
     until the manipulator's turns are used up. A best response for two
-    agents, not for three or more.
+    agents, not for three or more. The greedy keeps an item iff its test
+    accepts it, so a stateful test may take each accepted item as kept.
     """
     turns = inst.turns(manipulator)
     kept: list[str] = []
@@ -117,17 +127,46 @@ def ordinal_greedy(
     return kept
 
 
+def _slack_test(inst: Instance, manipulator: str) -> Callable[[list[str]], bool]:
+    """The closed form as a stateful test of the greedy's next item.
+
+    ``slack[x]`` is H(x), the manipulator's stages <= x, minus the kept
+    items of opponent rank <= x; the kept set is achievable iff no slack is
+    negative. Accepting an item of rank r uses one unit of every
+    ``slack[r:]``. Valid only inside ``ordinal_greedy``, which keeps exactly
+    the items this test accepts.
+    """
+    opp_pref = inst.preferences[_opponent(inst, manipulator)]
+    rank = dict(zip(opp_pref, range(len(opp_pref))))
+    slack = list(accumulate(int(a == manipulator) for a in inst.sequence))
+    slack += [inst.turns(manipulator)] * (len(opp_pref) - len(slack))
+
+    def accepts(trial: list[str]) -> bool:
+        r = rank[trial[-1]]
+        if min(slack[r:]) < 1:
+            return False
+        slack[r:] = [h - 1 for h in slack[r:]]
+        return True
+
+    return accepts
+
+
 def lexicographic_best_response(
     inst: Instance, manipulator: str
 ) -> tuple[tuple[str, ...], frozenset[str]]:
     """Greedy over the manipulator's true order, keeping achievable extensions.
 
     Returns the canonical report for the selected set and the set itself;
-    replaying the report through the engine yields exactly that set.
+    replaying the report through the engine yields exactly that set. The
+    greedy runs on the kept prefix slack; its result is checked once
+    against ``is_achievable``, and AssertionError (also under ``python
+    -O``) means the two disagree.
     """
     _require_two_agents(inst)
     opponent = _opponent(inst, manipulator)
-    S = ordinal_greedy(inst, manipulator, lambda trial: is_achievable(trial, inst, manipulator))
+    S = ordinal_greedy(inst, manipulator, _slack_test(inst, manipulator))
+    if not is_achievable(S, inst, manipulator):
+        raise AssertionError(f"greedy kept an unachievable set {sorted(S)}")
     report = canonical_report(S, inst.preferences[opponent], inst.items)
     return report, frozenset(S)
 

@@ -153,3 +153,74 @@ def test_allocation_helpers():
     assert alloc.holder_of("a") == "1"
     assert alloc.holder_of("b") is None
     assert alloc.matrix(inst) == [[1, 0, 0], [0, 0, 1]]
+
+
+def _utilities_of_1(values):
+    """Agent 1's utilities on ``small()``'s items a, b, c (its order a > b > c)."""
+    return UtilityFunction({"1": {o: Fraction(v) for o, v in zip("abc", values)}})
+
+
+def test_validate_utilities_compares_mixed_denominators_exactly():
+    inst = small()
+    validate_utilities(_utilities_of_1(["5/6", "1/2", "1/3"]), inst)
+    with pytest.raises(ValidationError) as exc:
+        validate_utilities(_utilities_of_1(["1/2", "5/6", "1/3"]), inst)
+    assert exc.value.problems == ["utilities of agent 1 not strictly decreasing at a vs b"]
+
+
+def test_validate_utilities_sees_a_tie_in_any_spelling():
+    inst = small()
+    u = _utilities_of_1(["5/6", "2/4", "1/2"])
+    with pytest.raises(ValidationError) as exc:
+        validate_utilities(u, inst)
+    assert exc.value.problems == ["utilities of agent 1 not strictly decreasing at b vs c"]
+    with pytest.raises(ValidationError) as exc:
+        order_from_utilities(u, "1", inst.items)
+    assert exc.value.problems == ["agent 1 values b and c equally; induced order is not strict"]
+
+
+def test_validate_utilities_lists_problems_in_order():
+    inst = small()
+    u = UtilityFunction(
+        {
+            "1": {"a": Fraction(-1, 3), "b": Fraction(1, 2), "c": Fraction(2, 4)},
+            "2": {"c": Fraction(5, 6), "b": Fraction(1, 3), "a": Fraction(0)},
+            "3": {"a": Fraction(1)},
+        }
+    )
+    with pytest.raises(ValidationError) as exc:
+        validate_utilities(u, inst)
+    assert exc.value.problems == [
+        "non-positive utility for agent 1, item a",
+        "utilities of agent 1 not strictly decreasing at a vs b",
+        "utilities of agent 1 not strictly decreasing at b vs c",
+        "non-positive utility for agent 2, item a",
+        "utilities given for unknown agent 3",
+    ]
+
+
+def _fraction_sorted_order(u, agent, items):
+    """The reference induced order: sort by negated ``Fraction`` values."""
+    vals = u.values[agent]
+    ranked = sorted(items, key=lambda o: -vals[o])
+    for a, b in zip(ranked, ranked[1:]):
+        if vals[a] == vals[b]:
+            return f"agent {agent} values {a} and {b} equally; induced order is not strict"
+    return tuple(ranked)
+
+
+def test_order_from_utilities_matches_fraction_sort():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        items = tuple(f"o{k}" for k in range(rng.randint(1, 8)))
+        vals = {o: Fraction(rng.randint(1, 12), rng.randint(1, 12)) for o in items}
+        u = UtilityFunction({"1": vals})
+        expected = _fraction_sorted_order(u, "1", items)
+        try:
+            got = order_from_utilities(u, "1", items)
+        except ValidationError as exc:
+            (got,) = exc.problems
+        assert got == expected, vals
+        outcomes.add(type(expected))
+    assert outcomes == {tuple, str}

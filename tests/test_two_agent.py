@@ -1,10 +1,13 @@
 import itertools
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from seqalloc import two_agent
+from seqalloc import engine, two_agent
 from seqalloc.engine import run_sequential_allocation, run_with_report
 from seqalloc.model import (
     UtilityFunction,
@@ -21,11 +24,12 @@ from seqalloc.two_agent import (
     is_achievable,
     lexicographic_best_response,
     nash_evidence,
+    ordinal_greedy,
     verify_nash_two_agents,
 )
 from seqalloc.golden import alternating_manipulation_example, two_agent_example
 
-from conftest import random_consistent_utilities, random_instance
+from conftest import package_env, random_consistent_utilities, random_instance
 
 
 def test_canonical_report_layout():
@@ -99,16 +103,22 @@ def test_closed_form_matches_engine_replay_on_every_subset():
     assert all(seen.values()), seen
 
 
+def _full_sequence_instance(rng, m, blocked):
+    """Two agents, m items and m stages: the sequence 1221 repeated, or random."""
+    items = [f"o{k}" for k in range(m)]
+    if blocked:
+        sequence = [("1", "2", "2", "1")[k % 4] for k in range(m)]
+    else:
+        sequence = [rng.choice("12") for _ in range(m)]
+    prefs = {a: rng.sample(items, m) for a in ("1", "2")}
+    return validate_instance(items, ["1", "2"], prefs, sequence)
+
+
 @pytest.mark.parametrize("blocked", [True, False], ids=["1221", "random"])
 def test_closed_form_on_64_items(blocked):
     rng = random.Random(64)
-    items = [f"o{k}" for k in range(64)]
-    if blocked:
-        sequence = [("1", "2", "2", "1")[k % 4] for k in range(64)]
-    else:
-        sequence = [rng.choice("12") for _ in range(64)]
-    prefs = {a: rng.sample(items, 64) for a in ("1", "2")}
-    inst = validate_instance(items, ["1", "2"], prefs, sequence)
+    inst = _full_sequence_instance(rng, 64, blocked)
+    items = inst.items
     verdicts = set()
     for manip in inst.agents:
         u = random_consistent_utilities(rng, inst, manip)
@@ -267,3 +277,93 @@ def test_nash_evidence_requires_utilities_on_every_item(monkeypatch):
 def test_achievability_certificate_rejects_unknown_items():
     with pytest.raises(ValidationError, match="unknown items"):
         achievability_certificate({"zz"}, two_agent_example(), "1")
+
+
+def _per_item_best_response(inst, manip):
+    """The reference greedy: one closed-form ``is_achievable`` call per scanned item."""
+    (opponent,) = set(inst.agents) - {manip}
+    S = ordinal_greedy(inst, manip, lambda trial: is_achievable(trial, inst, manip))
+    return canonical_report(S, inst.preferences[opponent], inst.items), frozenset(S)
+
+
+def test_slack_greedy_matches_per_item_greedy():
+    rng = random.Random(48)
+    seen = Counter()
+    for m in range(1, 41):
+        items = [f"o{k}" for k in range(m)]
+        for trial in range(12):
+            L = (m, rng.randint(0, m))[trial % 2]
+            if trial % 4 == 3:
+                sequence = [rng.choice("12")] * L  # one agent has no turn
+            else:
+                sequence = [rng.choice("12") for _ in range(L)]
+            prefs = {a: rng.sample(items, m) for a in ("1", "2")}
+            inst = validate_instance(items, ["1", "2"], prefs, sequence)
+            for manip in inst.agents:
+                expected = _per_item_best_response(inst, manip)
+                assert lexicographic_best_response(inst, manip) == expected, (inst, manip)
+                seen["short_sequence"] += L < m
+                seen["zero_turns"] += inst.turns(manip) == 0
+                seen["manipulator " + manip] += 1
+    assert len(seen) == 4 and all(seen.values()), seen
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["1221", "random"])
+def test_slack_greedy_matches_per_item_greedy_on_256_items(blocked):
+    rng = random.Random(256)
+    for _ in range(3):
+        inst = _full_sequence_instance(rng, 256, blocked)
+        for manip in inst.agents:
+            assert lexicographic_best_response(inst, manip) == _per_item_best_response(
+                inst, manip
+            ), manip
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["1221", "random"])
+def test_best_response_makes_one_closed_form_call_on_256_items(blocked, monkeypatch):
+    """The greedy must not call the closed form, or replay, per scanned item."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (two_agent, "is_achievable"),
+        (two_agent, "can_achieve"),
+        (two_agent, "run_sequential_allocation"),
+        (engine, "can_achieve"),
+        (engine, "run_sequential_allocation"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    inst = _full_sequence_instance(random.Random(257), 256, blocked)
+    for manip in inst.agents:
+        calls.clear()
+        lexicographic_best_response(inst, manip)
+        assert calls["is_achievable"] <= 1, calls
+        assert calls["can_achieve"] == calls["run_sequential_allocation"] == 0, calls
+
+
+# Let the greedy keep every item it scans: agent 1 then keeps {o1, o2}, which
+# agent 2 (ranking o2 third) takes before agent 1's second turn.
+_ACCEPT_ALL_GREEDY = """
+from seqalloc import two_agent
+from seqalloc.golden import two_agent_example
+
+two_agent._slack_test = lambda inst, manipulator: lambda trial: True
+two_agent.lexicographic_best_response(two_agent_example(), "1")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_best_response_post_condition_holds_under_any_flag(flags):
+    """``python -O`` strips ``assert`` statements; the post-condition must not rely on them."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _ACCEPT_ALL_GREEDY],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: greedy kept an unachievable set ['o1', 'o2']" in proc.stderr
