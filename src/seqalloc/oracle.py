@@ -11,12 +11,31 @@ values that could fill its free turns is below the best bundle found, so
 tied optima all survive. ``node_budget`` bounds the achievability checks,
 those that build the witnesses included; there is no turn guard.
 
-``enumerate_achievable_bundles`` is the exhaustive reference. It branches
-over the manipulator's pick at each of their turns; between turns every
-other agent picks greedily. This is outcome-equivalent to searching over
-all m! reports because a report only influences the outcome through the
-item picked at each of the manipulator's turns. It is bounded by a node
-budget and by a guard of ``MAX_TURNS`` manipulator turns.
+``enumerate_achievable_bundles`` is the exhaustive reference. Searching
+the manipulator's pick at each of their turns is outcome-equivalent to
+searching all m! reports, because a report only influences the outcome
+through the item picked at each of the manipulator's turns. The search goes
+turn by turn and keeps the states that some pick order reaches at that
+turn, a state being the pair (manipulator's picks, items taken). Two facts
+make it exact:
+
+- Merging is exact. The other agents pick greedily, so what they pick from
+  a turn on depends only on which items are free then. Pick orders that
+  reach the same pair reach the same bundles, and one state stands for all
+  of them.
+- One pass replay serves every candidate outside it. From a state, the
+  others play to the manipulator's next turn as if the manipulator passed.
+  If the manipulator instead takes an item x that no other agent takes in
+  that replay, each other agent still finds its replayed pick free and
+  every item it prefers taken, so the others pick exactly as replayed.
+  Only the items the others take in the replay, at most one per other
+  stage before the next turn, need a replay of their own.
+
+At the last turn later stages cannot change the manipulator's bundle, so
+the bundles are the picks plus each free item. ``node_budget`` counts nodes:
+the root and each (state, candidate pick), the candidates at the last turn
+being the leaf bundles. Memory grows with the states of one turn, at most
+one per node. A guard of ``MAX_TURNS`` manipulator turns is checked first.
 
 The refuted ordinal greedy does not search: it asks ``engine.can_achieve``,
 a polynomial test, whether each extension of its kept set is achievable.
@@ -26,8 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import inf
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .engine import Encoded, PickState, can_achieve, secures, stages_of
 from .model import (
@@ -59,47 +79,33 @@ def _agent(enc: Encoded, manipulator: str) -> int:
     return enc.agent_index[manipulator]
 
 
-def _walk(
-    state: PickState,
-    turns: list[int],
-    picks: list[int],
-    reached: set[frozenset[int]],
-    nodes: int,
-    node_budget: int,
-) -> int:
-    """Visit the node reached by ``picks``; return the nodes counted so far.
+def _spend(nodes: int, count: int, node_budget: int, found: int) -> int:
+    """``nodes`` plus ``count`` more; BudgetExceededError past ``node_budget``.
 
-    ``state`` is the parent's, shared with the siblings and standing before
-    this node's own pick ``picks[-1]``.
+    Raises as counting the nodes one by one would: after using the whole
+    budget, with ``found`` bundles found.
     """
-    if nodes == node_budget:
+    if nodes + count > node_budget:
         raise BudgetExceededError(
-            f"search exceeded node budget {node_budget} after {nodes} nodes,"
-            f" {len(reached)} bundles found",
-            limit=node_budget, used=nodes, unit="nodes",
+            f"search exceeded node budget {node_budget} after {node_budget} nodes,"
+            f" {found} bundles found",
+            limit=node_budget, used=node_budget, unit="nodes",
         )
-    nodes += 1
-    if len(picks) == len(turns):
-        # later stages cannot change the manipulator's bundle
-        reached.add(frozenset(picks))
-        return nodes
-    if picks:
-        state = state.copy()
-        state.take(picks[-1])
-    state.advance(turns[len(picks)])
-    taken = state.taken
-    for item in range(len(taken)):
-        if not taken[item]:
-            picks.append(item)
-            nodes = _walk(state, turns, picks, reached, nodes, node_budget)
-            picks.pop()
-    return nodes
+    return nodes + count
 
 
 def enumerate_achievable_bundles(
     inst: Instance, manipulator: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> set[frozenset[str]]:
-    """All bundles the manipulator can end up holding under some report."""
+    """All bundles the manipulator can end up holding under some report.
+
+    Searches turn by turn over merged (picks, taken) states, sharing one
+    pass replay per state (see the module docstring). Item sets are ints
+    with byte k standing for item k, so a ``PickState.taken`` converts with
+    one ``int.from_bytes``. BudgetExceededError once the root and the
+    (state, candidate pick) nodes exceed ``node_budget``, or the manipulator
+    has more than ``MAX_TURNS`` turns.
+    """
     enc = Encoded(inst)
     turns = stages_of(enc.seq, _agent(enc, manipulator))
     if len(turns) > MAX_TURNS:
@@ -107,9 +113,55 @@ def enumerate_achievable_bundles(
             f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}",
             limit=MAX_TURNS, used=len(turns), unit="turns",
         )
-    reached: set[frozenset[int]] = set()
-    _walk(PickState(enc), turns, [], reached, 0, node_budget)
-    return {frozenset(inst.items[k] for k in bundle) for bundle in reached}
+    nodes = _spend(0, 1, node_budget, 0)  # the root
+    if not turns:
+        return {frozenset()}
+    m = enc.m
+    bit = [1 << 8 * k for k in range(m)]
+    every = sum(bit)
+
+    def singletons(items: int) -> Iterator[int]:
+        """The one-item sets that make up ``items``."""
+        return compress(bit, items.to_bytes(m, "little"))
+
+    def resume(base: PickState, taken: int) -> PickState:
+        """A copy of ``base`` with the items of ``taken``, a superset of its own, taken."""
+        state = base.copy()
+        state.taken[:] = taken.to_bytes(m, "little")
+        return state
+
+    root = PickState(enc)
+    root.advance(turns[0])
+    # a state's key has bit 0 of byte k set if item k is taken and bit 1 if
+    # the manipulator picked it; its value is a state at the same turn whose
+    # taken items are a subset of the key's, so its cursors stay valid
+    states = {int.from_bytes(root.taken, "little"): root}
+    for stop in turns[1:]:
+        merged: dict[int, PickState] = {}
+        for key, base in states.items():
+            taken = key & every
+            mine = key ^ taken
+            nodes = _spend(nodes, (every & ~key).bit_count(), node_budget, 0)
+            # one pass replay gives the others' picks for every candidate
+            # that they would not take themselves before ``stop``
+            passed = resume(base, taken)
+            passed.stage += 1  # the manipulator passes
+            for k in passed.advance(stop):
+                child = resume(base, taken)
+                child.take(k)
+                child.advance(stop)
+                merged[int.from_bytes(child.taken, "little") | mine | bit[k] << 1] = child
+            after = int.from_bytes(passed.taken, "little")
+            for b in singletons(every ^ after):
+                merged[after | mine | 3 * b] = passed
+        states = merged
+    # later stages cannot change the manipulator's bundle
+    reached: set[int] = set()
+    for key in states:
+        free = every & ~key
+        nodes = _spend(nodes, free.bit_count(), node_budget, len(reached))
+        reached.update(map((key >> 1 & every).__or__, singletons(free)))
+    return {frozenset(compress(inst.items, b.to_bytes(m, "little"))) for b in reached}
 
 
 def brute_force_best_response(

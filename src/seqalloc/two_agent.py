@@ -116,14 +116,17 @@ def ordinal_greedy(
     until the manipulator's turns are used up. A best response for two
     agents, not for three or more. The greedy keeps an item iff its test
     accepts it, so a stateful test may take each accepted item as kept.
+    The test gets the greedy's own list, with the item last, and must not
+    keep it: a rejected item is popped again.
     """
     turns = inst.turns(manipulator)
     kept: list[str] = []
     for o in inst.preferences[manipulator]:
         if len(kept) == turns:
             break
-        if achievable(kept + [o]):
-            kept.append(o)
+        kept.append(o)
+        if not achievable(kept):
+            kept.pop()
     return kept
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from seqalloc.engine import run_with_report
+from seqalloc import engine
+from seqalloc.engine import Encoded, PickState, run_with_report, stages_of
 from seqalloc.model import (
     UtilityFunction,
     ValidationError,
@@ -14,6 +15,7 @@ from seqalloc.model import (
     validate_instance,
 )
 from seqalloc.oracle import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     brute_force_best_response,
     enumerate_achievable_bundles,
@@ -159,7 +161,7 @@ def _near_identical_round_robin():
 
 
 def test_refuted_greedy_has_no_node_budget():
-    # round robin over near-identical preferences: the pick-order walk of
+    # round robin over near-identical preferences: the search of
     # enumerate_achievable_bundles for agent 1's 10 turns exceeds its
     # default node budget, so only a search that does not enumerate bundles
     # answers here
@@ -241,6 +243,124 @@ def test_node_budget_counts_achievability_checks():
         assert (err.limit, err.used, err.unit) == (
             res.checks - 1, res.checks - 1, "achievability checks"
         )
+
+
+def _pick_order_walk(inst, manip):
+    """The slow reference: a walk over every manipulator pick order.
+
+    Returns the bundles reached and the distinct states met at the
+    manipulator's turns, each as (turn, picks, taken).
+    """
+    enc = Encoded(inst)
+    turns = stages_of(enc.seq, enc.agent_index[manip])
+    reached, states = set(), set()
+
+    def walk(state, picks):
+        if len(picks) == len(turns):
+            reached.add(frozenset(inst.items[k] for k in picks))
+            return
+        state.advance(turns[len(picks)])
+        states.add((len(picks), frozenset(picks), bytes(state.taken)))
+        for item in range(enc.m):
+            if not state.taken[item]:
+                child = state.copy()
+                child.take(item)
+                walk(child, picks + [item])
+
+    walk(PickState(enc), [])
+    return reached, states
+
+
+def _round_robin_instance(rng, m=15, turns=4):
+    """The oracle workload's shape: n = 3, round robin, agent 1 has ``turns`` turns."""
+    items = [f"o{k}" for k in range(m)]
+    prefs = {a: rng.sample(items, m) for a in "123"}
+    return validate_instance(items, list("123"), prefs, list("123") * turns)
+
+
+def test_merged_search_matches_pick_order_walk():
+    rng = random.Random(59)
+    for trial in range(600):
+        n, m = rng.randint(2, 4), rng.randint(1, 9)
+        inst = random_instance(rng, n=n, m=m, L=rng.randint(0, m))
+        if trial % 10 == 0:  # a manipulator with no turn
+            absent = [a for a in inst.agents if a not in inst.sequence]
+            manip = absent[0] if absent else rng.choice(inst.agents)
+        else:
+            manip = rng.choice(inst.agents)
+        bundles, _ = _pick_order_walk(inst, manip)
+        assert enumerate_achievable_bundles(inst, manip) == bundles, (inst, manip)
+
+
+def test_merged_search_matches_pick_order_walk_on_round_robin():
+    rng = random.Random(60)
+    for _ in range(20):
+        inst = _round_robin_instance(rng)
+        bundles, _ = _pick_order_walk(inst, "1")
+        assert enumerate_achievable_bundles(inst, "1") == bundles
+
+
+def _count_advances(monkeypatch):
+    calls = []
+    advance = PickState.advance
+
+    def counted(state, until):
+        calls.append(until)
+        return advance(state, until)
+
+    monkeypatch.setattr(engine.PickState, "advance", counted)
+    return calls
+
+
+def test_merged_search_replays_a_quarter_of_the_walk(monkeypatch):
+    """The pick-order walk made 1,816 ``advance`` calls on this instance."""
+    inst = _round_robin_instance(random.Random(61))
+    calls = _count_advances(monkeypatch)
+    assert len(enumerate_achievable_bundles(inst, "1")) == 1020
+    assert 0 < len(calls) <= 454, len(calls)
+
+
+def test_smallest_answering_node_budget_is_exact():
+    rng = random.Random(62)
+    for _ in range(5):
+        inst = random_instance(rng, n=3, m=8, L=8)
+        manip = inst.sequence[0]
+        expected = enumerate_achievable_bundles(inst, manip)
+        lo, hi = 0, DEFAULT_NODE_BUDGET
+        while lo < hi:  # the smallest budget that answers
+            mid = (lo + hi) // 2
+            try:
+                enumerate_achievable_bundles(inst, manip, node_budget=mid)
+                hi = mid
+            except BudgetExceededError:
+                lo = mid + 1
+        # the root and each (state, candidate pick) of the merged states
+        _, states = _pick_order_walk(inst, manip)
+        assert lo == 1 + sum(taken.count(0) for _, _, taken in states)
+        assert enumerate_achievable_bundles(inst, manip, node_budget=lo) == expected
+        with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
+            enumerate_achievable_bundles(inst, manip, node_budget=lo - 1)
+        err = excinfo.value
+        assert (err.limit, err.used, err.unit) == (lo - 1, lo - 1, "nodes")
+
+
+def test_zero_node_budget_raises_before_any_replay(monkeypatch):
+    inst = _round_robin_instance(random.Random(63))
+    calls = _count_advances(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
+        enumerate_achievable_bundles(inst, "1", node_budget=0)
+    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (0, 0, "nodes")
+    assert calls == []
+
+
+def test_near_identical_round_robin_exceeds_the_default_node_budget():
+    """The premise of ``test_oracle_answers_where_the_walk_exceeds_its_budget``."""
+    with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
+        enumerate_achievable_bundles(_near_identical_round_robin(), "1")
+    err = excinfo.value
+    assert (err.limit, err.used, err.unit) == (
+        DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET, "nodes"
+    )
 
 
 def test_node_budget_is_enforced():
