@@ -73,7 +73,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
             if agent in utils:
                 raise InstanceParseError(line_no, f"duplicate utilities for agent {agent}")
             try:
-                utils[agent] = [Fraction(v) for v in values]
+                utils[agent] = [_utility_literal(v) for v in values]
             except (ValueError, ZeroDivisionError):
                 raise InstanceParseError(line_no, "utilities must be decimal or rational literals") from None
         else:
@@ -108,6 +108,18 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
         utility = UtilityFunction(values)
         validate_utilities(utility, inst)
     return inst, utility
+
+
+def _utility_literal(v: str) -> Fraction:
+    """``Fraction(v)``; an integer literal takes the much faster ``int`` path.
+
+    ``int`` accepts a subset of ``Fraction``'s literals and gives them the
+    same value, so only the speed differs.
+    """
+    try:
+        return Fraction(int(v))
+    except ValueError:
+        return Fraction(v)
 
 
 def _directive(fields: list[str], line_no: int, kind: str) -> tuple[str, list[str]]:

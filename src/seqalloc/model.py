@@ -158,7 +158,11 @@ def integer_values(u: UtilityFunction, agent: str, items: Sequence[str]) -> tupl
     ``items[k]``. ValidationError as for ``UtilityFunction.values_of``.
     """
     vals = u.values_of(agent, items)
-    row = [vals[o] for o in items]
+    return _over_common_denominator([vals[o] for o in items])
+
+
+def _over_common_denominator(row: list[Fraction]) -> tuple[list[int], int]:
+    """``(worth, scale)`` with ``worth[k] / scale == row[k]``; scale 1 if empty."""
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row], scale
 
@@ -203,9 +207,14 @@ def make_lexicographic_utilities(
 
 
 def bundle_utility(u: UtilityFunction, agent: str, bundle: Iterable[str]) -> Fraction:
-    """Exact additive utility of a bundle. Raises KeyError on unknown items."""
+    """Exact additive utility of a bundle. Raises KeyError on unknown items.
+
+    Sums integers over the bundle's common denominator, then makes one
+    ``Fraction``.
+    """
     vals = u.values[agent]
-    return sum((vals[o] for o in bundle), Fraction(0))
+    worth, scale = _over_common_denominator([vals[o] for o in bundle])
+    return Fraction(sum(worth), scale)
 
 
 def complete_order(prefix: list[str], items: Iterable[str]) -> tuple[str, ...]:

@@ -12,10 +12,12 @@ count, "achievable" means some report yields a bundle containing it.
 The same rule in prefix form: with H(x) the number of manipulator stages
 <= x, S is achievable iff every prefix x of the opponent's order holds at
 most H(x) items of S (x = m - 1 bounds |S| by the turns, as the sequence is
-no longer than m). The best response keeps the slack H(x) - |{p in S:
-p <= x}| in one list across the greedy scan, so each scanned item costs
-O(m) list operations and a best response O(m * turns), with no call of the
-closed form per item.
+no longer than m). That is the feasibility of unit tasks with deadlines:
+item o is a task due by slot H(rank of o), and there are turns slots. The
+best response schedules each kept item in the latest free slot by its
+deadline, found by a union-find over the slots (CLRS, Problem 16-4), so a
+best response costs O(m alpha(m)), with no call of the closed form per
+item.
 """
 
 from __future__ import annotations
@@ -130,25 +132,36 @@ def ordinal_greedy(
     return kept
 
 
-def _slack_test(inst: Instance, manipulator: str) -> Callable[[list[str]], bool]:
+def _deadline_test(inst: Instance, manipulator: str) -> Callable[[list[str]], bool]:
     """The closed form as a stateful test of the greedy's next item.
 
-    ``slack[x]`` is H(x), the manipulator's stages <= x, minus the kept
-    items of opponent rank <= x; the kept set is achievable iff no slack is
-    negative. Accepting an item of rank r uses one unit of every
-    ``slack[r:]``. Valid only inside ``ordinal_greedy``, which keeps exactly
-    the items this test accepts.
+    An item of opponent rank r is due by slot H(r), the manipulator's
+    stages <= r (the turn count past the sequence), among slots 1..turns.
+    ``parent`` links each slot to a slot no later than it, and ``find(d)``
+    is the latest free slot <= d, 0 meaning none. The kept set is achievable
+    iff each kept item takes a free slot by its deadline, so an item is
+    accepted iff ``find`` of its deadline is a slot, which it then takes.
+    Valid only inside ``ordinal_greedy``, which keeps exactly the items this
+    test accepts.
     """
     opp_pref = inst.preferences[_opponent(inst, manipulator)]
-    rank = dict(zip(opp_pref, range(len(opp_pref))))
-    slack = list(accumulate(int(a == manipulator) for a in inst.sequence))
-    slack += [inst.turns(manipulator)] * (len(opp_pref) - len(slack))
+    turns = inst.turns(manipulator)
+    due = list(accumulate(int(a == manipulator) for a in inst.sequence))
+    due += [turns] * (len(opp_pref) - len(due))
+    deadline = dict(zip(opp_pref, due))
+    parent = list(range(turns + 1))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
     def accepts(trial: list[str]) -> bool:
-        r = rank[trial[-1]]
-        if min(slack[r:]) < 1:
+        k = find(deadline[trial[-1]])
+        if k == 0:
             return False
-        slack[r:] = [h - 1 for h in slack[r:]]
+        parent[k] = k - 1
         return True
 
     return accepts
@@ -161,13 +174,13 @@ def lexicographic_best_response(
 
     Returns the canonical report for the selected set and the set itself;
     replaying the report through the engine yields exactly that set. The
-    greedy runs on the kept prefix slack; its result is checked once
+    greedy schedules kept items by deadline; its result is checked once
     against ``is_achievable``, and AssertionError (also under ``python
     -O``) means the two disagree.
     """
     _require_two_agents(inst)
     opponent = _opponent(inst, manipulator)
-    S = ordinal_greedy(inst, manipulator, _slack_test(inst, manipulator))
+    S = ordinal_greedy(inst, manipulator, _deadline_test(inst, manipulator))
     if not is_achievable(S, inst, manipulator):
         raise AssertionError(f"greedy kept an unachievable set {sorted(S)}")
     report = canonical_report(S, inst.preferences[opponent], inst.items)

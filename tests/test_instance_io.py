@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
-from seqalloc.model import UtilityFunction
+from seqalloc.model import UtilityFunction, ValidationError
 
 from conftest import random_consistent_utilities, random_instance
 
@@ -35,6 +35,28 @@ def test_parse_example():
 def test_utilities_are_exact_rationals_not_floats():
     _, utility = parse_instance(EXAMPLE)
     assert utility.of("1", "o1") != Fraction(3.1)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["7", "007", "+5", "-5", "1_000", "3.1", "7/3", "1e3", "\u0663", "0x10", "1/0", "x"],
+)
+def test_utility_literals_parse_as_fraction_does(literal):
+    """Every literal gives ``Fraction(literal)``'s value, or its parse error."""
+    text = EXAMPLE.replace("util 1 : 3.1 3 2 1", f"util 1 : {literal} 1/4 1/5 1/6")
+    try:
+        expected = Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        message = "line 10: utilities must be decimal or rational literals"
+        with pytest.raises(InstanceParseError, match=message):
+            parse_instance(text)
+        return
+    if expected <= 0:
+        with pytest.raises(ValidationError, match="non-positive utility for agent 1, item o1"):
+            parse_instance(text)
+        return
+    _, utility = parse_instance(text)
+    assert utility.of("1", "o1") == expected and type(utility.of("1", "o1")) is Fraction
 
 
 def test_utilities_optional():

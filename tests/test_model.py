@@ -224,3 +224,30 @@ def test_order_from_utilities_matches_fraction_sort():
         assert got == expected, vals
         outcomes.add(type(expected))
     assert outcomes == {tuple, str}
+
+
+def test_bundle_utility_sums_mixed_denominators():
+    total = bundle_utility(_utilities_of_1(["1/3", "1/6", "2"]), "1", ["a", "b", "c"])
+    assert total == Fraction(5, 2) and type(total) is Fraction
+    assert (total.numerator, total.denominator) == (5, 2)
+
+
+def test_bundle_utility_of_the_empty_bundle_is_fraction_zero():
+    total = bundle_utility(_utilities_of_1(["1/3", "1/6", "2"]), "1", [])
+    assert total == Fraction(0) and type(total) is Fraction
+
+
+def test_bundle_utility_rejects_unknown_items():
+    with pytest.raises(KeyError):
+        bundle_utility(_utilities_of_1(["1/3", "1/6", "2"]), "1", ["a", "zz"])
+
+
+def test_bundle_utility_matches_fraction_sum():
+    rng = random.Random(29)
+    for _ in range(300):
+        items = [f"o{k}" for k in range(rng.randint(1, 10))]
+        vals = {o: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for o in items}
+        bundle = rng.sample(items, rng.randint(0, len(items)))
+        total = bundle_utility(UtilityFunction({"1": vals}), "1", bundle)
+        assert total == sum((vals[o] for o in bundle), Fraction(0)), (vals, bundle)
+        assert type(total) is Fraction

@@ -353,7 +353,7 @@ _ACCEPT_ALL_GREEDY = """
 from seqalloc import two_agent
 from seqalloc.golden import two_agent_example
 
-two_agent._slack_test = lambda inst, manipulator: lambda trial: True
+two_agent._deadline_test = lambda inst, manipulator: lambda trial: True
 two_agent.lexicographic_best_response(two_agent_example(), "1")
 """
 
