@@ -40,6 +40,12 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
 
 
+def check_budget(name: str, budget: int) -> None:
+    """ValidationError if the search budget ``name`` is negative."""
+    if budget < 0:
+        raise ValidationError([f"{name} must be non-negative, got {budget}"])
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete allocation setting: items, agents, preferences, sequence.

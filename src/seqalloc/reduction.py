@@ -34,6 +34,7 @@ from .model import (
     UtilityFunction,
     ValidationError,
     bundle_utility,
+    check_budget,
     complete_order,
     integer_values,
     validate_instance,
@@ -79,6 +80,8 @@ class RestrictedFormula:
 
 def validate_formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> RestrictedFormula:
     problems = []
+    if num_vars < 1:
+        problems.append(f"formula has {num_vars} variables, expected at least 1")
     for idx, clause in enumerate(clauses, start=1):
         if len(clause) != 3:
             problems.append(f"clause {idx} has {len(clause)} literals, expected 3")
@@ -530,6 +533,7 @@ def verify_choice_patterns(
     exactly by consistent patterns whose induced assignment satisfies the
     formula. Raises RuntimeError on any violation.
     """
+    check_budget("max_patterns", max_patterns)
     f = out.formula
     total = 4 ** f.num_vars
     if total > max_patterns:

@@ -258,6 +258,8 @@ def test_module_entry_point_exit_codes(tmp_path):
     """
     formula = tmp_path / "bad_counts.cnf"
     formula.write_text("p cnf a 3\n1 2 3 0\n")
+    no_vars = tmp_path / "no_vars.cnf"
+    no_vars.write_text("p cnf 0 0\n")
     instance = tmp_path / "bad_header.instance"
     instance.write_text("agents 1 items 1\n")
     not_utf8 = tmp_path / "latin1.instance"
@@ -269,6 +271,8 @@ def test_module_entry_point_exit_codes(tmp_path):
     for argv, expected, message in [
         (["examples"], cli.EXIT_OK, ""),
         (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE, "malformed"),
+        (["reduce", str(no_vars), "--out", str(tmp_path / "out")], cli.EXIT_USAGE,
+         "formula has 0 variables"),
         (["allocate", str(instance)], cli.EXIT_USAGE, "malformed header"),
         # a directory and a file that is not UTF-8 are unreadable input,
         # and the error names the file

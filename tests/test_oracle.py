@@ -1,11 +1,15 @@
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from seqalloc import engine
 from seqalloc.engine import Encoded, PickState, run_with_report, stages_of
+from seqalloc.instance_io import serialize_instance
 from seqalloc.model import (
     UtilityFunction,
     ValidationError,
@@ -21,10 +25,11 @@ from seqalloc.oracle import (
     enumerate_achievable_bundles,
     refuted_greedy_best_response,
 )
-from seqalloc.golden import counterexample_utilities, three_agent_counterexample
+from seqalloc.golden import REFERENCE_FORMULA, counterexample_utilities, three_agent_counterexample
+from seqalloc.reduction import build_instance, parse_formula, verify_choice_patterns
 from seqalloc.two_agent import lexicographic_best_response
 
-from conftest import random_consistent_utilities, random_instance
+from conftest import package_env, random_consistent_utilities, random_instance
 
 
 def _all_report_bundles(inst, manip):
@@ -353,14 +358,61 @@ def test_zero_node_budget_raises_before_any_replay(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "search", ["brute_force_best_response", "enumerate_achievable_bundles", "verify_choice_patterns"]
+)
+def test_negative_budget_is_validation_error(monkeypatch, search):
+    """A negative budget is rejected before any replay, not read as no bound."""
+    inst, u = three_agent_counterexample(), counterexample_utilities(tie=False)
+    out = build_instance(parse_formula(REFERENCE_FORMULA))
+    run = {
+        "brute_force_best_response": lambda: brute_force_best_response(inst, u, "1", node_budget=-1),
+        "enumerate_achievable_bundles": lambda: enumerate_achievable_bundles(inst, "1", node_budget=-1),
+        "verify_choice_patterns": lambda: verify_choice_patterns(out, max_patterns=-1),
+    }[search]
+    calls = _count_advances(monkeypatch)
+    with pytest.raises(ValidationError, match="(node_budget|max_patterns) must be non-negative, got -1"):
+        run()
+    assert calls == []
+
+
+# the default-budget enumeration on stdin's instance, reporting the error's
+# fields and the process's peak RSS in bytes (ru_maxrss is KiB on Linux)
+_PEAK_RSS_SCRIPT = """
+import json, resource, sys
+from seqalloc.instance_io import parse_instance
+from seqalloc.model import BudgetExceededError
+from seqalloc.oracle import enumerate_achievable_bundles
+inst, _ = parse_instance(sys.stdin.read())
+try:
+    enumerate_achievable_bundles(inst, "1")
+except BudgetExceededError as err:
+    fields = [str(err), err.limit, err.used, err.unit]
+else:
+    fields = None
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([fields, peak if sys.platform == "darwin" else peak * 1024]))
+"""
+
+
 def test_near_identical_round_robin_exceeds_the_default_node_budget():
-    """The premise of ``test_oracle_answers_where_the_walk_exceeds_its_budget``."""
-    with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
-        enumerate_achievable_bundles(_near_identical_round_robin(), "1")
-    err = excinfo.value
-    assert (err.limit, err.used, err.unit) == (
-        DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET, "nodes"
+    """The premise of ``test_oracle_answers_where_the_walk_exceeds_its_budget``.
+
+    Runs in a fresh process, so that the peak RSS is this search's own: one
+    turn's merged states are held at once, as int keys, within 110 MiB.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT],
+        input=serialize_instance(_near_identical_round_robin()),
+        env=package_env(), capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+    fields, peak = json.loads(proc.stdout)
+    assert fields is not None, "the search answered within the default budget"
+    message, *err = fields
+    assert "node budget" in message
+    assert err == [DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET, "nodes"]
+    assert peak <= 110 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"
 
 
 def test_node_budget_is_enforced():

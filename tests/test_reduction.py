@@ -56,9 +56,13 @@ def test_parse_formula_rejects_garbage():
     moved = "1 2 3 0\n" + REFERENCE_FORMULA.replace("\n1 2 3 0\n", "\n", 1)
     with pytest.raises(FormulaError, match="line 1: clause before the problem line"):
         parse_formula(moved)
+    with pytest.raises(FormulaError, match="formula has 0 variables, expected at least 1"):
+        parse_formula("p cnf 0 0\n")
 
 
 def test_validate_formula_enforces_restrictions():
+    with pytest.raises(FormulaError, match="formula has 0 variables, expected at least 1"):
+        validate_formula(0, [])
     with pytest.raises(FormulaError, match="expected 3"):
         validate_formula(2, [(1, 2)])
     with pytest.raises(FormulaError, match="repeats a variable"):
