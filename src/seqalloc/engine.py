@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .model import Allocation, Instance, ValidationError
+from .model import Allocation, Instance
 
 
 class Encoded:
@@ -147,8 +147,6 @@ def run_sequential_allocation(inst: Instance) -> Allocation:
 
 
 def run_with_report(inst: Instance, agent: str, report: Iterable[str]) -> Allocation:
-    """Allocate with one agent's preference replaced by ``report``."""
-    report = tuple(report)
-    if agent not in inst.agents:
-        raise ValidationError([f"unknown agent {agent}"])
+    """Allocate with one agent's preference replaced by ``report``; errors as
+    in ``Instance.with_preference``."""
     return run_sequential_allocation(inst.with_preference(agent, report))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import filterfalse
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -63,15 +64,26 @@ class Instance:
         return sum(1 for a in self.sequence if a == agent)
 
     def with_preference(self, agent: str, order: Iterable[str]) -> "Instance":
-        """Copy of the instance with one agent's preference replaced."""
+        """Copy of the instance with one agent's preference replaced;
+        ValidationError for an unknown agent or a non-permutation order."""
+        if agent not in self.agents:
+            raise ValidationError([f"unknown agent {agent}"])
         order = tuple(order)
-        if sorted(order) != sorted(self.items):
+        if not _is_permutation(order, self.items, set(self.items)):
             raise ValidationError(
                 [f"replacement preference for agent {agent} is not a permutation of the item set"]
             )
         prefs = dict(self.preferences)
         prefs[agent] = order
         return Instance(self.items, self.agents, prefs, self.sequence)
+
+
+def _is_permutation(order: tuple, items: tuple, item_set: set) -> bool:
+    """True iff ``order`` lists the entries of ``items``: O(m) hashing when
+    they are distinct, a sorted comparison when ids repeat."""
+    if len(item_set) == len(items):
+        return len(order) == len(items) and set(order) == item_set
+    return sorted(order) == sorted(items)
 
 
 def validate_instance(
@@ -83,8 +95,8 @@ def validate_instance(
     """Validate raw data and return an Instance.
 
     Raises ValidationError listing every violated invariant: duplicate ids,
-    incomplete or non-permutation preferences, unknown agents in the
-    sequence, or a sequence longer than the item count.
+    incomplete or non-permutation preferences (each checked in O(m)), unknown
+    agents in the sequence, or a sequence longer than the item count.
     """
     items = tuple(items)
     agents = tuple(agents)
@@ -100,11 +112,10 @@ def validate_instance(
         problems.append("item and agent ids overlap")
 
     item_set = set(items)
-    sorted_items = sorted(items)
     for a in agents:
         if a not in prefs:
             problems.append(f"agent {a} has no preference list")
-        elif sorted(prefs[a]) != sorted_items:
+        elif not _is_permutation(prefs[a], items, item_set):
             if set(prefs[a]) <= item_set and len(set(prefs[a])) == len(prefs[a]):
                 problems.append(f"incomplete preference for agent {a}")
             else:
@@ -224,9 +235,8 @@ def bundle_utility(u: UtilityFunction, agent: str, bundle: Iterable[str]) -> Fra
 
 
 def complete_order(prefix: list[str], items: Iterable[str]) -> tuple[str, ...]:
-    """``prefix``, then every other item in the canonical order ``items``."""
-    seen = set(prefix)
-    return tuple(prefix + [o for o in items if o not in seen])
+    """``prefix``, then every other item in the canonical order ``items`` (one pass)."""
+    return (*prefix, *filterfalse(set(prefix).__contains__, items))
 
 
 def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -> tuple[str, ...]:

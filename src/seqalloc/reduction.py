@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -531,7 +532,9 @@ def verify_choice_patterns(
     Checks that (a) inconsistent rounds leave the manipulator with exactly
     the middle consistency pair of that variable and (b) the target is met
     exactly by consistent patterns whose induced assignment satisfies the
-    formula. Raises RuntimeError on any violation.
+    formula. Raises RuntimeError on any violation. The sweep runs on item
+    indices: the rounds' quadruples, the top clause items and the consistency
+    sets are built once per call, and names only for an error message.
     """
     check_budget("max_patterns", max_patterns)
     f = out.formula
@@ -543,26 +546,29 @@ def verify_choice_patterns(
         )
     items = out.instance.items
     worth, scale = integer_values(out.utility, MANIPULATOR, items)
+    need = math.ceil(out.target * scale)  # an integer worth meets T iff it reaches this
     # one encoding for the whole sweep; each pattern replaces only the
     # manipulator's row, which is safe as the encoding never leaves this call
     enc = Encoded(out.instance)
-    manip = enc.agent_index[MANIPULATOR]
+    index, manip = enc.item_index, enc.agent_index[MANIPULATOR]
     turns = stages_of(enc.seq, manip)
-    # per round: its six consistency items and the middle pair that an
-    # inconsistent choice must leave the manipulator with
-    consistency = {}
+    tops = [index[out.registry.clause_items[c][0]] for c in range(1, len(f.clauses) + 1)]
+    # per round: its quadruple of each kind, its six consistency items and
+    # the middle pair that an inconsistent choice must leave the manipulator with
+    quads, consistency = [], {}
     for v in f.variables():
-        h, nh = out.registry.consistency_items[v], out.registry.consistency_items[-v]
+        quads.append({k: [index[o] for o in _round_quadruple(v, k)] for k in ("T", "F", "I1", "I2")})
+        h, nh = ([index[o] for o in out.registry.consistency_items[lit]] for lit in (v, -v))
         consistency[v] = (frozenset(h + nh), {h[1], nh[1]})
     outcomes = []
     pattern_sat = False
-    for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):
-        enc.prefs[manip] = [enc.item_index[o] for o in _pattern_report(out, kinds)]
+    for kinds in itertools.product(*quads):  # each round's kinds: T, F, I1, I2
+        body = [o for quad, k in zip(quads, kinds) for o in quad[k]]
+        enc.prefs[manip] = complete_order(body + tops, range(len(items)))
         picks = PickState(enc).advance(len(enc.seq))
         mine = [picks[t] for t in turns]
-        bundle = frozenset(items[k] for k in mine)
-        utility = Fraction(sum(worth[k] for k in mine), scale)
-        meets = utility >= out.target
+        worth_sum = sum(map(worth.__getitem__, mine))
+        utility, meets = Fraction(worth_sum, scale), worth_sum >= need
         consistent = all(k in ("T", "F") for k in kinds)
         assignment = satisfies = None
         if consistent:
@@ -578,16 +584,17 @@ def verify_choice_patterns(
                 if k in ("T", "F"):
                     continue
                 six, pair = consistency[v]
-                got = bundle & six
+                got = six.intersection(mine)
                 if got != pair:
+                    got, pair = (sorted(items[o] for o in s) for s in (got, pair))
                     raise RuntimeError(
-                        f"pattern {kinds}: round x{v} consistency items {sorted(got)},"
-                        f" expected exactly {sorted(pair)}"
+                        f"pattern {kinds}: round x{v} consistency items {got},"
+                        f" expected exactly {pair}"
                     )
             if meets:
                 raise RuntimeError(f"inconsistent pattern {kinds} meets the target")
         outcomes.append(
-            PatternOutcome(tuple(kinds), utility, meets, consistent, assignment, satisfies)
+            PatternOutcome(kinds, utility, meets, consistent, assignment, satisfies)
         )
     direct_sat = bool(f.satisfying_assignments())
     return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == direct_sat)

@@ -5,6 +5,7 @@ import pytest
 
 from seqalloc.model import (
     Allocation,
+    Instance,
     UtilityFunction,
     ValidationError,
     bundle_utility,
@@ -251,3 +252,97 @@ def test_bundle_utility_matches_fraction_sum():
         total = bundle_utility(UtilityFunction({"1": vals}), "1", bundle)
         assert total == sum((vals[o] for o in bundle), Fraction(0)), (vals, bundle)
         assert type(total) is Fraction
+
+
+def test_with_preference_rejects_unknown_agent():
+    inst = small()
+    with pytest.raises(ValidationError) as exc:
+        inst.with_preference("9", ["a", "b", "c"])
+    assert exc.value.problems == ["unknown agent 9"]
+    # the agent is checked first, so a bad order for an unknown agent says so
+    with pytest.raises(ValidationError, match="^unknown agent 9$"):
+        inst.with_preference("9", ["a"])
+
+
+def _sorted_problems(items, agents, prefs, sequence):
+    """Reference problem list of ``validate_instance``: every preference
+    compared with the item list as sorted lists."""
+    problems = []
+    if len(set(items)) != len(items):
+        problems.append("duplicate item ids")
+    if len(set(agents)) != len(agents):
+        problems.append("duplicate agent ids")
+    if set(items) & set(agents):
+        problems.append("item and agent ids overlap")
+    for a in agents:
+        if a not in prefs:
+            problems.append(f"agent {a} has no preference list")
+        elif sorted(prefs[a]) != sorted(items):
+            if set(prefs[a]) <= set(items) and len(set(prefs[a])) == len(prefs[a]):
+                problems.append(f"incomplete preference for agent {a}")
+            else:
+                problems.append(f"preference of agent {a} is not a permutation of the item set")
+    problems += [f"preference given for unknown agent {a}" for a in prefs if a not in agents]
+    problems += [f"sequence references unknown agent {a}" for a in sequence if a not in agents]
+    if len(sequence) > len(items):
+        problems.append("sequence exceeds item count")
+    if not agents:
+        problems.append("no agents")
+    if not items:
+        problems.append("no items")
+    return problems
+
+
+def _mangled_order(rng, items):
+    """A shuffled copy of ``items``, then maybe one item missing, unknown or repeated."""
+    order = rng.sample(items, len(items))
+    case = rng.choice(["valid", "valid", "missing", "unknown", "repeated", "extra"])
+    if case == "missing" and order:
+        order.pop(rng.randrange(len(order)))
+    elif case == "unknown":
+        order[rng.randrange(len(order))] = "zz"
+    elif case == "repeated" and len(order) > 1:
+        order[0] = order[1]
+    elif case == "extra":
+        order.append(rng.choice(order + ["zz"]))
+    return order
+
+
+def test_permutation_check_matches_sorted_comparison():
+    rng = random.Random(71)
+    cases = {"valid": 0, "invalid": 0, "duplicate ids": 0}
+    for _ in range(600):
+        m = rng.randint(1, 6)
+        items = [f"o{k}" for k in range(m)]
+        if rng.random() < 0.2:  # duplicate item ids
+            items.append(rng.choice(items))
+            rng.shuffle(items)
+        agents = ["1", "2", "3"][: rng.randint(1, 3)]
+        prefs = {a: _mangled_order(rng, items) for a in agents}
+        sequence = [rng.choice(agents) for _ in range(rng.randint(1, len(items)))]
+        expected = _sorted_problems(items, agents, prefs, sequence)
+        try:
+            inst = validate_instance(items, agents, prefs, sequence)
+            problems = []
+        except ValidationError as err:
+            problems = err.problems
+        assert problems == expected, (items, prefs)
+        if "duplicate item ids" in expected:
+            cases["duplicate ids"] += 1
+            inst = Instance(tuple(items), tuple(agents), prefs, tuple(sequence))
+        elif expected:
+            cases["invalid"] += 1
+            continue
+        else:
+            cases["valid"] += 1
+        order = _mangled_order(rng, items)
+        agent = rng.choice(agents)
+        if sorted(order) == sorted(items):
+            assert inst.with_preference(agent, order).preferences[agent] == tuple(order)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                inst.with_preference(agent, order)
+            assert exc.value.problems == [
+                f"replacement preference for agent {agent} is not a permutation of the item set"
+            ]
+    assert min(cases.values()) >= 50, cases

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -10,12 +11,14 @@ from fractions import Fraction
 import pytest
 
 from seqalloc import reduction
-from seqalloc.engine import PickState, run_with_report, stages_of
+from seqalloc.engine import Encoded, PickState, run_with_report, stages_of
 from seqalloc.instance_io import parse_instance, serialize_instance
-from seqalloc.model import UtilityFunction, ValidationError, bundle_utility
+from seqalloc.model import UtilityFunction, ValidationError, bundle_utility, integer_values
 from seqalloc.reduction import (
     MANIPULATOR,
     FormulaError,
+    PatternOutcome,
+    PatternReport,
     _pattern_report,
     assignment_to_report,
     audit_utilities,
@@ -355,6 +358,103 @@ def test_pattern_sweep_matches_engine_replay(monkeypatch):
                 assert (fwd.manipulator_bundle, fwd.utility) == (bundle, outcome.utility)
                 assert fwd.meets_target == outcome.meets_target
         assert consistent == 2 ** f.num_vars
+
+
+def _name_based_sweep(out):
+    """Reference sweep: each pattern's report built from item names, then encoded.
+
+    Every check of ``verify_choice_patterns`` on names: the report through
+    ``_pattern_report``, the bundle as a set of names, utility compared as a
+    ``Fraction`` against T.
+    """
+    f = out.formula
+    items = out.instance.items
+    worth, scale = integer_values(out.utility, MANIPULATOR, items)
+    enc = Encoded(out.instance)
+    manip = enc.agent_index[MANIPULATOR]
+    turns = stages_of(enc.seq, manip)
+    consistency = {}
+    for v in f.variables():
+        h, nh = out.registry.consistency_items[v], out.registry.consistency_items[-v]
+        consistency[v] = (frozenset(h + nh), {h[1], nh[1]})
+    outcomes = []
+    pattern_sat = False
+    for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):
+        enc.prefs[manip] = [enc.item_index[o] for o in _pattern_report(out, kinds)]
+        picks = PickState(enc).advance(len(enc.seq))
+        mine = [picks[t] for t in turns]
+        bundle = frozenset(items[k] for k in mine)
+        utility = Fraction(sum(worth[k] for k in mine), scale)
+        meets = utility >= out.target
+        consistent = all(k in ("T", "F") for k in kinds)
+        assignment = satisfies = None
+        if consistent:
+            assignment = {v: k == "T" for v, k in zip(f.variables(), kinds)}
+            satisfies = f.is_satisfied_by(assignment)
+            if meets != satisfies:
+                raise RuntimeError(
+                    f"pattern {kinds}: meets_target={meets} but satisfies={satisfies}"
+                )
+            pattern_sat = pattern_sat or meets
+        else:
+            for v, k in zip(f.variables(), kinds):
+                if k in ("T", "F"):
+                    continue
+                six, pair = consistency[v]
+                got = bundle & six
+                if got != pair:
+                    raise RuntimeError(
+                        f"pattern {kinds}: round x{v} consistency items {sorted(got)},"
+                        f" expected exactly {sorted(pair)}"
+                    )
+            if meets:
+                raise RuntimeError(f"inconsistent pattern {kinds} meets the target")
+        outcomes.append(
+            PatternOutcome(tuple(kinds), utility, meets, consistent, assignment, satisfies)
+        )
+    direct_sat = bool(f.satisfying_assignments())
+    return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == direct_sat)
+
+
+def _sweep_formulas():
+    rng = random.Random(67)
+    formulas = {"reference": parse_formula(REFERENCE_FORMULA)}
+    formulas.update((f"random3-{k}", random_restricted_formula(rng, 3)) for k in range(8))
+    formulas.update((f"random6-{k}", random_restricted_formula(rng, 6)) for k in range(2))
+    return formulas
+
+
+SWEEP_FORMULAS = _sweep_formulas()
+
+
+@pytest.mark.parametrize("name", list(SWEEP_FORMULAS))
+def test_index_sweep_equals_name_based_sweep(name):
+    formula = SWEEP_FORMULAS[name]
+    out = build_instance(formula)
+    report = verify_choice_patterns(out)
+    assert report == _name_based_sweep(out)
+    assert len(report.outcomes) == 4 ** formula.num_vars
+
+
+def test_inconsistent_round_error_names_items(reference):
+    """A registry whose middle pair is wrong fails the first inconsistent pattern."""
+    reg = reference.registry
+    h1, h2, h3 = reg.consistency_items[3]
+    broken = dataclasses.replace(
+        reference,
+        registry=dataclasses.replace(
+            reg, consistency_items={**reg.consistency_items, 3: (h2, h1, h3)}
+        ),
+    )
+    expected = (
+        "pattern ('T', 'T', 'I1'): round x3 consistency items ['h_x3^2', 'h_~x3^2'],"
+        " expected exactly ['h_x3^1', 'h_~x3^2']"
+    )
+    with pytest.raises(RuntimeError) as swept:
+        verify_choice_patterns(broken)
+    with pytest.raises(RuntimeError) as by_name:
+        _name_based_sweep(broken)
+    assert str(swept.value) == str(by_name.value) == expected
 
 
 def test_pattern_budget_guard():
