@@ -3,14 +3,16 @@
 At each stage the agent named by the sequence receives their most-preferred
 remaining item. ``Encoded`` is the one integer view of an instance and
 ``PickState`` the one picking loop; the oracle resumes and copies the same
-state to branch over the manipulator's picks, and ``can_achieve`` (or
-``secures``, from a given state) plays it forward to decide which item sets
-the manipulator can secure.
+state to branch over the manipulator's picks. ``can_achieve`` (or
+``secures``, from a given state) decides in one replay which item sets the
+manipulator can secure: the other agents pick around the reserved target
+items while the manipulator passes, and Hall's condition on the stages at
+which they reach those items gives the verdict.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .model import Allocation, Instance
 
@@ -91,46 +93,68 @@ def can_achieve(enc: Encoded, manipulator: int, target: Iterable[int]) -> bool:
     """True iff some report gives the manipulator a bundle containing ``target``.
 
     ``manipulator`` is an agent index and ``target`` holds item indices.
-    Earliest deadline first: at each of the manipulator's stages, take the
-    needed item that the other agents would take first if the manipulator
-    passed from then on, or any needed item if they would take none. The
-    target is achievable iff no other agent takes a needed item first.
+    One replay: reserve the target items and let the other agents pick
+    greedily around them while the manipulator passes. A reserved item falls
+    due at the stage at which another agent's scan first reaches it (every
+    reserved item that one scan passes falls due at its stage). The target
+    is achievable iff it has at most one item per turn and, at every due
+    event, the items due so far are no more than the manipulator's stages
+    before it (Hall's condition).
+
+    Why it is exact: before an item's due stage no other agent's top free
+    item is that item, so taking it earlier changes no other pick. The
+    others therefore pick as in the reserved replay in every run that
+    secures the target, and the manipulator must take each target item at
+    one of its stages before the item's due stage; taking the items in due
+    order (earliest deadline first) does so whenever Hall's condition holds.
+    For two agents the due stage comes from the opponent's rank: the target
+    item of j-th smallest opponent rank p_j falls due at the opponent's
+    pick number p_j - j (0-based), so with s_j the manipulator's j-th stage
+    Hall's condition reads s_j <= p_j, ``two_agent.is_achievable``'s
+    closed form.
     """
     return secures(PickState(enc), stages_of(enc.seq, manipulator), set(target))
 
 
-def secures(state: PickState, turns: list[int], needed: set[int]) -> bool:
+def secures(state: PickState, turns: list[int], needed: Collection[int]) -> bool:
     """``can_achieve`` resumed from ``state``: can the manipulator still get ``needed``?
 
-    ``turns`` are the manipulator's stages from ``state.stage`` on. Plays
-    the rule on ``state`` and ``needed`` themselves, so pass copies to keep
-    them.
+    ``turns`` are the manipulator's stages from ``state.stage`` on and
+    ``needed`` holds distinct item indices. Runs the one-pass rule from the
+    state's taken items, cursors and stage on copies, so neither ``state``
+    nor ``needed`` changes.
     """
-    if len(needed) > len(turns):
+    goal = len(needed)
+    if goal > len(turns):
         return False
-    for c, t in enumerate(turns[: len(needed)]):  # one needed item per turn
-        state.advance(t)
-        if any(state.taken[k] for k in needed):
+    taken = state.taken[:]
+    for k in needed:
+        if taken[k]:
             return False
-        item = _first_lost(state, turns[c + 1 :], needed)
-        state.take(item)
-        needed.remove(item)
+        taken[k] = 2  # reserved, not yet due
+    prefs, seq, cursor = state.enc.prefs, state.enc.seq, state.cursor[:]
+    stage = state.stage
+    due = 0
+    # from the goal-th turn on, at least goal stages precede every due event
+    for before, turn in enumerate(turns[:goal]):
+        for agent in seq[stage:turn]:
+            row = prefs[agent]
+            p = cursor[agent]
+            item = row[p]
+            while taken[item]:
+                if taken[item] == 2:  # this scan is the first to reach it
+                    due += 1
+                    if due > before:  # also before any scan runs off its row
+                        return False
+                    taken[item] = 1
+                p += 1
+                item = row[p]
+            taken[item] = 1
+            cursor[agent] = p + 1
+        if due == goal:
+            return True
+        stage = turn + 1  # the manipulator passes
     return True
-
-
-def _first_lost(state: PickState, later_turns: list[int], needed: set[int]) -> int:
-    """The needed item the other agents take first if the manipulator passes.
-
-    ``state`` stands at one of the manipulator's stages and is not changed;
-    ``later_turns`` are the manipulator's stages after it.
-    """
-    look = state.copy()
-    for stop in later_turns + [len(state.enc.seq)]:
-        look.stage += 1  # the manipulator passes
-        for item in look.advance(stop):
-            if item in needed:
-                return item
-    return min(needed)
 
 
 def run_sequential_allocation(inst: Instance) -> Allocation:

@@ -2,14 +2,16 @@
 
 ``brute_force_best_response`` is a branch and bound over target sets. It
 tries items in falling order of the manipulator's value and extends the
-kept set by an item only if ``engine.can_achieve`` says some report still
-secures the extended set. Achievable sets are closed under subsets, and the
-manipulator always ends with one item per turn, so the leaves are exactly
-the achievable bundles and the recursion is at most as deep as the
-manipulator's turn count. A branch is cut when its kept value plus the best
-values that could fill its free turns is below the best bundle found, so
-tied optima all survive. ``node_budget`` bounds the achievability checks,
-those that build the witnesses included; there is no turn guard.
+kept set by an item only if the one-pass achievability rule
+(``engine.secures``, from one state at the manipulator's first turn that
+every check shares) says some report still secures the extended set.
+Achievable sets are closed under subsets, and the manipulator always ends
+with one item per turn, so the leaves are exactly the achievable bundles
+and the recursion is at most as deep as the manipulator's turn count. A
+branch is cut when its kept value plus the best values that could fill its
+free turns is below the best bundle found, so tied optima all survive.
+``node_budget`` bounds the achievability checks, those that build the
+witnesses included; there is no turn guard.
 
 ``enumerate_achievable_bundles`` is the exhaustive reference. Searching
 the manipulator's pick at each of their turns is outcome-equivalent to
@@ -183,6 +185,9 @@ def brute_force_best_response(
     Optimal bundles come in canonical order: by their item indices, sorted
     and compared lexicographically. Each witness is its bundle's smallest
     manipulator pick order by item index, completed by ``complete_order``.
+    ValidationError if ``node_budget`` is negative. BudgetExceededError once
+    the achievability checks would exceed ``node_budget``; its message also
+    names the best utility found so far and the optimal bundles held.
     """
     check_budget("node_budget", node_budget)
     enc = Encoded(inst)
@@ -194,8 +199,10 @@ def brute_force_best_response(
     def spend_check() -> None:
         nonlocal checks
         if checks == node_budget:
+            found = Fraction(best, scale) if optima else "none"
             raise BudgetExceededError(
-                f"search exceeded node budget {node_budget} after {checks} achievability checks",
+                f"search exceeded node budget {node_budget} after {checks} achievability checks,"
+                f" best utility so far {found}, {len(optima)} optimal bundles held",
                 limit=node_budget, used=checks, unit="achievability checks",
             )
         checks += 1
@@ -205,6 +212,8 @@ def brute_force_best_response(
     prefix = [0]  # prefix[j]: worth of the first j items in ``order``
     for k in order:
         prefix.append(prefix[-1] + worth[k])
+    start = PickState(enc)  # ``secures`` leaves it as it is, so every check shares it
+    start.advance(turns[0] if turns else 0)
     kept: list[int] = []
     optima: list[list[int]] = []
     best = -inf
@@ -225,13 +234,13 @@ def brute_force_best_response(
                 break  # later windows are worth no more
             spend_check()
             kept.append(order[j])
-            if can_achieve(enc, manip, kept):
+            if secures(start, turns, kept):
                 extend(j + 1, value + worth[order[j]])
             kept.pop()
 
     def first_pick_order(bundle: list[int]) -> list[int]:
         """At each turn, the smallest item after which the rest stays achievable."""
-        state = PickState(enc)
+        state = start.copy()
         needed = set(bundle)
         picks = []
         for c, t in enumerate(turns):

@@ -98,9 +98,10 @@ def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
 def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
     """The engine reference for ``is_achievable``: ``engine.can_achieve``.
 
-    Plays the instance forward on the engine's picking state, taking at each
-    of the manipulator's stages the target item the opponent would take
-    first; it does not use the closed form.
+    One replay on the engine's picking state: the opponent picks around the
+    reserved target items while the manipulator passes, and Hall's condition
+    on the stages at which the opponent reaches them decides. It does not
+    use the closed form.
     """
     _require_two_agents(inst)
     _opponent(inst, manipulator)  # rejects an unknown manipulator

@@ -9,6 +9,8 @@ from seqalloc.engine import (
     can_achieve,
     run_sequential_allocation,
     run_with_report,
+    secures,
+    stages_of,
 )
 from seqalloc.model import ValidationError, validate_instance
 from seqalloc.oracle import enumerate_achievable_bundles
@@ -73,7 +75,7 @@ def test_pick_state_copies_branch_independently():
 
 
 def test_can_achieve_matches_exhaustive_walk_on_every_subset():
-    """The earliest-deadline rule against containment in the oracle's bundles."""
+    """The one-pass rule against containment in the oracle's bundles."""
     rng = random.Random(25)
     seen = {"empty": 0, "over_turns": 0, "short_sequence": 0, True: 0, False: 0}
     for _ in range(200):
@@ -90,6 +92,76 @@ def test_can_achieve_matches_exhaustive_walk_on_every_subset():
                 seen[verdict] += 1
                 seen["empty"] += not S
                 seen["over_turns"] += size > inst.turns(manip)
+    assert all(seen.values()), seen
+
+
+def _edf_secures(state, turns, needed):
+    """The slow reference for ``secures``: earliest deadline first.
+
+    At each of the manipulator's stages, take the needed item that the other
+    agents would take first if the manipulator passed from then on, or any
+    needed item if they would take none. Plays on ``state`` and ``needed``
+    themselves.
+    """
+    if len(needed) > len(turns):
+        return False
+    for c, t in enumerate(turns[: len(needed)]):  # one needed item per turn
+        state.advance(t)
+        if any(state.taken[k] for k in needed):
+            return False
+        item = _edf_first_lost(state, turns[c + 1 :], needed)
+        state.take(item)
+        needed.remove(item)
+    return True
+
+
+def _edf_first_lost(state, later_turns, needed):
+    """The needed item the other agents take first if the manipulator passes."""
+    look = state.copy()
+    for stop in later_turns + [len(state.enc.seq)]:
+        look.stage += 1  # the manipulator passes
+        for item in look.advance(stop):
+            if item in needed:
+                return item
+    return min(needed)
+
+
+def test_one_pass_rule_matches_earliest_deadline_reference():
+    """``can_achieve`` and ``secures`` against the per-turn replaying rule, from
+    the start and from mid-run states; ``secures`` changes nothing it gets."""
+    rng = random.Random(26)
+    seen = {"over_turns": 0, "short_sequence": 0, "resumed": 0, True: 0, False: 0}
+    for _ in range(3000):
+        m = rng.randint(2, 14)
+        inst = random_instance(rng, n=rng.randint(2, 5), m=m, L=rng.choice([None, m]))
+        enc = Encoded(inst)
+        manip = rng.randrange(len(inst.agents))
+        turns = stages_of(enc.seq, manip)
+        seen["short_sequence"] += len(inst.sequence) < m
+        # mostly targets near the turn count, where either verdict is common
+        size = min(m, max(0, len(turns) + rng.randint(-2, 1)))
+        target = rng.sample(range(m), size)
+        verdict = can_achieve(enc, manip, target)
+        assert verdict == _edf_secures(PickState(enc), turns, set(target)), (inst, manip, target)
+        seen[verdict] += 1
+        seen["over_turns"] += size > len(turns)
+
+        # resume after some greedy stages and manipulator takes
+        state = PickState(enc)
+        for t in turns[: rng.randint(0, len(turns))]:
+            state.advance(t)
+            state.take(rng.choice([k for k in range(m) if not state.taken[k]]))
+        state.advance(rng.randint(state.stage, len(enc.seq)))
+        later = [t for t in turns if t >= state.stage]
+        free = [k for k in range(m) if not state.taken[k]]
+        needed = set(rng.sample(free, min(len(free), max(0, len(later) + rng.randint(-2, 0)))))
+        if rng.random() < 0.1:  # an item already gone
+            needed.add(rng.choice([k for k in range(m) if state.taken[k]] or free))
+        before = (state.stage, bytes(state.taken), list(state.cursor), set(needed))
+        got = secures(state, later, needed)
+        assert (state.stage, bytes(state.taken), list(state.cursor), set(needed)) == before
+        assert got == _edf_secures(state.copy(), later, set(needed)), (inst, manip, before)
+        seen["resumed"] += state.stage > 0
     assert all(seen.values()), seen
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqalloc import engine
+from seqalloc import engine, oracle
 from seqalloc.engine import Encoded, PickState, run_with_report, stages_of
 from seqalloc.instance_io import serialize_instance
 from seqalloc.model import (
@@ -26,10 +26,16 @@ from seqalloc.oracle import (
     refuted_greedy_best_response,
 )
 from seqalloc.golden import REFERENCE_FORMULA, counterexample_utilities, three_agent_counterexample
-from seqalloc.reduction import build_instance, parse_formula, verify_choice_patterns
+from seqalloc.reduction import MANIPULATOR, build_instance, parse_formula, verify_choice_patterns
 from seqalloc.two_agent import lexicographic_best_response
 
-from conftest import package_env, random_consistent_utilities, random_instance
+from conftest import (
+    package_env,
+    random_consistent_utilities,
+    random_instance,
+    random_restricted_formula,
+)
+from test_engine import _edf_secures
 
 
 def _all_report_bundles(inst, manip):
@@ -248,6 +254,61 @@ def test_node_budget_counts_achievability_checks():
         assert (err.limit, err.used, err.unit) == (
             res.checks - 1, res.checks - 1, "achievability checks"
         )
+
+
+def test_budget_message_says_how_far_the_search_got():
+    inst = three_agent_counterexample()
+    for tie, budget, progress in [
+        (False, 0, "best utility so far none, 0 optimal bundles held"),
+        (False, 4, "best utility so far 41/10, 1 optimal bundles held"),
+        (True, 7, "best utility so far 5, 2 optimal bundles held"),  # building witnesses
+    ]:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            brute_force_best_response(inst, counterexample_utilities(tie), "1", node_budget=budget)
+        err = excinfo.value
+        assert str(err) == (
+            f"search exceeded node budget {budget} after {budget} achievability checks, {progress}"
+        )
+        assert (err.limit, err.used, err.unit) == (budget, budget, "achievability checks")
+
+
+def test_answers_equal_under_earliest_deadline_reference(monkeypatch):
+    """Every ``OracleResult``, check counts included, and every budget error is
+    the same when achievability is decided by the per-turn replaying rule."""
+    cases = [
+        (three_agent_counterexample(), counterexample_utilities(tie), "1") for tie in (False, True)
+    ]
+    for formula in [
+        parse_formula(REFERENCE_FORMULA),
+        random_restricted_formula(random.Random(1), 6),
+        random_restricted_formula(random.Random(2), 6),
+    ]:
+        out = build_instance(formula)
+        cases.append((out.instance, out.utility, MANIPULATOR))
+    rng = random.Random(59)
+    for _ in range(50):
+        inst = random_instance(rng, n=rng.randint(2, 4), m=rng.randint(2, 8))
+        manip = rng.choice(inst.agents)
+        cases.append((inst, random_consistent_utilities(rng, inst, manip), manip))
+
+    def answers():
+        results = [brute_force_best_response(*case) for case in cases]
+        with pytest.raises(BudgetExceededError) as excinfo:
+            brute_force_best_response(*cases[3], node_budget=results[3].checks // 2)
+        return results, str(excinfo.value), excinfo.value.used
+
+    fast = answers()
+    monkeypatch.setattr(
+        oracle, "can_achieve",
+        lambda enc, manip, target: _edf_secures(
+            PickState(enc), stages_of(enc.seq, manip), set(target)
+        ),
+    )
+    monkeypatch.setattr(
+        oracle, "secures",
+        lambda state, turns, needed: _edf_secures(state.copy(), turns, set(needed)),
+    )
+    assert answers() == fast
 
 
 def _pick_order_walk(inst, manip):
