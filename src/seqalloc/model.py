@@ -104,14 +104,15 @@ def validate_instance(
     prefs = {a: tuple(p) for a, p in preferences.items()}
     problems: list[str] = []
 
-    if len(set(items)) != len(items):
+    # membership tests go through sets, not the tuples: O(L + n), not O(L * n)
+    item_set, agent_set = set(items), set(agents)
+    if len(item_set) != len(items):
         problems.append("duplicate item ids")
-    if len(set(agents)) != len(agents):
+    if len(agent_set) != len(agents):
         problems.append("duplicate agent ids")
-    if set(items) & set(agents):
+    if item_set & agent_set:
         problems.append("item and agent ids overlap")
 
-    item_set = set(items)
     for a in agents:
         if a not in prefs:
             problems.append(f"agent {a} has no preference list")
@@ -121,11 +122,11 @@ def validate_instance(
             else:
                 problems.append(f"preference of agent {a} is not a permutation of the item set")
     for a in prefs:
-        if a not in agents:
+        if a not in agent_set:
             problems.append(f"preference given for unknown agent {a}")
 
     for a in sequence:
-        if a not in agents:
+        if a not in agent_set:
             problems.append(f"sequence references unknown agent {a}")
     if len(sequence) > len(items):
         problems.append("sequence exceeds item count")

@@ -42,8 +42,9 @@ with the keys of one turn, at most one per node: about 75 MiB peak RSS at
 the default budget on the instance that ``enumerate_achievable_bundles``
 describes. A guard of ``MAX_TURNS`` manipulator turns is checked first.
 
-The refuted ordinal greedy does not search: it asks ``engine.can_achieve``,
-a polynomial test, whether each extension of its kept set is achievable.
+The refuted ordinal greedy does not search: it asks ``engine.secures``, a
+polynomial test, from one shared state at the manipulator's first turn,
+whether each extension of its kept set is achievable.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from itertools import compress
 from math import inf
 from typing import Iterator, Mapping
 
-from .engine import Encoded, PickState, can_achieve, secures, stages_of
+from .engine import Encoded, PickState, secures, stages_of
 from .model import (
     BudgetExceededError,
     Instance,
@@ -273,13 +274,16 @@ def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[
 
     Scans the manipulator's true order and keeps an item whenever some
     report gives a bundle containing the kept set plus that item
-    (``engine.can_achieve``). Correct for two agents, not in general.
+    (``engine.secures``, every check from one state at the manipulator's
+    first turn). Correct for two agents, not in general.
     """
     enc = Encoded(inst)
-    manip = _agent(enc, manipulator)
+    turns = stages_of(enc.seq, _agent(enc, manipulator))
+    start = PickState(enc)  # ``secures`` leaves it as it is, so every check shares it
+    start.advance(turns[0] if turns else 0)
     index = enc.item_index
     return frozenset(
         ordinal_greedy(
-            inst, manipulator, lambda trial: can_achieve(enc, manip, [index[o] for o in trial])
+            inst, manipulator, lambda trial: secures(start, turns, [index[o] for o in trial])
         )
     )

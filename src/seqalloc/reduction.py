@@ -157,20 +157,12 @@ def lit_name(lit: int) -> str:
     return f"x{v}" if lit > 0 else f"~x{v}"
 
 
-def agent_id(lit: int, copy: int) -> str:
-    return f"a_{lit_name(lit)}^{copy}"
-
-
 def choice_item(lit: int, j: int) -> str:
     return f"o_{lit_name(lit)}^{j}"
 
 
 def consistency_item(lit: int, j: int) -> str:
     return f"h_{lit_name(lit)}^{j}"
-
-
-def dummy_item(lit: int, j: str) -> str:
-    return f"d_{lit_name(lit)}^{j}"
 
 
 def clause_item(c: int, j: int) -> str:
@@ -230,36 +222,43 @@ def _occurrences(f: RestrictedFormula) -> dict[int, tuple[int, int]]:
 
 
 def build_instance(f: RestrictedFormula) -> ReductionOutput:
-    """Compile the formula. The utility ledger is audited before returning.
+    """Compile the formula on item indices; the instance is validated and the
+    utility ledger audited before returning.
 
-    One pass per variable appends its whole gadget and one pass per clause
-    its round. The canonical item order is, per variable, the
+    Items are laid out by position and each is named once: per variable its
     manipulator-relevant block (the keys of its round's weight table) then
-    the dummies, then all clause items. Every agent's preference is an
-    explicit head completed with that order; the manipulator's head is the
-    relevant blocks, then the top clause items.
+    its eight dummies, then three items per clause. That layout is the
+    canonical item order. Every agent's preference is a head of item indices
+    completed with the canonical order and named once; the manipulator's
+    head is the relevant blocks, then the top clause items, and their worth
+    row is built by index. ``validate_instance`` still checks the named
+    instance and ``audit_utilities`` the named ledger.
     """
     occ = _occurrences(f)
+    n_vars, n_clauses = f.num_vars, len(f.clauses)
+    first_clause = 18 * n_vars  # position of the first clause item
+    m = first_clause + 3 * n_clauses
+    explicit = 10 * n_vars + n_clauses  # the manipulator's head
+    round_values, tops, target = _ledger(n_vars, n_clauses, m - explicit)
+
     items: list[str] = []
     agents = [MANIPULATOR]
     sequence: list[str] = []
     rounds: list[RoundSpan] = []
-    heads: dict[str, list[str]] = {MANIPULATOR: []}
+    heads: dict[str, tuple[list[str], int]] = {}  # agent -> (named head, its clause)
     literal_agents: dict[tuple[int, int], str] = {}
     choice: dict[int, tuple[str, str]] = {}
     consistency: dict[int, tuple[str, str, str]] = {}
     dummies: dict[int, tuple[str, str, str, str]] = {}
 
-    for v in f.variables():
-        for lit in (-v, v):
-            for copy in (1, 2):
-                literal_agents[(lit, copy)] = agent_id(lit, copy)
-            choice[lit] = (choice_item(lit, 1), choice_item(lit, 2))
-            consistency[lit] = tuple(consistency_item(lit, j) for j in (1, 2, 3))
-            dummies[lit] = tuple(dummy_item(lit, j) for j in ("11", "12", "21", "22"))
-        relevant = list(_round_values(v, 1))
-        heads[MANIPULATOR] += relevant
-        items += relevant + list(dummies[v]) + list(dummies[-v])
+    for v, values in zip(f.variables(), round_values):
+        for lit, s in ((-v, f"~x{v}"), (v, f"x{v}")):
+            literal_agents[(lit, 1)], literal_agents[(lit, 2)] = f"a_{s}^1", f"a_{s}^2"
+            choice[lit] = (f"o_{s}^1", f"o_{s}^2")
+            consistency[lit] = (f"h_{s}^1", f"h_{s}^2", f"h_{s}^3")
+            dummies[lit] = (f"d_{s}^11", f"d_{s}^12", f"d_{s}^21", f"d_{s}^22")
+        items += values  # the weight table's keys, in its order
+        items += dummies[v] + dummies[-v]
         neg1, neg2 = literal_agents[(-v, 1)], literal_agents[(-v, 2)]
         pos1, pos2 = literal_agents[(v, 1)], literal_agents[(v, 2)]
         agents += [neg1, neg2, pos1, pos2]
@@ -269,21 +268,20 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
             MANIPULATOR, neg1, neg2, pos1, pos2,
             neg1, neg2, MANIPULATOR, pos1, pos2, MANIPULATOR,
         ]
-        rounds.append(RoundSpan("choice", lit_name(v), start, len(sequence)))
+        rounds.append(RoundSpan("choice", f"x{v}", start, len(sequence)))
         # agents of each literal chase the items of its negation
         (ox1, ox2), (hx1, hx2, hx3), (dx11, dx12, dx21, dx22) = choice[v], consistency[v], dummies[v]
         (on1, on2), (hn1, hn2, hn3), (dn11, dn12, dn21, dn22) = choice[-v], consistency[-v], dummies[-v]
-        heads[neg1] = [ox1, dx11, dx12, ox2, hx1, hx2, hx3] + _clause_block(occ[v][0])
-        heads[neg2] = [dx21, ox1, ox2, dx22, hx1, hx2, hx3] + _clause_block(occ[v][1])
-        heads[pos1] = [on1, dn11, hn1, on2, hn2, hn3, dn12] + _clause_block(occ[-v][0])
-        heads[pos2] = [dn21, on1, on2, hn1, hn2, hn3, dn22] + _clause_block(occ[-v][1])
+        heads[neg1] = [ox1, dx11, dx12, ox2, hx1, hx2, hx3], occ[v][0]
+        heads[neg2] = [dx21, ox1, ox2, dx22, hx1, hx2, hx3], occ[v][1]
+        heads[pos1] = [on1, dn11, hn1, on2, hn2, hn3, dn12], occ[-v][0]
+        heads[pos2] = [dn21, on1, on2, hn1, hn2, hn3, dn22], occ[-v][1]
 
     clause_items: dict[int, tuple[str, str, str]] = {}
     clause_agents: dict[int, tuple[str, str, str]] = {}
     for c, clause in enumerate(f.clauses, start=1):
-        clause_items[c] = tuple(clause_item(c, j) for j in (1, 2, 3))
+        clause_items[c] = (f"o_c{c}^1", f"o_c{c}^2", f"o_c{c}^3")
         items += clause_items[c]
-        heads[MANIPULATOR].append(clause_items[c][0])
         # copy 1 of a literal's opponents plays its first clause, copy 2 its second
         clause_agents[c] = tuple(
             literal_agents[(-lit, 1 if occ[lit][0] == c else 2)] for lit in clause
@@ -292,24 +290,49 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
         sequence += clause_agents[c]
         rounds.append(RoundSpan("clause", f"c{c}", start, len(sequence)))
     start = len(sequence) + 1
-    sequence += [MANIPULATOR] * len(f.clauses)
+    sequence += [MANIPULATOR] * n_clauses
     rounds.append(RoundSpan("collection", "", start, len(sequence)))
 
-    prefs = {a: complete_order(head, items) for a, head in heads.items()}
+    # heads by index: a literal agent's clause block is o_c^3, o_c^2, o_c^1
+    index = {o: k for k, o in enumerate(items)}
+    manip_head = [base + k for base in range(0, first_clause, 18) for k in range(10)]
+    manip_head += range(first_clause, m, 3)
+    prefs = {MANIPULATOR: _complete(manip_head, items)}
+    for a, (head, c) in heads.items():
+        top = first_clause + 3 * (c - 1)
+        prefs[a] = _complete([index[o] for o in head] + [top + 2, top + 1, top], items)
     instance = validate_instance(items, agents, prefs, sequence)
-    utility, target = _manipulator_utility(f, instance, prefs[MANIPULATOR])
+
+    # the manipulator's worth by index: the tail t..1 along their order, each
+    # round's block its weight table in key order, then the top clause items
+    worth = [0] * m
+    tail = _complete(manip_head, range(m))[explicit:]
+    for k, pos in enumerate(tail):
+        worth[pos] = len(tail) - k
+    for base, values in zip(range(0, first_clause, 18), round_values):
+        worth[base : base + 10] = values.values()
+    worth[first_clause::3] = tops
+    utility = UtilityFunction({MANIPULATOR: dict(zip(items, map(Fraction, worth)))})
     registry = GadgetRegistry(
         literal_agents=literal_agents, choice_items=choice, consistency_items=consistency,
         dummy_items=dummies, clause_items=clause_items, clause_agents=clause_agents,
         occurrences=occ, rounds=tuple(rounds),
     )
-    out = ReductionOutput(f, instance, utility, target, registry)
+    out = ReductionOutput(f, instance, utility, Fraction(target), registry)
     audit_utilities(out)  # every build re-checks the utility ledger
     return out
 
 
-def _clause_block(c: int) -> list[str]:
-    return [clause_item(c, 3), clause_item(c, 2), clause_item(c, 1)]
+def _complete(head: list[int], order: Sequence) -> tuple:
+    """``order`` at the positions of ``head``, then the rest of ``order`` in
+    order: the gaps between the sorted head positions, taken as slices."""
+    row = [order[k] for k in head]
+    start = 0
+    for k in sorted(head):
+        row += order[start:k]
+        start = k + 1
+    row += order[start:]
+    return tuple(row)
 
 
 # --- manipulator utility ---------------------------------------------------
@@ -337,44 +360,31 @@ def _round_values(v: int, B: int) -> dict[str, int]:
     }
 
 
-def _manipulator_utility(
-    f: RestrictedFormula, inst: Instance, manip_pref: tuple[str, ...]
-) -> tuple[UtilityFunction, Fraction]:
-    """Assign integer utilities satisfying the construction's ledger.
+def _ledger(
+    n_vars: int, n_clauses: int, t: int
+) -> tuple[list[dict[str, int]], list[int], int]:
+    """The construction's integer ledger: each round's weight table in
+    variable order, the top clause items' values in clause order, and T.
 
-    Scales are built bottom-up: tail items get 1..t descending along the
-    manipulator's preference, clause items sit just above the whole tail,
-    and each choice round's scale exceeds the total value of everything
-    below it (with margin 2|X| for the epsilon bonuses), so a lost round or
-    clause item can never be compensated later.
+    Scales are built bottom-up: the ``t`` tail items are worth t..1 along
+    the manipulator's preference (the caller assigns them), clause items sit
+    just above the whole tail, and each choice round's scale exceeds the
+    total value of everything below it (with margin 2|X| for the epsilon
+    bonuses), so a lost round or clause item can never be compensated later.
     """
-    n_vars, n_clauses = f.num_vars, len(f.clauses)
-    explicit = 10 * n_vars + n_clauses
-    tail = manip_pref[explicit:]
-    values: dict[str, int] = {}
-
-    t = len(tail)
-    for k, item in enumerate(tail):
-        values[item] = t - k
     tail_sum = t * (t + 1) // 2
-
     W = tail_sum + 2 * n_vars + 3
-    for c in range(1, n_clauses + 1):
-        values[clause_item(c, 1)] = W + (n_clauses - c)
-    clause_sum = sum(values[clause_item(c, 1)] for c in range(1, n_clauses + 1))
-
-    below = tail_sum + clause_sum
-    target = clause_sum
+    tops = [W + (n_clauses - c) for c in range(1, n_clauses + 1)]
+    below = tail_sum + sum(tops)
+    target = sum(tops)
+    rounds = []
     for v in range(n_vars, 0, -1):
-        round_values = _round_values(v, below + 2 * n_vars + 3)
-        values.update(round_values)
-        below += sum(round_values.values())
+        values = _round_values(v, below + 2 * n_vars + 3)
+        below += sum(values.values())
         # each round guarantees the value of its cheaper consistent branch
-        target += sum(round_values[o] for o in _round_quadruple(v, "T"))
-    utility = UtilityFunction(
-        {MANIPULATOR: {o: Fraction(values[o]) for o in inst.items}}
-    )
-    return utility, Fraction(target)
+        target += sum(values[o] for o in _round_quadruple(v, "T"))
+        rounds.append(values)
+    return rounds[::-1], tops, target
 
 
 def _check(ok: bool, message: str) -> None:

@@ -266,7 +266,8 @@ def test_with_preference_rejects_unknown_agent():
 
 def _sorted_problems(items, agents, prefs, sequence):
     """Reference problem list of ``validate_instance``: every preference
-    compared with the item list as sorted lists."""
+    compared with the item list as sorted lists, and every agent looked up
+    by a scan of the ``agents`` list."""
     problems = []
     if len(set(items)) != len(items):
         problems.append("duplicate item ids")
@@ -291,6 +292,38 @@ def _sorted_problems(items, agents, prefs, sequence):
     if not items:
         problems.append("no items")
     return problems
+
+
+def test_agent_checks_match_tuple_scan_reference():
+    """Unknown agents in the sequence, preferences for unknown agents, and
+    duplicate or overlapping ids: the same problems, in the same order, as
+    the reference that scans the agents list for every lookup."""
+    rng = random.Random(72)
+    seen = dict.fromkeys(
+        ["sequence references unknown", "preference given for unknown", "duplicate agent", "overlap"], 0
+    )
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        items = [f"o{k}" for k in range(m)]
+        agents = [str(i) for i in range(1, rng.randint(1, 4) + 1)]
+        pool = agents + ["7", "8", "o0"]  # known agents, unknown agents, an item id
+        if rng.random() < 0.4:  # a duplicate, a new or an overlapping agent id
+            agents.append(rng.choice(pool))
+            rng.shuffle(agents)
+        prefs = {a: rng.sample(items, m) for a in agents}
+        for a in rng.sample(pool, rng.randint(0, 2)):
+            prefs.setdefault(a, rng.sample(items, m))
+        sequence = [rng.choice(pool) for _ in range(rng.randint(0, m))]
+        expected = _sorted_problems(items, agents, prefs, sequence)
+        try:
+            validate_instance(items, agents, prefs, sequence)
+            problems = []
+        except ValidationError as err:
+            problems = err.problems
+        assert problems == expected, (agents, prefs, sequence)
+        for key in seen:
+            seen[key] += any(key in p for p in expected)
+    assert min(seen.values()) >= 30, seen
 
 
 def _mangled_order(rng, items):

@@ -27,7 +27,7 @@ from seqalloc.oracle import (
 )
 from seqalloc.golden import REFERENCE_FORMULA, counterexample_utilities, three_agent_counterexample
 from seqalloc.reduction import MANIPULATOR, build_instance, parse_formula, verify_choice_patterns
-from seqalloc.two_agent import lexicographic_best_response
+from seqalloc.two_agent import lexicographic_best_response, ordinal_greedy
 
 from conftest import (
     package_env,
@@ -137,6 +137,25 @@ def test_greedy_optimal_for_two_agents():
         greedy = refuted_greedy_best_response(inst, manip)
         oracle = brute_force_best_response(inst, u, manip)
         assert bundle_utility(u, manip, greedy) == oracle.max_utility
+
+
+def test_refuted_greedy_on_one_start_state_matches_can_achieve_form():
+    """The greedy with every check from one shared start state keeps the
+    items it keeps when each check is a fresh ``engine.can_achieve`` replay."""
+    rng = random.Random(74)
+    rejected = 0
+    for _ in range(300):
+        inst = random_instance(rng, n=3, m=rng.randint(1, 9))
+        manip = rng.choice(inst.agents)
+        enc = Encoded(inst)
+        agent, index = enc.agent_index[manip], enc.item_index
+        kept = ordinal_greedy(
+            inst, manip, lambda trial: engine.can_achieve(enc, agent, [index[o] for o in trial])
+        )
+        assert refuted_greedy_best_response(inst, manip) == frozenset(kept), (inst, manip)
+        rejected += kept != list(inst.preferences[manip][: len(kept)])
+    assert rejected >= 30, rejected
+    assert refuted_greedy_best_response(three_agent_counterexample(), "1") == {"a", "d"}
 
 
 def _manipulator_heavy_instance(m: int):
@@ -298,12 +317,6 @@ def test_answers_equal_under_earliest_deadline_reference(monkeypatch):
         return results, str(excinfo.value), excinfo.value.used
 
     fast = answers()
-    monkeypatch.setattr(
-        oracle, "can_achieve",
-        lambda enc, manip, target: _edf_secures(
-            PickState(enc), stages_of(enc.seq, manip), set(target)
-        ),
-    )
     monkeypatch.setattr(
         oracle, "secures",
         lambda state, turns, needed: _edf_secures(state.copy(), turns, set(needed)),

@@ -13,16 +13,35 @@ import pytest
 from seqalloc import reduction
 from seqalloc.engine import Encoded, PickState, run_with_report, stages_of
 from seqalloc.instance_io import parse_instance, serialize_instance
-from seqalloc.model import UtilityFunction, ValidationError, bundle_utility, integer_values
+from seqalloc.model import (
+    Instance,
+    UtilityFunction,
+    ValidationError,
+    bundle_utility,
+    complete_order,
+    integer_values,
+    validate_instance,
+)
 from seqalloc.reduction import (
     MANIPULATOR,
     FormulaError,
+    GadgetRegistry,
     PatternOutcome,
     PatternReport,
+    ReductionOutput,
+    RestrictedFormula,
+    RoundSpan,
+    _occurrences,
     _pattern_report,
+    _round_quadruple,
+    _round_values,
     assignment_to_report,
     audit_utilities,
     build_instance,
+    choice_item,
+    clause_item,
+    consistency_item,
+    lit_name,
     parse_formula,
     validate_formula,
     verify_choice_patterns,
@@ -118,14 +137,21 @@ def test_reference_compile_is_pinned(reference):
             "9d22a54e11cc4510918caff112c5ed8cdc562c1e7d35bdbfb8464386e3aedaa8",
             "2b06b39fc79757e5cdd427f07f69a823a8d2388d16757863064a974cfb17d272",
         ),
+        (
+            "random30",
+            "5b6cd0376138c36b86d5222f553e9b75e82a5c33c6e444491f08bab3fd74373b",
+            "16415d6b4bb12f4b107eb65b43bc16ed716b033b9abe54c96f5773661df2b4c0",
+        ),
     ],
 )
 def test_whole_compile_is_pinned(formula, instance_sha, registry_sha):
     """Every item, agent, preference list, stage, utility and registry entry."""
     if formula == "reference":
         f = parse_formula(REFERENCE_FORMULA)
-    else:
+    elif formula == "random6":
         f = random_restricted_formula(random.Random(61), num_vars=6)
+    else:
+        f = random_restricted_formula(random.Random(68), num_vars=30)
     out = build_instance(f)
     text = serialize_instance(out.instance, out.utility)
     assert hashlib.sha256(text.encode()).hexdigest() == instance_sha
@@ -416,6 +442,170 @@ def _name_based_sweep(out):
     return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == direct_sat)
 
 
+# The compile as it was before it ran on item indices, kept verbatim but for
+# its name and the names of the parts that left ``reduction``: every item and
+# agent named through the naming helpers at each use, every preference
+# completed with ``complete_order`` over names, and a name-keyed utility
+# ledger. The index compile must reproduce it byte for byte.
+
+
+def agent_id(lit: int, copy: int) -> str:
+    return f"a_{lit_name(lit)}^{copy}"
+
+
+def dummy_item(lit: int, j: str) -> str:
+    return f"d_{lit_name(lit)}^{j}"
+
+
+def _name_based_build(f: RestrictedFormula) -> ReductionOutput:
+    """Compile the formula. The utility ledger is audited before returning.
+
+    One pass per variable appends its whole gadget and one pass per clause
+    its round. The canonical item order is, per variable, the
+    manipulator-relevant block (the keys of its round's weight table) then
+    the dummies, then all clause items. Every agent's preference is an
+    explicit head completed with that order; the manipulator's head is the
+    relevant blocks, then the top clause items.
+    """
+    occ = _occurrences(f)
+    items: list[str] = []
+    agents = [MANIPULATOR]
+    sequence: list[str] = []
+    rounds: list[RoundSpan] = []
+    heads: dict[str, list[str]] = {MANIPULATOR: []}
+    literal_agents: dict[tuple[int, int], str] = {}
+    choice: dict[int, tuple[str, str]] = {}
+    consistency: dict[int, tuple[str, str, str]] = {}
+    dummies: dict[int, tuple[str, str, str, str]] = {}
+
+    for v in f.variables():
+        for lit in (-v, v):
+            for copy in (1, 2):
+                literal_agents[(lit, copy)] = agent_id(lit, copy)
+            choice[lit] = (choice_item(lit, 1), choice_item(lit, 2))
+            consistency[lit] = tuple(consistency_item(lit, j) for j in (1, 2, 3))
+            dummies[lit] = tuple(dummy_item(lit, j) for j in ("11", "12", "21", "22"))
+        relevant = list(_round_values(v, 1))
+        heads[MANIPULATOR] += relevant
+        items += relevant + list(dummies[v]) + list(dummies[-v])
+        neg1, neg2 = literal_agents[(-v, 1)], literal_agents[(-v, 2)]
+        pos1, pos2 = literal_agents[(v, 1)], literal_agents[(v, 2)]
+        agents += [neg1, neg2, pos1, pos2]
+        start = len(sequence) + 1
+        sequence += [
+            MANIPULATOR, neg1, neg2, pos1, pos2,
+            MANIPULATOR, neg1, neg2, pos1, pos2,
+            neg1, neg2, MANIPULATOR, pos1, pos2, MANIPULATOR,
+        ]
+        rounds.append(RoundSpan("choice", lit_name(v), start, len(sequence)))
+        # agents of each literal chase the items of its negation
+        (ox1, ox2), (hx1, hx2, hx3), (dx11, dx12, dx21, dx22) = choice[v], consistency[v], dummies[v]
+        (on1, on2), (hn1, hn2, hn3), (dn11, dn12, dn21, dn22) = choice[-v], consistency[-v], dummies[-v]
+        heads[neg1] = [ox1, dx11, dx12, ox2, hx1, hx2, hx3] + _clause_block(occ[v][0])
+        heads[neg2] = [dx21, ox1, ox2, dx22, hx1, hx2, hx3] + _clause_block(occ[v][1])
+        heads[pos1] = [on1, dn11, hn1, on2, hn2, hn3, dn12] + _clause_block(occ[-v][0])
+        heads[pos2] = [dn21, on1, on2, hn1, hn2, hn3, dn22] + _clause_block(occ[-v][1])
+
+    clause_items: dict[int, tuple[str, str, str]] = {}
+    clause_agents: dict[int, tuple[str, str, str]] = {}
+    for c, clause in enumerate(f.clauses, start=1):
+        clause_items[c] = tuple(clause_item(c, j) for j in (1, 2, 3))
+        items += clause_items[c]
+        heads[MANIPULATOR].append(clause_items[c][0])
+        # copy 1 of a literal's opponents plays its first clause, copy 2 its second
+        clause_agents[c] = tuple(
+            literal_agents[(-lit, 1 if occ[lit][0] == c else 2)] for lit in clause
+        )
+        start = len(sequence) + 1
+        sequence += clause_agents[c]
+        rounds.append(RoundSpan("clause", f"c{c}", start, len(sequence)))
+    start = len(sequence) + 1
+    sequence += [MANIPULATOR] * len(f.clauses)
+    rounds.append(RoundSpan("collection", "", start, len(sequence)))
+
+    prefs = {a: complete_order(head, items) for a, head in heads.items()}
+    instance = validate_instance(items, agents, prefs, sequence)
+    utility, target = _name_based_utility(f, instance, prefs[MANIPULATOR])
+    registry = GadgetRegistry(
+        literal_agents=literal_agents, choice_items=choice, consistency_items=consistency,
+        dummy_items=dummies, clause_items=clause_items, clause_agents=clause_agents,
+        occurrences=occ, rounds=tuple(rounds),
+    )
+    out = ReductionOutput(f, instance, utility, target, registry)
+    audit_utilities(out)  # every build re-checks the utility ledger
+    return out
+
+
+def _clause_block(c: int) -> list[str]:
+    return [clause_item(c, 3), clause_item(c, 2), clause_item(c, 1)]
+
+
+def _name_based_utility(
+    f: RestrictedFormula, inst: Instance, manip_pref: tuple[str, ...]
+) -> tuple[UtilityFunction, Fraction]:
+    """Assign integer utilities satisfying the construction's ledger.
+
+    Scales are built bottom-up: tail items get 1..t descending along the
+    manipulator's preference, clause items sit just above the whole tail,
+    and each choice round's scale exceeds the total value of everything
+    below it (with margin 2|X| for the epsilon bonuses), so a lost round or
+    clause item can never be compensated later.
+    """
+    n_vars, n_clauses = f.num_vars, len(f.clauses)
+    explicit = 10 * n_vars + n_clauses
+    tail = manip_pref[explicit:]
+    values: dict[str, int] = {}
+
+    t = len(tail)
+    for k, item in enumerate(tail):
+        values[item] = t - k
+    tail_sum = t * (t + 1) // 2
+
+    W = tail_sum + 2 * n_vars + 3
+    for c in range(1, n_clauses + 1):
+        values[clause_item(c, 1)] = W + (n_clauses - c)
+    clause_sum = sum(values[clause_item(c, 1)] for c in range(1, n_clauses + 1))
+
+    below = tail_sum + clause_sum
+    target = clause_sum
+    for v in range(n_vars, 0, -1):
+        round_values = _round_values(v, below + 2 * n_vars + 3)
+        values.update(round_values)
+        below += sum(round_values.values())
+        # each round guarantees the value of its cheaper consistent branch
+        target += sum(round_values[o] for o in _round_quadruple(v, "T"))
+    utility = UtilityFunction(
+        {MANIPULATOR: {o: Fraction(values[o]) for o in inst.items}}
+    )
+    return utility, Fraction(target)
+
+
+def _compile_formulas():
+    rng = random.Random(69)
+    formulas = {"reference": parse_formula(REFERENCE_FORMULA)}
+    formulas.update((f"random3-{k}", random_restricted_formula(rng, 3)) for k in range(8))
+    formulas.update((f"random6-{k}", random_restricted_formula(rng, 6)) for k in range(2))
+    formulas["random9"] = random_restricted_formula(rng, 9)
+    formulas["random30"] = random_restricted_formula(rng, 30)
+    return formulas
+
+
+COMPILE_FORMULAS = _compile_formulas()
+
+
+@pytest.mark.parametrize("name", list(COMPILE_FORMULAS))
+def test_index_compile_equals_name_based_compile(name):
+    formula = COMPILE_FORMULAS[name]
+    out, ref = build_instance(formula), _name_based_build(formula)
+    assert out.instance == ref.instance
+    assert out.utility == ref.utility
+    assert out.target == ref.target
+    assert out.registry.to_json() == ref.registry.to_json()
+    assert serialize_instance(out.instance, out.utility) == serialize_instance(
+        ref.instance, ref.utility
+    )
+
+
 def _sweep_formulas():
     rng = random.Random(67)
     formulas = {"reference": parse_formula(REFERENCE_FORMULA)}
@@ -487,9 +677,6 @@ def test_manipulator_utility_is_strictly_decreasing(reference):
 
 def test_consistent_branches_realize_their_quadruples():
     """In round 1 the manipulator's four picks must be the branch quadruple."""
-    from seqalloc.engine import run_with_report
-    from seqalloc.reduction import _round_quadruple
-
     rng = random.Random(65)
     out = build_instance(random_restricted_formula(rng, num_vars=3))
     for kind in ("T", "F"):
