@@ -35,7 +35,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     prefs: dict[str, tuple[str, ...]] = {}
     agents: list[str] = []
     sequence: list[str] | None = None
-    utils: dict[str, list[Fraction]] = {}
+    utils: dict[str, tuple[int, list[Fraction]]] = {}  # agent: (line, row)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -73,7 +73,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
             if agent in utils:
                 raise InstanceParseError(line_no, f"duplicate utilities for agent {agent}")
             try:
-                utils[agent] = [_utility_literal(v) for v in values]
+                utils[agent] = (line_no, [_utility_literal(v) for v in values])
             except (ValueError, ZeroDivisionError):
                 raise InstanceParseError(line_no, "utilities must be decimal or rational literals") from None
         else:
@@ -96,13 +96,13 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     utility = None
     if utils:
         values = {}
-        for agent, row in utils.items():
+        for agent, (line_no, row) in utils.items():
             if agent not in inst.agents:
-                raise InstanceParseError(0, f"utilities for unknown agent {agent}")
+                raise InstanceParseError(line_no, f"utilities for unknown agent {agent}")
             order = inst.preferences[agent]
             if len(row) != len(order):
                 raise InstanceParseError(
-                    0, f"agent {agent}: {len(row)} utilities for {len(order)} items"
+                    line_no, f"agent {agent}: {len(row)} utilities for {len(order)} items"
                 )
             values[agent] = dict(zip(order, row))
         utility = UtilityFunction(values)
@@ -129,7 +129,20 @@ def _directive(fields: list[str], line_no: int, kind: str) -> tuple[str, list[st
 
 
 def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -> str:
-    """Render an instance (and optional utilities) in the text format."""
+    """Render an instance (and optional utilities) in the text format.
+
+    ValidationError naming each item or agent id that ``parse_instance``
+    could not read back: one that is empty or holds whitespace or ``#``.
+    """
+    ids = [*inst.items, *inst.agents]
+    joined = " ".join(ids)
+    if "#" in joined or joined.split() != ids:  # one pass over every id
+        raise ValidationError([
+            f"{kind} id {x!r} cannot be written: it is empty or holds whitespace or '#'"
+            for kind, names in (("item", inst.items), ("agent", inst.agents))
+            for x in names
+            if "#" in x or x.split() != [x]
+        ])
     lines = [f"agents {len(inst.agents)} items {len(inst.items)} seq {len(inst.sequence)}"]
     lines += [f"item {o}" for o in inst.items]
     for a in inst.agents:

@@ -25,13 +25,13 @@ class ValidationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A search guard tripped: the oracle's check, node or turn limit, or
-    the reduction verifier's pattern budget.
+    """A search budget ran out: the oracle's check or node budget, or the
+    reduction verifier's pattern budget.
 
     ``limit`` is the bound and ``unit`` what it counts ("achievability
-    checks", "nodes", "turns" or "patterns"). ``used`` is how far the search
-    got; for a guard checked before the search starts, it is what the
-    search would need.
+    checks", "nodes" or "patterns"). ``used`` is how far the search got;
+    for the pattern budget, checked before the sweep starts, it is what the
+    sweep would need.
     """
 
     def __init__(self, message: str, *, limit: int, used: int, unit: str):
@@ -196,7 +196,7 @@ def validate_utilities(u: UtilityFunction, inst: Instance) -> None:
         if set(vals) != set(inst.items):
             problems.append(f"utilities of agent {agent} do not cover the item set")
             continue
-        worth, _ = integer_values(u, agent, order)
+        worth, _ = _over_common_denominator([vals[o] for o in order])
         for o, w in zip(order, worth):
             if w <= 0:
                 problems.append(f"non-positive utility for agent {agent}, item {o}")

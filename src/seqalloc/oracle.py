@@ -11,7 +11,7 @@ and the recursion is at most as deep as the manipulator's turn count. A
 branch is cut when its kept value plus the best values that could fill its
 free turns is below the best bundle found, so tied optima all survive.
 ``node_budget`` bounds the achievability checks, those that build the
-witnesses included; there is no turn guard.
+witnesses included.
 
 ``enumerate_achievable_bundles`` is the exhaustive reference. Searching
 the manipulator's pick at each of their turns is outcome-equivalent to
@@ -40,7 +40,7 @@ being the leaf bundles. A state is kept only as its int key, and each
 replay starts from a fresh ``PickState`` built from the key. Memory grows
 with the keys of one turn, at most one per node: about 75 MiB peak RSS at
 the default budget on the instance that ``enumerate_achievable_bundles``
-describes. A guard of ``MAX_TURNS`` manipulator turns is checked first.
+describes. ``node_budget`` is each search's only limit.
 
 The refuted ordinal greedy does not search: it asks ``engine.secures``, a
 polynomial test, from one shared state at the manipulator's first turn,
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import inf
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .engine import Encoded, PickState, secures, stages_of
 from .model import (
@@ -68,7 +68,6 @@ from .model import (
 from .two_agent import ordinal_greedy
 
 DEFAULT_NODE_BUDGET = 2_000_000
-MAX_TURNS = 16  # of enumerate_achievable_bundles, checked before any node is visited
 
 
 @dataclass(frozen=True)
@@ -79,26 +78,27 @@ class OracleResult:
     checks: int  # achievability checks made, the unit of ``node_budget``
 
 
-def _agent(enc: Encoded, manipulator: str) -> int:
-    """The manipulator's agent index; ValidationError if it is unknown."""
+def _setup(inst: Instance, manipulator: str) -> tuple[Encoded, list[int]]:
+    """The encoded instance and the manipulator's stages; ValidationError if
+    the manipulator is unknown."""
+    enc = Encoded(inst)
     if manipulator not in enc.agent_index:
         raise ValidationError([f"unknown agent {manipulator}"])
-    return enc.agent_index[manipulator]
+    return enc, stages_of(enc.seq, enc.agent_index[manipulator])
 
 
-def _spend(nodes: int, count: int, node_budget: int, found: int) -> int:
-    """``nodes`` plus ``count`` more; BudgetExceededError past ``node_budget``.
+def _spend(used: int, count: int, budget: int, unit: str, progress: Callable[[], str]) -> int:
+    """``used`` plus ``count`` more ``unit``; BudgetExceededError past ``budget``.
 
-    Raises as counting the nodes one by one would: after using the whole
-    budget, with ``found`` bundles found.
+    Raises as counting one by one would: after using the whole budget, with
+    ``progress()`` saying how far the search got.
     """
-    if nodes + count > node_budget:
+    if used + count > budget:
         raise BudgetExceededError(
-            f"search exceeded node budget {node_budget} after {node_budget} nodes,"
-            f" {found} bundles found",
-            limit=node_budget, used=node_budget, unit="nodes",
+            f"search exceeded node budget {budget} after {budget} {unit}, {progress()}",
+            limit=budget, used=budget, unit=unit,
         )
-    return nodes + count
+    return used + count
 
 
 def enumerate_achievable_bundles(
@@ -111,8 +111,7 @@ def enumerate_achievable_bundles(
     with byte k standing for item k, so a ``PickState.taken`` converts with
     one ``int.from_bytes``, and a state is nothing but its int key.
     ValidationError if ``node_budget`` is negative. BudgetExceededError once
-    the root and the (state, candidate pick) nodes exceed ``node_budget``,
-    or the manipulator has more than ``MAX_TURNS`` turns.
+    the root and the (state, candidate pick) nodes exceed ``node_budget``.
 
     One turn's merged keys are held at once, so memory grows with
     ``node_budget``: three agents with near-identical orders of 30 items,
@@ -120,14 +119,13 @@ def enumerate_achievable_bundles(
     about 75 MiB peak RSS on CPython 3.10 to 3.13.
     """
     check_budget("node_budget", node_budget)
-    enc = Encoded(inst)
-    turns = stages_of(enc.seq, _agent(enc, manipulator))
-    if len(turns) > MAX_TURNS:
-        raise BudgetExceededError(
-            f"manipulator has {len(turns)} turns, guard allows {MAX_TURNS}",
-            limit=MAX_TURNS, used=len(turns), unit="turns",
-        )
-    nodes = _spend(0, 1, node_budget, 0)  # the root
+    enc, turns = _setup(inst, manipulator)
+    reached: set[int] = set()  # the leaf bundles, filled at the last turn
+
+    def found() -> str:
+        return f"{len(reached)} bundles found"
+
+    nodes = _spend(0, 1, node_budget, "nodes", found)  # the root
     if not turns:
         return {frozenset()}
     m = enc.m
@@ -155,7 +153,7 @@ def enumerate_achievable_bundles(
         for key in states:
             taken = key & every
             mine = key ^ taken
-            nodes = _spend(nodes, (every & ~key).bit_count(), node_budget, 0)
+            nodes = _spend(nodes, (every & ~key).bit_count(), node_budget, "nodes", found)
             # one pass replay gives the others' picks for every candidate
             # that they would not take themselves before ``stop``
             passed = resume(taken, now + 1)  # the manipulator passes
@@ -167,10 +165,9 @@ def enumerate_achievable_bundles(
             merged.update(after | mine | 3 * b for b in singletons(every ^ after))
         states = merged
     # later stages cannot change the manipulator's bundle
-    reached: set[int] = set()
     for key in states:
         free = every & ~key
-        nodes = _spend(nodes, free.bit_count(), node_budget, len(reached))
+        nodes = _spend(nodes, free.bit_count(), node_budget, "nodes", found)
         reached.update(map((key >> 1 & every).__or__, singletons(free)))
     return {frozenset(compress(inst.items, b.to_bytes(m, "little"))) for b in reached}
 
@@ -191,22 +188,13 @@ def brute_force_best_response(
     names the best utility found so far and the optimal bundles held.
     """
     check_budget("node_budget", node_budget)
-    enc = Encoded(inst)
-    manip = _agent(enc, manipulator)
+    enc, turns = _setup(inst, manipulator)
     worth, scale = integer_values(u, manipulator, inst.items)
-    turns = stages_of(enc.seq, manip)
     checks = 0
 
-    def spend_check() -> None:
-        nonlocal checks
-        if checks == node_budget:
-            found = Fraction(best, scale) if optima else "none"
-            raise BudgetExceededError(
-                f"search exceeded node budget {node_budget} after {checks} achievability checks,"
-                f" best utility so far {found}, {len(optima)} optimal bundles held",
-                limit=node_budget, used=checks, unit="achievability checks",
-            )
-        checks += 1
+    def held() -> str:
+        found = Fraction(best, scale) if optima else "none"
+        return f"best utility so far {found}, {len(optima)} optimal bundles held"
 
     # items by falling value
     order = sorted(range(enc.m), key=lambda k: (-worth[k], k))
@@ -221,7 +209,7 @@ def brute_force_best_response(
 
     def extend(pos: int, value: int) -> None:
         """Fill the free turns from ``order[pos:]``, given ``kept`` worth ``value``."""
-        nonlocal best
+        nonlocal best, checks
         free = len(turns) - len(kept)
         if not free:
             if value > best:
@@ -233,7 +221,7 @@ def brute_force_best_response(
         for j in range(pos, enc.m - free + 1):
             if value + prefix[j + free] - prefix[j] < best:
                 break  # later windows are worth no more
-            spend_check()
+            checks = _spend(checks, 1, node_budget, "achievability checks", held)
             kept.append(order[j])
             if secures(start, turns, kept):
                 extend(j + 1, value + worth[order[j]])
@@ -241,13 +229,14 @@ def brute_force_best_response(
 
     def first_pick_order(bundle: list[int]) -> list[int]:
         """At each turn, the smallest item after which the rest stays achievable."""
+        nonlocal checks
         state = start.copy()
         needed = set(bundle)
         picks = []
         for c, t in enumerate(turns):
             state.advance(t)
             for item in sorted(needed)[:-1]:
-                spend_check()
+                checks = _spend(checks, 1, node_budget, "achievability checks", held)
                 trial = state.copy()
                 trial.take(item)
                 if secures(trial, turns[c + 1 :], needed - {item}):
@@ -277,8 +266,7 @@ def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[
     (``engine.secures``, every check from one state at the manipulator's
     first turn). Correct for two agents, not in general.
     """
-    enc = Encoded(inst)
-    turns = stages_of(enc.seq, _agent(enc, manipulator))
+    enc, turns = _setup(inst, manipulator)
     start = PickState(enc)  # ``secures`` leaves it as it is, so every check shares it
     start.advance(turns[0] if turns else 0)
     index = enc.item_index

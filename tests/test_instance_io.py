@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
-from seqalloc.model import UtilityFunction, ValidationError
+from seqalloc.model import UtilityFunction, ValidationError, validate_instance
 
 from conftest import random_consistent_utilities, random_instance
 
@@ -130,3 +130,38 @@ def test_serialize_renders_exact_fractions():
     assert "util 2 : 7/3 2 1/2 1/4" in text
     inst2, u2 = parse_instance(text)
     assert u2.of("2", "o1") == Fraction(7, 3)
+
+
+def test_serialize_rejects_ids_that_do_not_read_back():
+    items = ["x#1", "x#2", "a b", "", "ok", "tab\tbed"]
+    agents = ["1", "line\nbreak"]
+    inst = validate_instance(items, agents, {a: items for a in agents}, ["1"])
+    with pytest.raises(ValidationError) as exc:
+        serialize_instance(inst)
+    assert exc.value.problems == [
+        f"{kind} id {x!r} cannot be written: it is empty or holds whitespace or '#'"
+        for kind, x in [
+            ("item", "x#1"), ("item", "x#2"), ("item", "a b"), ("item", ""),
+            ("item", "tab\tbed"), ("agent", "line\nbreak"),
+        ]
+    ]
+
+
+def test_serialize_keeps_ids_that_read_back():
+    items = [":", "item", "agents", "oé"]
+    inst = validate_instance(items, ["seq", "pref"], {"seq": items, "pref": items[::-1]}, ["pref"])
+    assert parse_instance(serialize_instance(inst))[0] == inst
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ("util 1 : 3.1 3 2", "agent 1: 3 utilities for 4 items"),
+        ("util 9 : 3.1 3 2 1", "utilities for unknown agent 9"),
+    ],
+)
+def test_utility_row_errors_carry_their_line_number(mutation, message):
+    with pytest.raises(InstanceParseError, match=message) as exc:
+        parse_instance(EXAMPLE.replace("util 1 : 3.1 3 2 1", mutation))
+    assert exc.value.line_no == 10
+    assert str(exc.value) == f"line 10: {message}"

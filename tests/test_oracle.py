@@ -496,12 +496,12 @@ def test_node_budget_is_enforced():
     assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (3, 3, "nodes")
 
 
-def test_turn_guard_is_enforced():
-    inst = _manipulator_heavy_instance(34)  # 17 manipulator turns
-    # a zero node budget would trip on the search's first node
-    with pytest.raises(BudgetExceededError, match="turns") as excinfo:
-        enumerate_achievable_bundles(inst, "1", node_budget=0)
-    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (16, 17, "turns")
+def test_node_budget_is_the_only_limit_on_turns():
+    # 17 manipulator turns, as many as items: every subset of the items is a
+    # merged state, 1 + 17 * 2**16 nodes within the default budget
+    items = [f"o{k}" for k in range(17)]
+    inst = validate_instance(items, ["1"], {"1": items}, ["1"] * 17)
+    assert enumerate_achievable_bundles(inst, "1") == {frozenset(items)}
 
 
 def test_unknown_manipulator_is_validation_error():

@@ -124,6 +124,14 @@ def test_reference_compile_is_pinned(reference):
     ] + list(range(32, 0, -1))
 
 
+# the target T of each pinned compile, which neither hash below holds
+_PINNED_TARGETS = {
+    "reference": 214475092837,
+    "random6": 268570835367038450898,
+    "random30": 30852556754107731573816531311244381122943951331655192592273092533846183306488115816165146,
+}
+
+
 @pytest.mark.parametrize(
     "formula, instance_sha, registry_sha",
     [
@@ -145,7 +153,8 @@ def test_reference_compile_is_pinned(reference):
     ],
 )
 def test_whole_compile_is_pinned(formula, instance_sha, registry_sha):
-    """Every item, agent, preference list, stage, utility and registry entry."""
+    """Every item, agent, preference list, stage, utility and registry entry,
+    and the target."""
     if formula == "reference":
         f = parse_formula(REFERENCE_FORMULA)
     elif formula == "random6":
@@ -156,6 +165,7 @@ def test_whole_compile_is_pinned(formula, instance_sha, registry_sha):
     text = serialize_instance(out.instance, out.utility)
     assert hashlib.sha256(text.encode()).hexdigest() == instance_sha
     assert hashlib.sha256(out.registry.to_json().encode()).hexdigest() == registry_sha
+    assert out.target == _PINNED_TARGETS[formula]
 
 
 def test_dimensions_scale_with_formula_size():
