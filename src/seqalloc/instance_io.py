@@ -10,7 +10,10 @@ Grammar (one directive per line, ``#`` starts a comment):
                                         preference order, parsed exactly)
 
 Utility literals are parsed to exact rationals, so ``3.1`` is 31/10, never a
-binary float.
+binary float; a literal holding ``_`` is rejected on every Python version.
+Each ``util`` row is converted once, by ``UtilityFunction.from_rationals``:
+to ``Fraction``s for the API and to the integer view (integer worths over one
+scale) that validation and every later check read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     prefs: dict[str, tuple[str, ...]] = {}
     agents: list[str] = []
     sequence: list[str] | None = None
-    utils: dict[str, tuple[int, list[Fraction]]] = {}  # agent: (line, row)
+    utils: dict[str, tuple[int, list[int | Fraction]]] = {}  # agent: (line, row)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,7 +98,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
 
     utility = None
     if utils:
-        values = {}
+        rows = {}
         for agent, (line_no, row) in utils.items():
             if agent not in inst.agents:
                 raise InstanceParseError(line_no, f"utilities for unknown agent {agent}")
@@ -104,20 +107,25 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
                 raise InstanceParseError(
                     line_no, f"agent {agent}: {len(row)} utilities for {len(order)} items"
                 )
-            values[agent] = dict(zip(order, row))
-        utility = UtilityFunction(values)
+            rows[agent] = dict(zip(order, row))
+        utility = UtilityFunction.from_rationals(rows)
         validate_utilities(utility, inst)
     return inst, utility
 
 
-def _utility_literal(v: str) -> Fraction:
-    """``Fraction(v)``; an integer literal takes the much faster ``int`` path.
+def _utility_literal(v: str) -> int | Fraction:
+    """An integer literal as ``int``, any other as ``Fraction(v)``.
 
+    ValueError for a literal holding ``_``: ``int`` accepts digit
+    separators on every supported version, ``Fraction`` only from 3.11, so
+    rejecting them keeps the grammar the same on all of them. Otherwise
     ``int`` accepts a subset of ``Fraction``'s literals and gives them the
-    same value, so only the speed differs.
+    same value.
     """
+    if "_" in v:
+        raise ValueError(v)
     try:
-        return Fraction(int(v))
+        return int(v)
     except ValueError:
         return Fraction(v)
 

@@ -1,7 +1,10 @@
 """Domain types for sequential allocation: instances, utilities, allocations.
 
-All types are immutable after construction and all utilities are exact
-rationals (``fractions.Fraction``), so tie detection is deterministic.
+All types are immutable after construction. Utilities are exact rationals
+(``fractions.Fraction``) at the API; inside, each agent's row is read
+through one integer view, ``UtilityFunction.integer_view``: integer worths
+over one positive scale, built at most once per agent, so every comparison
+and sum is exact integer arithmetic and tie detection is deterministic.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import filterfalse
 from math import lcm
+from operator import gt
 from typing import Iterable, Mapping, Sequence
 
 
@@ -144,10 +148,27 @@ def validate_instance(
 class UtilityFunction:
     """Per-agent additive item utilities, positive and exact.
 
-    May cover a subset of the agents (e.g. only the manipulator).
+    May cover a subset of the agents (e.g. only the manipulator). ``values``
+    holds ``Fraction``s and must not change after construction: the integer
+    view of each row is built from it once and kept, outside ``==`` and
+    ``repr``. Constructing validates nothing.
     """
 
     values: Mapping[str, Mapping[str, Fraction]]
+    _views: dict[str, tuple[dict[str, int], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_rationals(cls, rows: Mapping[str, Mapping[str, int | Fraction]]) -> "UtilityFunction":
+        """Utilities from exact ``int`` or ``Fraction`` rows, each row
+        converted once: to ``Fraction``s for ``values`` and, in the same
+        call, to its integer view (scale 1 for a row of ints)."""
+        u = cls({a: dict(zip(row, map(Fraction, row.values()))) for a, row in rows.items()})
+        for a, row in rows.items():
+            worth, scale = _over_common_denominator(list(row.values()))
+            u._views[a] = (dict(zip(row, worth)), scale)
+        return u
 
     def of(self, agent: str, item: str) -> Fraction:
         return self.values[agent][item]
@@ -165,48 +186,86 @@ class UtilityFunction:
             raise ValidationError([f"utilities of agent {agent} do not cover the item set"])
         return vals
 
+    def integer_view(self, agent: str) -> tuple[Mapping[str, int], int]:
+        """``(worth, scale)``: ``worth[o] / scale`` is the agent's value of
+        item o, over one positive scale for the whole row.
+
+        Built through ``_over_common_denominator`` on first use, unless
+        ``from_rationals`` handed it in, and kept; the mapping must not be
+        changed. KeyError if the agent has no utilities.
+        """
+        view = self._views.get(agent)
+        if view is None:
+            vals = self.values[agent]
+            worth, scale = _over_common_denominator(list(vals.values()))
+            view = self._views[agent] = (dict(zip(vals, worth)), scale)
+        return view
+
     def agents(self) -> tuple[str, ...]:
         return tuple(self.values)
 
 
 def integer_values(u: UtilityFunction, agent: str, items: Sequence[str]) -> tuple[list[int], int]:
-    """The agent's values over ``items`` as integers over their common denominator.
+    """The agent's values over ``items`` as integers, read from its integer view.
 
     Returns ``(worth, scale)``: ``worth[k] / scale`` is the value of
-    ``items[k]``. ValidationError as for ``UtilityFunction.values_of``.
+    ``items[k]``; ``scale`` is the common denominator of the agent's whole
+    row. ValidationError as for ``UtilityFunction.values_of``.
     """
-    vals = u.values_of(agent, items)
-    return _over_common_denominator([vals[o] for o in items])
+    u.values_of(agent, items)
+    view, scale = u.integer_view(agent)
+    return [view[o] for o in items], scale
 
 
-def _over_common_denominator(row: list[Fraction]) -> tuple[list[int], int]:
+def _over_common_denominator(row: list[int | Fraction]) -> tuple[list[int], int]:
     """``(worth, scale)`` with ``worth[k] / scale == row[k]``; scale 1 if empty."""
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
 def validate_utilities(u: UtilityFunction, inst: Instance) -> None:
-    """Check positivity and consistency with each covered agent's order."""
-    problems = []
-    for agent, vals in u.values.items():
-        if agent not in inst.agents:
-            problems.append(f"utilities given for unknown agent {agent}")
-            continue
-        order = inst.preferences[agent]
-        if set(vals) != set(inst.items):
-            problems.append(f"utilities of agent {agent} do not cover the item set")
-            continue
-        worth, _ = _over_common_denominator([vals[o] for o in order])
-        for o, w in zip(order, worth):
-            if w <= 0:
-                problems.append(f"non-positive utility for agent {agent}, item {o}")
-        for k, (better, worse) in enumerate(zip(order, order[1:])):
-            if not worth[k] > worth[k + 1]:
-                problems.append(
-                    f"utilities of agent {agent} not strictly decreasing at {better} vs {worse}"
-                )
+    """Check positivity and consistency with each covered agent's order.
+
+    ValidationError listing the problems of every row, as ``row_problems``
+    gives them.
+    """
+    problems = [p for agent in u.values for p in row_problems(u, inst, agent)]
     if problems:
         raise ValidationError(problems)
+
+
+def row_problems(u: UtilityFunction, inst: Instance, agent: str) -> list[str]:
+    """Every problem with the row of ``agent``, whom ``u`` must cover: an
+    agent unknown to ``inst``, a row that does not cover exactly the item
+    set, a non-positive value, or a value not strictly below the one before
+    it in the agent's order.
+
+    One pass over the integer view along that order settles a consistent
+    row; only a row that fails it is scanned again to name its problems.
+    """
+    if agent not in inst.agents:
+        return [f"utilities given for unknown agent {agent}"]
+    order = inst.preferences[agent]
+    view, _ = u.integer_view(agent)
+    worth = list(map(view.get, order))
+    if (
+        len(view) == len(worth)
+        and None not in worth
+        and (not worth or worth[-1] > 0)
+        and all(map(gt, worth, worth[1:]))
+    ):
+        return []
+    if set(view) != set(inst.items):
+        return [f"utilities of agent {agent} do not cover the item set"]
+    problems = [
+        f"non-positive utility for agent {agent}, item {o}" for o, w in zip(order, worth) if w <= 0
+    ]
+    problems += [
+        f"utilities of agent {agent} not strictly decreasing at {better} vs {worse}"
+        for better, worse, w, v in zip(order, order[1:], worth, worth[1:])
+        if not w > v
+    ]
+    return problems
 
 
 def make_lexicographic_utilities(
@@ -217,22 +276,21 @@ def make_lexicographic_utilities(
     The k-th ranked of m items is worth 2**(m-k), so every prefix-dominance
     inequality holds with slack 1.
     """
-    values = {}
+    rows = {}
     for agent, order in preferences.items():
         m = len(order)
-        values[agent] = {o: Fraction(2 ** (m - k - 1)) for k, o in enumerate(order)}
-    return UtilityFunction(values)
+        rows[agent] = {o: 2 ** (m - k - 1) for k, o in enumerate(order)}
+    return UtilityFunction.from_rationals(rows)
 
 
 def bundle_utility(u: UtilityFunction, agent: str, bundle: Iterable[str]) -> Fraction:
     """Exact additive utility of a bundle. Raises KeyError on unknown items.
 
-    Sums integers over the bundle's common denominator, then makes one
+    Sums the agent's integer view over the bundle, then makes one
     ``Fraction``.
     """
-    vals = u.values[agent]
-    worth, scale = _over_common_denominator([vals[o] for o in bundle])
-    return Fraction(sum(worth), scale)
+    worth, scale = u.integer_view(agent)
+    return Fraction(sum(map(worth.__getitem__, bundle)), scale)
 
 
 def complete_order(prefix: list[str], items: Iterable[str]) -> tuple[str, ...]:

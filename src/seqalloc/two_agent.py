@@ -35,7 +35,7 @@ from .model import (
     bundle_utility,
     complete_order,
     order_from_utilities,
-    validate_utilities,
+    row_problems,
 )
 
 
@@ -194,10 +194,16 @@ def best_response(
     """Utility-maximizing report for any utilities consistent with the order.
 
     The resulting bundle does not depend on which consistent utilities are
-    supplied; they are only used to report the achieved utility.
+    supplied; they are only used to report the achieved utility. The
+    manipulator's row is checked against their order in one pass over its
+    integer view; ValidationError lists its problems as
+    ``validate_utilities`` would.
     """
     _require_two_agents(inst)
-    validate_utilities(UtilityFunction({manipulator: u.values_of(manipulator, inst.items)}), inst)
+    u.values_of(manipulator, inst.items)
+    problems = row_problems(u, inst, manipulator)
+    if problems:
+        raise ValidationError(problems)
     report, bundle = lexicographic_best_response(inst, manipulator)
     return report, bundle, bundle_utility(u, manipulator, bundle)
 

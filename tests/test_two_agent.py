@@ -15,6 +15,7 @@ from seqalloc.model import (
     bundle_utility,
     make_lexicographic_utilities,
     validate_instance,
+    validate_utilities,
 )
 from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
 from seqalloc.two_agent import (
@@ -176,11 +177,25 @@ def test_best_response_bundle_is_utility_independent():
         assert len(bundles) == 1
 
 
-def test_best_response_rejects_inconsistent_utilities():
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"o1": 1, "o2": 1, "o3": 1, "o4": 1},
+        {"o1": 3, "o2": 2, "o3": 1, "o4": 0},
+        {"o1": 4, "o2": 2, "o3": 3, "o4": 1},
+        {"o1": 3, "o2": 2, "o3": 1},
+    ],
+    ids=["flat", "one-zero", "one-inversion", "missing-item"],
+)
+def test_best_response_rejects_inconsistent_utilities(row):
+    """The one-pass check names each problem as ``validate_utilities`` does."""
     inst = two_agent_example()
-    flat = UtilityFunction({"1": {o: Fraction(1) for o in inst.items}})
-    with pytest.raises(ValidationError):
-        best_response(inst, flat, "1")
+    u = UtilityFunction({"1": {o: Fraction(v) for o, v in row.items()}})
+    with pytest.raises(ValidationError) as expected:
+        validate_utilities(u, inst)
+    with pytest.raises(ValidationError) as exc:
+        best_response(inst, u, "1")
+    assert exc.value.problems == expected.value.problems
 
 
 def test_truthful_reporting_is_equilibrium_with_sole_interest():
