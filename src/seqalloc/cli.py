@@ -86,7 +86,7 @@ def cmd_best_response(args) -> int:
     agent = args.agent
     if agent not in inst.agents:
         raise ValidationError([f"unknown agent {agent}"])
-    if utility is None or agent not in utility.values:
+    if utility is None or agent not in utility.rows:
         utility = make_lexicographic_utilities(inst.preferences)
         report.doc["results"]["utilities"] = "lexicographic (none supplied)"
 
@@ -137,7 +137,7 @@ def cmd_best_response(args) -> int:
 def cmd_nash_verify(args) -> int:
     report = Report(["nash-verify", args.instance], args.instance)
     inst, utility = parse_instance(report.text)
-    if utility is None or set(utility.values) != set(inst.agents):
+    if utility is None or set(utility.agents()) != set(inst.agents):
         raise ValidationError(["nash-verify requires utilities for every agent"])
     evidence = two_agent.nash_evidence(inst, utility)
     verdict = not any(e.can_improve for e in evidence)

@@ -55,9 +55,7 @@ def three_agent_counterexample():
 
 def counterexample_utilities(tie: bool) -> UtilityFunction:
     row = (4, 3, 2, 1) if tie else (Fraction("3.1"), 3, 2, 1)
-    return UtilityFunction(
-        {"1": dict(zip(["a", "b", "c", "d"], map(Fraction, row)))}
-    )
+    return UtilityFunction({"1": dict(zip(["a", "b", "c", "d"], row))})
 
 
 def alternating_manipulation_example():

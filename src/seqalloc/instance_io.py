@@ -11,9 +11,9 @@ Grammar (one directive per line, ``#`` starts a comment):
 
 Utility literals are parsed to exact rationals, so ``3.1`` is 31/10, never a
 binary float; a literal holding ``_`` is rejected on every Python version.
-Each ``util`` row is converted once, by ``UtilityFunction.from_rationals``:
-to ``Fraction``s for the API and to the integer view (integer worths over one
-scale) that validation and every later check read.
+Each ``util`` row is converted once, by the ``UtilityFunction`` constructor,
+to the integer worths over one scale that validation and every later check
+read.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
                     line_no, f"agent {agent}: {len(row)} utilities for {len(order)} items"
                 )
             rows[agent] = dict(zip(order, row))
-        utility = UtilityFunction.from_rationals(rows)
+        utility = UtilityFunction(rows)
         validate_utilities(utility, inst)
     return inst, utility
 
@@ -140,7 +140,9 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
     """Render an instance (and optional utilities) in the text format.
 
     ValidationError naming each item or agent id that ``parse_instance``
-    could not read back: one that is empty or holds whitespace or ``#``.
+    could not read back: one that is empty or holds whitespace or ``#``;
+    then, as ``parse_instance`` would name them, every problem of the
+    utilities (``validate_utilities``).
     """
     ids = [*inst.items, *inst.agents]
     joined = " ".join(ids)
@@ -151,6 +153,8 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
             for x in names
             if "#" in x or x.split() != [x]
         ])
+    if utility is not None:
+        validate_utilities(utility, inst)
     lines = [f"agents {len(inst.agents)} items {len(inst.items)} seq {len(inst.sequence)}"]
     lines += [f"item {o}" for o in inst.items]
     for a in inst.agents:

@@ -1,10 +1,10 @@
 """Domain types for sequential allocation: instances, utilities, allocations.
 
 All types are immutable after construction. Utilities are exact rationals
-(``fractions.Fraction``) at the API; inside, each agent's row is read
-through one integer view, ``UtilityFunction.integer_view``: integer worths
-over one positive scale, built at most once per agent, so every comparison
-and sum is exact integer arithmetic and tie detection is deterministic.
+(``fractions.Fraction``) at the API only: ``UtilityFunction`` holds each
+agent's row once, as integer worths over one positive scale
+(``UtilityFunction.rows``), so every comparison and sum is exact integer
+arithmetic and tie detection is deterministic.
 """
 
 from __future__ import annotations
@@ -146,75 +146,63 @@ def validate_instance(
 
 @dataclass(frozen=True)
 class UtilityFunction:
-    """Per-agent additive item utilities, positive and exact.
+    """Per-agent additive item utilities, exact and integer inside.
 
-    May cover a subset of the agents (e.g. only the manipulator). ``values``
-    holds ``Fraction``s and must not change after construction: the integer
-    view of each row is built from it once and kept, outside ``==`` and
-    ``repr``. Constructing validates nothing.
+    ``rows[agent] = (worth, scale)``: ``worth[o] / scale`` is the agent's
+    value of item o, over one positive scale for the whole row. The
+    constructor takes rows of exact ``int`` or ``Fraction`` values and
+    converts each row once; TypeError for any other value. Positivity and
+    order are not checked (``validate_utilities`` does). May cover a subset
+    of the agents (e.g. only the manipulator). ``dataclasses.replace`` is
+    not supported: the constructor takes values, not converted rows.
     """
 
-    values: Mapping[str, Mapping[str, Fraction]]
-    _views: dict[str, tuple[dict[str, int], int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    rows: Mapping[str, tuple[Mapping[str, int], int]]
 
-    @classmethod
-    def from_rationals(cls, rows: Mapping[str, Mapping[str, int | Fraction]]) -> "UtilityFunction":
-        """Utilities from exact ``int`` or ``Fraction`` rows, each row
-        converted once: to ``Fraction``s for ``values`` and, in the same
-        call, to its integer view (scale 1 for a row of ints)."""
-        u = cls({a: dict(zip(row, map(Fraction, row.values()))) for a, row in rows.items()})
-        for a, row in rows.items():
+    def __init__(self, rows: Mapping[str, Mapping[str, int | Fraction]]):
+        converted = {}
+        for agent, row in rows.items():
+            for item, v in row.items():
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(
+                        f"utility of agent {agent} for item {item} is {v!r}, not an int or a Fraction"
+                    )
             worth, scale = _over_common_denominator(list(row.values()))
-            u._views[a] = (dict(zip(row, worth)), scale)
-        return u
+            converted[agent] = (dict(zip(row, worth)), scale)
+        object.__setattr__(self, "rows", converted)
+
+    @property
+    def values(self) -> dict[str, dict[str, Fraction]]:
+        """Every row as ``Fraction``s, made afresh on each call."""
+        return {
+            a: {o: Fraction(w, scale) for o, w in worth.items()}
+            for a, (worth, scale) in self.rows.items()
+        }
 
     def of(self, agent: str, item: str) -> Fraction:
-        return self.values[agent][item]
-
-    def values_of(self, agent: str, items: Iterable[str]) -> Mapping[str, Fraction]:
-        """The agent's item values.
-
-        ValidationError if the agent has no utilities or they miss one of
-        ``items``; consistency with a preference is not checked.
-        """
-        if agent not in self.values:
-            raise ValidationError([f"no utilities for agent {agent}"])
-        vals = self.values[agent]
-        if not all(o in vals for o in items):
-            raise ValidationError([f"utilities of agent {agent} do not cover the item set"])
-        return vals
-
-    def integer_view(self, agent: str) -> tuple[Mapping[str, int], int]:
-        """``(worth, scale)``: ``worth[o] / scale`` is the agent's value of
-        item o, over one positive scale for the whole row.
-
-        Built through ``_over_common_denominator`` on first use, unless
-        ``from_rationals`` handed it in, and kept; the mapping must not be
-        changed. KeyError if the agent has no utilities.
-        """
-        view = self._views.get(agent)
-        if view is None:
-            vals = self.values[agent]
-            worth, scale = _over_common_denominator(list(vals.values()))
-            view = self._views[agent] = (dict(zip(vals, worth)), scale)
-        return view
+        worth, scale = self.rows[agent]
+        return Fraction(worth[item], scale)
 
     def agents(self) -> tuple[str, ...]:
-        return tuple(self.values)
+        return tuple(self.rows)
 
 
 def integer_values(u: UtilityFunction, agent: str, items: Sequence[str]) -> tuple[list[int], int]:
-    """The agent's values over ``items`` as integers, read from its integer view.
+    """The agent's values over ``items`` as integers.
 
     Returns ``(worth, scale)``: ``worth[k] / scale`` is the value of
     ``items[k]``; ``scale`` is the common denominator of the agent's whole
-    row. ValidationError as for ``UtilityFunction.values_of``.
+    row. ValidationError if the agent has no utilities or they miss one of
+    ``items``; consistency with a preference is not checked.
     """
-    u.values_of(agent, items)
-    view, scale = u.integer_view(agent)
-    return [view[o] for o in items], scale
+    row = u.rows.get(agent)
+    if row is None:
+        raise ValidationError([f"no utilities for agent {agent}"])
+    worth, scale = row
+    try:
+        return list(map(worth.__getitem__, items)), scale
+    except KeyError:
+        raise ValidationError([f"utilities of agent {agent} do not cover the item set"]) from None
 
 
 def _over_common_denominator(row: list[int | Fraction]) -> tuple[list[int], int]:
@@ -229,33 +217,35 @@ def validate_utilities(u: UtilityFunction, inst: Instance) -> None:
     ValidationError listing the problems of every row, as ``row_problems``
     gives them.
     """
-    problems = [p for agent in u.values for p in row_problems(u, inst, agent)]
+    problems = [p for agent in u.rows for p in row_problems(u, inst, agent)]
     if problems:
         raise ValidationError(problems)
 
 
 def row_problems(u: UtilityFunction, inst: Instance, agent: str) -> list[str]:
-    """Every problem with the row of ``agent``, whom ``u`` must cover: an
-    agent unknown to ``inst``, a row that does not cover exactly the item
-    set, a non-positive value, or a value not strictly below the one before
-    it in the agent's order.
+    """Every problem with the row of ``agent``: no row at all, an agent
+    unknown to ``inst``, a row that does not cover exactly the item set, a
+    non-positive value, or a value not strictly below the one before it in
+    the agent's order.
 
-    One pass over the integer view along that order settles a consistent
+    One pass over the integer row along that order settles a consistent
     row; only a row that fails it is scanned again to name its problems.
     """
+    if agent not in u.rows:
+        return [f"no utilities for agent {agent}"]
     if agent not in inst.agents:
         return [f"utilities given for unknown agent {agent}"]
     order = inst.preferences[agent]
-    view, _ = u.integer_view(agent)
-    worth = list(map(view.get, order))
+    row, _ = u.rows[agent]
+    worth = list(map(row.get, order))
     if (
-        len(view) == len(worth)
+        len(row) == len(worth)
         and None not in worth
         and (not worth or worth[-1] > 0)
         and all(map(gt, worth, worth[1:]))
     ):
         return []
-    if set(view) != set(inst.items):
+    if set(row) != set(inst.items):
         return [f"utilities of agent {agent} do not cover the item set"]
     problems = [
         f"non-positive utility for agent {agent}, item {o}" for o, w in zip(order, worth) if w <= 0
@@ -280,16 +270,16 @@ def make_lexicographic_utilities(
     for agent, order in preferences.items():
         m = len(order)
         rows[agent] = {o: 2 ** (m - k - 1) for k, o in enumerate(order)}
-    return UtilityFunction.from_rationals(rows)
+    return UtilityFunction(rows)
 
 
 def bundle_utility(u: UtilityFunction, agent: str, bundle: Iterable[str]) -> Fraction:
     """Exact additive utility of a bundle. Raises KeyError on unknown items.
 
-    Sums the agent's integer view over the bundle, then makes one
+    Sums the agent's integer row over the bundle, then makes one
     ``Fraction``.
     """
-    worth, scale = u.integer_view(agent)
+    worth, scale = u.rows[agent]
     return Fraction(sum(map(worth.__getitem__, bundle)), scale)
 
 

@@ -231,9 +231,9 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     canonical item order. Every agent's preference is a head of item indices
     completed with the canonical order and named once; the manipulator's
     head is the relevant blocks, then the top clause items, and their worth
-    row is built by index and handed in as the utilities' integer view (scale
-    1). ``validate_instance`` still checks the named instance and
-    ``audit_utilities`` the named ledger, read from that view.
+    row is built by index and becomes the utilities' integer row (scale 1).
+    ``validate_instance`` still checks the named instance and
+    ``audit_utilities`` the named ledger, read from that row.
     """
     occ = _occurrences(f)
     n_vars, n_clauses = f.num_vars, len(f.clauses)
@@ -313,7 +313,7 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     for base, values in zip(range(0, first_clause, 18), round_values):
         worth[base : base + 10] = values.values()
     worth[first_clause::3] = tops
-    utility = UtilityFunction.from_rationals({MANIPULATOR: dict(zip(items, worth))})
+    utility = UtilityFunction({MANIPULATOR: dict(zip(items, worth))})
     registry = GadgetRegistry(
         literal_agents=literal_agents, choice_items=choice, consistency_items=consistency,
         dummy_items=dummies, clause_items=clause_items, clause_agents=clause_agents,

@@ -196,11 +196,10 @@ def best_response(
     The resulting bundle does not depend on which consistent utilities are
     supplied; they are only used to report the achieved utility. The
     manipulator's row is checked against their order in one pass over its
-    integer view; ValidationError lists its problems as
-    ``validate_utilities`` would.
+    integer row; ValidationError lists its problems as ``row_problems``
+    names them.
     """
     _require_two_agents(inst)
-    u.values_of(manipulator, inst.items)
     problems = row_problems(u, inst, manipulator)
     if problems:
         raise ValidationError(problems)

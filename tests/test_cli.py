@@ -150,6 +150,76 @@ def test_nash_verify_requires_full_utilities(capsys, instance_file):
     assert cli.main(["nash-verify", instance_file]) == cli.EXIT_USAGE
 
 
+COUNTEREXAMPLE = """\
+agents 3 items 4 seq 4
+item a
+item b
+item c
+item d
+pref 1 : a b c d
+pref 2 : c d a b
+pref 3 : a b c d
+seq : 1 2 3 1
+util 1 : 3.1 3 2 1
+"""
+
+RATIONAL_PROFILE = """\
+agents 2 items 4 seq 4
+item a
+item b
+item c
+item d
+pref 1 : a b c d
+pref 2 : b c a d
+seq : 1 2 1 2
+util 1 : 7/3 2 1.5 1/7
+util 2 : 10/3 3.25 2 1/2
+"""
+
+
+def test_best_response_with_decimal_utilities(capsys, tmp_path):
+    """The three-agent counterexample: the oracle's {b, c} is worth 5, the
+    refuted greedy's {a, d} 3.1 + 1 = 41/10."""
+    path = tmp_path / "counterexample.instance"
+    path.write_text(COUNTEREXAMPLE)
+    argv = ["best-response", str(path), "--agent", "1", "--mode"]
+    code, doc = _run_json(capsys, argv + ["oracle"])
+    assert code == cli.EXIT_OK
+    assert doc["results"]["max_utility"] == "5"
+    assert doc["results"]["optimal_bundles"] == [["b", "c"]]
+    assert "utilities" not in doc["results"]
+    code, doc = _run_json(capsys, argv + ["refuted-greedy"])
+    assert code == cli.EXIT_OK
+    assert doc["results"]["bundle"] == ["a", "d"]
+    assert doc["results"]["utility"] == "41/10"
+    assert cli.main(argv + ["refuted-greedy"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "bundle : {a, d}\nutility: 41/10\n"
+
+
+def test_rational_utilities_print_exactly(capsys, tmp_path):
+    """7/3 + 2 = 13/3 and 7/3 + 3/2 = 10/3 + 1/2 = 23/6, in text and in JSON."""
+    path = tmp_path / "rational.instance"
+    path.write_text(RATIONAL_PROFILE)
+    argv = ["best-response", str(path), "--agent"]
+    assert cli.main(argv + ["1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "report : b a c d\nbundle : {a, b}\nutility: 13/3\n"
+    code, doc = _run_json(capsys, argv + ["2"])
+    assert code == cli.EXIT_OK
+    assert doc["results"]["bundle"] == ["b", "d"] and doc["results"]["utility"] == "23/6"
+
+    assert cli.main(["nash-verify", str(path)]) == cli.EXIT_VERDICT_FALSE
+    assert capsys.readouterr().out == (
+        "equilibrium: no\n"
+        "  agent 1: holds {a, c} worth 23/6; best response {a, b} worth 13/3 (improves)\n"
+        "  agent 2: holds {b, d} worth 23/6; best response {b, d} worth 23/6\n"
+    )
+    code, doc = _run_json(capsys, ["nash-verify", str(path)])
+    assert code == cli.EXIT_VERDICT_FALSE
+    agents = doc["results"]["agents"]
+    assert [agents["1"][k] for k in ("current_utility", "best_response_utility")] == ["23/6", "13/3"]
+    assert [agents["2"][k] for k in ("current_utility", "best_response_utility")] == ["23/6", "23/6"]
+
+
 def test_reduce_writes_artifacts(capsys, tmp_path, formula_file):
     prefix = str(tmp_path / "compiled")
     code, doc = _run_json(capsys, ["reduce", formula_file, "--out", prefix])

@@ -154,6 +154,28 @@ def test_serialize_rejects_ids_that_do_not_read_back():
     ]
 
 
+@pytest.mark.parametrize(
+    "rows, problems",
+    [
+        ({"9": {"o1": 4, "o2": 3, "o3": 2, "o4": 1}}, ["utilities given for unknown agent 9"]),
+        ({"1": {"o1": 3, "o2": 2, "o3": 1}}, ["utilities of agent 1 do not cover the item set"]),
+        (
+            {"1": dict.fromkeys(["o1", "o2", "o3", "o4"], 1)},
+            [f"utilities of agent 1 not strictly decreasing at {a} vs {b}"
+             for a, b in [("o1", "o2"), ("o2", "o3"), ("o3", "o4")]],
+        ),
+    ],
+    ids=["unknown-agent", "missing-item", "all-ones"],
+)
+def test_serialize_rejects_utilities_that_do_not_read_back(rows, problems):
+    """Utilities that ``parse_instance`` would reject are not written: the
+    error names their problems as validation does."""
+    inst, _ = parse_instance(EXAMPLE)
+    with pytest.raises(ValidationError) as exc:
+        serialize_instance(inst, UtilityFunction(rows))
+    assert exc.value.problems == problems
+
+
 def test_serialize_keeps_ids_that_read_back():
     items = [":", "item", "agents", "oé"]
     inst = validate_instance(items, ["seq", "pref"], {"seq": items, "pref": items[::-1]}, ["pref"])

@@ -1,12 +1,13 @@
-"""The integer view of utilities against the ``Fraction`` arithmetic it replaced.
+"""The integer rows of utilities against the ``Fraction`` arithmetic they replaced.
 
 Each reference below computes straight from ``UtilityFunction.values``, in
-``Fraction``s, with no integer view: the conversion every reader made before
-the view existed. Rows mix integer (``7``), decimal (``3.1``) and rational
+``Fraction``s, with no integer row: the conversion every reader made before
+the rows existed. Rows mix integer (``7``), decimal (``3.1``) and rational
 (``7/3``) literals.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -164,11 +165,12 @@ def test_oracle_agrees_with_fraction_arithmetic():
         assert set(res.optimal_bundles) == {b for b, w in worth.items() if w == best}
 
 
-@pytest.mark.parametrize("construct", ["lazy", "from_rationals"])
+@pytest.mark.parametrize("construct", ["fraction_rows", "int_where_integral"])
 def test_any_row_agrees_with_fraction_arithmetic(construct):
     """Rows that may tie, fall out of order, miss an item or be non-positive:
     the problem lists, tie errors and best-response errors are the reference's,
-    whether the view is built on first use or handed in."""
+    whether the rows hold only ``Fraction``s or ``int`` where a value is
+    integral."""
     rng = random.Random(47)
     seen = set()
     for _ in range(300):
@@ -176,10 +178,10 @@ def test_any_row_agrees_with_fraction_arithmetic(construct):
         rows = {a: _any_row(rng, inst.items) for a in inst.agents}
         if rng.random() < 0.2:
             rows["1"].pop(rng.choice(inst.items))
-        if construct == "lazy":
+        if construct == "fraction_rows":
             u = UtilityFunction(rows)
         else:
-            u = UtilityFunction.from_rationals(
+            u = UtilityFunction(
                 {a: {o: int(v) if v.denominator == 1 else v for o, v in row.items()}
                  for a, row in rows.items()}
             )
@@ -223,18 +225,52 @@ def test_each_row_is_converted_once(monkeypatch):
 
 
 def test_view_is_kept_out_of_equality_and_repr():
-    rows = {"1": {"a": Fraction(7, 3), "b": 2}}
-    lazy = UtilityFunction({"1": {"a": Fraction(7, 3), "b": Fraction(2)}})
-    handed = UtilityFunction.from_rationals(rows)
-    assert handed == lazy and repr(handed) == repr(lazy)
-    assert handed.integer_view("1") == lazy.integer_view("1") == ({"a": 7, "b": 6}, 3)
-    assert handed == lazy and repr(handed) == repr(lazy)
-    assert handed.values == {"1": {"a": Fraction(7, 3), "b": Fraction(2)}}
-    assert type(handed.of("1", "b")) is Fraction
+    """Rows from ``int`` and from ``Fraction`` literals of the same values
+    are one row: equal, with equal ``repr``, at the row's common scale."""
+    from_ints = UtilityFunction({"1": {"a": Fraction(7, 3), "b": 2}})
+    from_fractions = UtilityFunction({"1": {"a": Fraction(7, 3), "b": Fraction(2)}})
+    assert from_ints == from_fractions and repr(from_ints) == repr(from_fractions)
+    assert from_ints.rows["1"] == ({"a": 7, "b": 6}, 3)
+    assert from_ints.values == {"1": {"a": Fraction(7, 3), "b": Fraction(2)}}
+    assert type(from_ints.of("1", "b")) is Fraction
+    assert from_ints != UtilityFunction({"1": {"a": Fraction(7, 3), "b": 3}})
 
 
 def test_constructing_validates_nothing():
     u = UtilityFunction({"1": {"a": Fraction(-1), "b": Fraction(-1)}})
     assert u.values["1"]["a"] == -1
     with pytest.raises(KeyError):
-        u.integer_view("2")
+        u.rows["2"]
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, 1.0, "2", None, Decimal("0.5")],
+    ids=["float", "integral-float", "str", "None", "Decimal"],
+)
+def test_non_exact_value_is_a_type_error(value):
+    """Only ``int`` and ``Fraction`` values construct: a float never reaches
+    ``of()`` or a bundle's sum."""
+    with pytest.raises(TypeError, match="agent 2 for item b"):
+        UtilityFunction({"1": {"a": 1}, "2": {"a": Fraction(3, 2), "b": value}})
+
+
+def test_utilities_cannot_drift():
+    """Changing the dicts handed in, or the dicts ``values`` hands out, leaves
+    ``of()``, ``values``, ``bundle_utility`` and ``integer_values`` agreeing
+    with the rows as constructed."""
+    rows = {"1": {"a": 3, "b": Fraction(1, 2)}, "2": {"a": 1, "b": 2}}
+    u = UtilityFunction(rows)
+    original = {"1": {"a": Fraction(3), "b": Fraction(1, 2)}, "2": {"a": Fraction(1), "b": Fraction(2)}}
+    rows["1"]["a"] = 100
+    rows["2"] = {"a": 5}
+    rows["3"] = {"a": 1}
+    handed_out = u.values
+    handed_out["1"]["b"] = Fraction(9)
+    handed_out.pop("2")
+    assert u.values == original
+    for agent, vals in original.items():
+        assert {o: u.of(agent, o) for o in vals} == vals
+        assert bundle_utility(u, agent, ["a", "b"]) == sum(vals.values())
+    assert integer_values(u, "1", ["a", "b"]) == ([6, 1], 2)
+    assert integer_values(u, "2", ["a", "b"]) == ([1, 2], 1)
+    assert u.agents() == ("1", "2")
