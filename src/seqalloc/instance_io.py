@@ -11,9 +11,11 @@ Grammar (one directive per line, ``#`` starts a comment):
 
 Utility literals are parsed to exact rationals, so ``3.1`` is 31/10, never a
 binary float; a literal holding ``_`` is rejected on every Python version.
-Each ``util`` row is converted once, by the ``UtilityFunction`` constructor,
-to the integer worths over one scale that validation and every later check
-read.
+A ``util`` row of integer literals is read in one ``int`` pass over the
+row, any other row literal by literal. Each row is then converted once, by
+the ``UtilityFunction`` constructor, to the integer worths over one scale
+that validation and every later check read; an all-``int`` row is already
+its own worth.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
             if agent in utils:
                 raise InstanceParseError(line_no, f"duplicate utilities for agent {agent}")
             try:
-                utils[agent] = (line_no, [_utility_literal(v) for v in values])
+                utils[agent] = (line_no, _utility_row(values))
             except (ValueError, ZeroDivisionError):
                 raise InstanceParseError(line_no, "utilities must be decimal or rational literals") from None
         else:
@@ -113,6 +115,17 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     return inst, utility
 
 
+def _utility_row(values: list[str]) -> list[int | Fraction]:
+    """``[_utility_literal(v) for v in values]``, with its values and its
+    errors; a row of integer literals holding no ``_`` in one ``int`` pass."""
+    if "_" not in " ".join(values):
+        try:
+            return list(map(int, values))
+        except ValueError:
+            pass
+    return [_utility_literal(v) for v in values]
+
+
 def _utility_literal(v: str) -> int | Fraction:
     """An integer literal as ``int``, any other as ``Fraction(v)``.
 
@@ -139,6 +152,8 @@ def _directive(fields: list[str], line_no: int, kind: str) -> tuple[str, list[st
 def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -> str:
     """Render an instance (and optional utilities) in the text format.
 
+    Utilities are written from the integer rows: a scale-1 row as its
+    worths, any other value as ``render_fraction(worth / scale)``.
     ValidationError naming each item or agent id that ``parse_instance``
     could not read back: one that is empty or holds whitespace or ``#``;
     then, as ``parse_instance`` would name them, every problem of the
@@ -162,7 +177,12 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
     lines.append("seq : " + " ".join(inst.sequence))
     if utility is not None:
         for a in utility.agents():
-            row = " ".join(render_fraction(utility.of(a, o)) for o in inst.preferences[a])
+            worth, scale = utility.rows[a]
+            values = map(worth.__getitem__, inst.preferences[a])
+            if scale == 1:
+                row = " ".join(map(str, values))
+            else:
+                row = " ".join(render_fraction(Fraction(w, scale)) for w in values)
             lines.append(f"util {a} : {row}")
     return "\n".join(lines) + "\n"
 

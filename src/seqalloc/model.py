@@ -84,9 +84,14 @@ class Instance:
 
 def _is_permutation(order: tuple, items: tuple, item_set: set) -> bool:
     """True iff ``order`` lists the entries of ``items``: O(m) hashing when
-    they are distinct, a sorted comparison when ids repeat."""
+    they are distinct, a sorted comparison when ids repeat.
+
+    For m distinct ids it is exact to check that ``order`` has m entries
+    and misses none of the ids: then its m entries are the m ids, so it
+    holds no repeat and no foreign id. No set of ``order`` is built.
+    """
     if len(item_set) == len(items):
-        return len(order) == len(items) and set(order) == item_set
+        return len(order) == len(items) and not item_set.difference(order)
     return sorted(order) == sorted(items)
 
 
@@ -152,9 +157,12 @@ class UtilityFunction:
     value of item o, over one positive scale for the whole row. The
     constructor takes rows of exact ``int`` or ``Fraction`` values and
     converts each row once; TypeError for any other value. Positivity and
-    order are not checked (``validate_utilities`` does). May cover a subset
-    of the agents (e.g. only the manipulator). ``dataclasses.replace`` is
-    not supported: the constructor takes values, not converted rows.
+    order are not checked (``validate_utilities`` does). A row of plain
+    ``int`` values is its own worth at scale 1 and is only copied; a row
+    with any ``bool`` or ``Fraction`` is converted over the lcm of its
+    denominators. May cover a subset of the agents (e.g. only the
+    manipulator). ``dataclasses.replace`` is not supported: the constructor
+    takes values, not converted rows.
     """
 
     rows: Mapping[str, tuple[Mapping[str, int], int]]
@@ -162,6 +170,9 @@ class UtilityFunction:
     def __init__(self, rows: Mapping[str, Mapping[str, int | Fraction]]):
         converted = {}
         for agent, row in rows.items():
+            if set(map(type, row.values())) <= {int}:
+                converted[agent] = (dict(row), 1)
+                continue
             for item, v in row.items():
                 if not isinstance(v, (int, Fraction)):
                     raise TypeError(

@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
-from seqalloc.model import UtilityFunction, ValidationError, validate_instance
+from seqalloc.instance_io import (
+    InstanceParseError,
+    _utility_literal,
+    parse_instance,
+    render_fraction,
+    serialize_instance,
+)
+from seqalloc.model import UtilityFunction, ValidationError, validate_instance, validate_utilities
+from seqalloc.reduction import build_instance
 
-from conftest import random_consistent_utilities, random_instance
+from conftest import random_consistent_utilities, random_instance, random_restricted_formula
 
 EXAMPLE = """\
 # two agents, sequence 1221
@@ -194,3 +201,123 @@ def test_utility_row_errors_carry_their_line_number(mutation, message):
         parse_instance(EXAMPLE.replace("util 1 : 3.1 3 2 1", mutation))
     assert exc.value.line_no == 10
     assert str(exc.value) == f"line 10: {message}"
+
+
+# --- util rows read in one pass when they can be ------------------------------
+
+_ODD_LITERALS = ["+5", "3.1", "7/3", "1e3", "1_000", "x"]
+
+
+def _util_row_case(rng: random.Random):
+    """An instance text with one seeded ``util`` row, that row's literals, and
+    the line it is on. The row holds distinct integers, now and then with odd
+    literals mixed in, sorted best first when every literal reads."""
+    m = rng.randint(1, 12)
+    items = [f"o{k}" for k in range(m)]
+    agents = ["1", "a_x1^1"]  # an agent id holding '_'
+    literals = [str(v) for v in rng.sample(range(1, 10 * m + 1), m)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        literals[rng.randrange(m)] = rng.choice(_ODD_LITERALS)
+    try:
+        values = [_utility_literal(v) for v in literals]
+    except (ValueError, ZeroDivisionError):
+        pass
+    else:
+        literals = [literals[k] for k in sorted(range(m), key=lambda k: -values[k])]
+    inst = validate_instance(items, agents, {a: items for a in agents}, [agents[0]])
+    agent = rng.choice(agents)
+    text = serialize_instance(inst) + f"util {agent} : {' '.join(literals)}\n"
+    return inst, agent, literals, text, text.count("\n")
+
+
+def test_util_rows_parse_as_the_per_value_reference():
+    """Every seeded ``util`` row gives the rows, or the parse error with its
+    message and line, of ``_utility_literal`` applied value by value."""
+    rng = random.Random(29)
+    seen = dict.fromkeys(["integer", "mixed", "rejected", "separator", "inconsistent"], 0)
+    for _ in range(400):
+        inst, agent, literals, text, line_no = _util_row_case(rng)
+        try:
+            values = [_utility_literal(v) for v in literals]
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(InstanceParseError) as exc:
+                parse_instance(text)
+            assert exc.value.line_no == line_no
+            assert str(exc.value) == f"line {line_no}: utilities must be decimal or rational literals"
+            seen["separator" if "1_000" in literals else "rejected"] += 1
+            continue
+        expected = UtilityFunction({agent: dict(zip(inst.preferences[agent], values))})
+        try:
+            validate_utilities(expected, inst)
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as exc:
+                parse_instance(text)
+            assert exc.value.problems == err.problems
+            seen["inconsistent"] += 1
+            continue
+        _, u = parse_instance(text)
+        assert u.rows == expected.rows
+        assert all(type(w) is int for w in u.rows[agent][0].values())
+        seen["integer" if all(v.isdigit() for v in literals) else "mixed"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_digit_separator_in_an_integer_row_is_rejected():
+    text = EXAMPLE.replace("util 1 : 3.1 3 2 1", "util 1 : 4000 1_000 2 1")
+    with pytest.raises(InstanceParseError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == "line 10: utilities must be decimal or rational literals"
+
+
+def test_agent_id_with_underscore_keeps_its_integer_row():
+    inst = validate_instance(["o_1", "o2"], ["a_x1^1"], {"a_x1^1": ["o_1", "o2"]}, ["a_x1^1"])
+    _, u = parse_instance(serialize_instance(inst) + "util a_x1^1 : 4 3\n")
+    assert u.rows == {"a_x1^1": ({"o_1": 4, "o2": 3}, 1)}
+
+
+# --- serialization renders from the integer rows ----------------------------
+
+
+def _serialize_per_value(inst, u) -> str:
+    """Reference text: every utility rendered from its ``Fraction``."""
+    lines = [
+        f"util {a} : " + " ".join(render_fraction(u.of(a, o)) for o in inst.preferences[a])
+        for a in u.agents()
+    ]
+    return serialize_instance(inst) + "".join(line + "\n" for line in lines)
+
+
+def _scaled_utilities(rng: random.Random, inst, agent: str) -> UtilityFunction:
+    """Strictly decreasing positive ``Fraction``s with denominators up to 6,
+    the worst item at ``Fraction(12, 6)`` (it reduces to 2) and the best
+    one at a seventh above the sum, so the row's scale is above 1."""
+    worst, *others = reversed(inst.preferences[agent])
+    vals = {worst: Fraction(12, 6)}
+    v = vals[worst]
+    for o in others:
+        v += Fraction(rng.randint(1, 30), rng.randint(1, 6))
+        vals[o] = v
+    vals[inst.preferences[agent][0]] = v + Fraction(1, 7)
+    return UtilityFunction({agent: vals})
+
+
+def test_serialize_renders_as_the_per_value_reference():
+    """Scale-1 rows, scale>1 rows and a 30-variable compile serialize to the
+    bytes of a per-value ``render_fraction`` renderer, and read back equal."""
+    rng = random.Random(83)
+    cases = []
+    for _ in range(30):
+        inst = random_instance(rng, n=rng.randint(1, 3), m=rng.randint(1, 12))
+        agent = rng.choice(inst.agents)
+        cases.append((inst, random_consistent_utilities(rng, inst, agent)))
+        cases.append((inst, _scaled_utilities(rng, inst, agent)))
+    out = build_instance(random_restricted_formula(random.Random(68), num_vars=30))
+    cases.append((out.instance, out.utility))
+    scales = set()
+    for inst, u in cases:
+        text = serialize_instance(inst, u)
+        assert text == _serialize_per_value(inst, u)
+        inst2, u2 = parse_instance(text)
+        assert inst2 == inst and u2.rows == u.rows
+        scales |= {scale > 1 for _, scale in u.rows.values()}
+    assert scales == {False, True}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -326,10 +327,11 @@ def test_agent_checks_match_tuple_scan_reference():
     assert min(seen.values()) >= 30, seen
 
 
-def _mangled_order(rng, items):
-    """A shuffled copy of ``items``, then maybe one item missing, unknown or repeated."""
+def _mangled_order(rng, items, case=None):
+    """A shuffled copy of ``items``, then maybe one item missing, unknown or
+    repeated; ``case`` names the mangling, or one is drawn."""
     order = rng.sample(items, len(items))
-    case = rng.choice(["valid", "valid", "missing", "unknown", "repeated", "extra"])
+    case = case or rng.choice(["valid", "valid", "missing", "unknown", "repeated", "extra"])
     if case == "missing" and order:
         order.pop(rng.randrange(len(order)))
     elif case == "unknown":
@@ -341,7 +343,45 @@ def _mangled_order(rng, items):
     return order
 
 
+def _check_permutation_case(rng, items, cases, pref_case=None, replacement_case=None):
+    """``validate_instance`` on mangled preferences against
+    ``_sorted_problems``, then ``with_preference`` on a valid instance (or
+    one with duplicate item ids) against a sorted comparison."""
+    agents = ["1", "2", "3"][: rng.randint(1, 3)]
+    prefs = {a: _mangled_order(rng, items, pref_case) for a in agents}
+    sequence = [rng.choice(agents) for _ in range(rng.randint(1, len(items)))]
+    expected = _sorted_problems(items, agents, prefs, sequence)
+    try:
+        inst = validate_instance(items, agents, prefs, sequence)
+        problems = []
+    except ValidationError as err:
+        problems = err.problems
+    assert problems == expected, (items, prefs)
+    if "duplicate item ids" in expected:
+        cases["duplicate ids"] += 1
+        inst = Instance(tuple(items), tuple(agents), prefs, tuple(sequence))
+    elif expected:
+        cases["invalid"] += 1
+        return
+    else:
+        cases["valid"] += 1
+    order = _mangled_order(rng, items, replacement_case)
+    agent = rng.choice(agents)
+    if sorted(order) == sorted(items):
+        assert inst.with_preference(agent, order).preferences[agent] == tuple(order)
+    else:
+        with pytest.raises(ValidationError) as exc:
+            inst.with_preference(agent, order)
+        assert exc.value.problems == [
+            f"replacement preference for agent {agent} is not a permutation of the item set"
+        ]
+
+
 def test_permutation_check_matches_sorted_comparison():
+    """Seeded small cases with drawn manglings; then m = 256 and m = 660
+    (the two-agent and 30-variable compile sizes) with every mangling, in
+    the preferences and in the replacement order, among them "repeated":
+    the right length, one id twice and so another missing."""
     rng = random.Random(71)
     cases = {"valid": 0, "invalid": 0, "duplicate ids": 0}
     for _ in range(600):
@@ -350,32 +390,63 @@ def test_permutation_check_matches_sorted_comparison():
         if rng.random() < 0.2:  # duplicate item ids
             items.append(rng.choice(items))
             rng.shuffle(items)
-        agents = ["1", "2", "3"][: rng.randint(1, 3)]
-        prefs = {a: _mangled_order(rng, items) for a in agents}
-        sequence = [rng.choice(agents) for _ in range(rng.randint(1, len(items)))]
-        expected = _sorted_problems(items, agents, prefs, sequence)
-        try:
-            inst = validate_instance(items, agents, prefs, sequence)
-            problems = []
-        except ValidationError as err:
-            problems = err.problems
-        assert problems == expected, (items, prefs)
-        if "duplicate item ids" in expected:
-            cases["duplicate ids"] += 1
-            inst = Instance(tuple(items), tuple(agents), prefs, tuple(sequence))
-        elif expected:
-            cases["invalid"] += 1
-            continue
-        else:
-            cases["valid"] += 1
-        order = _mangled_order(rng, items)
-        agent = rng.choice(agents)
-        if sorted(order) == sorted(items):
-            assert inst.with_preference(agent, order).preferences[agent] == tuple(order)
-        else:
-            with pytest.raises(ValidationError) as exc:
-                inst.with_preference(agent, order)
-            assert exc.value.problems == [
-                f"replacement preference for agent {agent} is not a permutation of the item set"
-            ]
+        _check_permutation_case(rng, items, cases)
+    for m in (256, 660):
+        for case in ("valid", "missing", "unknown", "repeated", "extra"):
+            for duplicate in (False, True):
+                items = [f"o{k}" for k in range(m)]
+                if duplicate:
+                    j, k = rng.sample(range(m), 2)
+                    items[j] = items[k]
+                _check_permutation_case(rng, items, cases, pref_case=case)
+                _check_permutation_case(rng, items, cases, "valid", replacement_case=case)
     assert min(cases.values()) >= 50, cases
+
+
+# --- UtilityFunction: an integer row is its own worth ------------------------
+
+
+def _general_rows(rows):
+    """Reference conversion: every value as a ``Fraction``, over the lcm of
+    the row's denominators."""
+    out = {}
+    for agent, row in rows.items():
+        values = {o: Fraction(v) for o, v in row.items()}
+        scale = lcm(*(v.denominator for v in values.values()))
+        out[agent] = ({o: int(v * scale) for o, v in values.items()}, scale)
+    return out
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"a": 7, "b": 3, "c": -2},
+        {},
+        {"a": True, "b": 1},
+        {"a": Fraction(7, 3), "b": Fraction(1, 2)},
+        {"a": 5, "b": Fraction(1, 2), "c": 2},
+        {"a": Fraction(12, 6), "b": Fraction(3)},
+    ],
+    ids=["all-int", "empty", "bool", "all-fraction", "mixed", "integral-fractions"],
+)
+def test_rows_match_the_general_conversion(row):
+    u = UtilityFunction({"1": row})
+    assert u.rows == _general_rows({"1": row})
+    assert all(type(w) is int for w in u.rows["1"][0].values())
+
+
+@pytest.mark.parametrize("row", [{"a": 2, "b": 0.5}, {"a": 0.5, "b": 2}], ids=["last", "first"])
+def test_float_in_an_integer_row_is_the_same_type_error(row):
+    (bad,) = [o for o, v in row.items() if type(v) is float]
+    message = f"utility of agent 1 for item {bad} is 0.5, not an int or a Fraction"
+    with pytest.raises(TypeError) as exc:
+        UtilityFunction({"1": row})
+    assert str(exc.value) == message
+
+
+def test_integer_row_is_copied():
+    row = {"a": 3, "b": 2}
+    u = UtilityFunction({"1": row})
+    row["a"] = 100
+    row["c"] = 1
+    assert u.rows == {"1": ({"a": 3, "b": 2}, 1)}
