@@ -18,14 +18,19 @@ the manipulator's pick at each of their turns is outcome-equivalent to
 searching all m! reports, because a report only influences the outcome
 through the item picked at each of the manipulator's turns. The search goes
 turn by turn and keeps the states that some pick order reaches at that
-turn, a state being the pair (manipulator's picks, items taken). Two facts
-make it exact:
+turn, a state being the pair (items taken, manipulator's picks). Three
+facts make it exact:
 
 - Merging is exact. The other agents pick greedily, so what they pick from
   a turn on depends only on which items are free then. Pick orders that
   reach the same pair reach the same bundles, and one state stands for all
   of them.
-- One pass replay serves every candidate outside it. From a state, the
+- The others' picks depend only on the items taken, never on which of
+  them the manipulator picked. So a turn's states are grouped by their
+  taken set, and each group is replayed once for all its pick sets: every
+  move found, a next taken set and the manipulator's pick, applies to the
+  whole group.
+- One pass replay serves every candidate outside it. From a taken set, the
   others play to the manipulator's next turn as if the manipulator passed.
   If the manipulator instead takes an item x that no other agent takes in
   that replay, each other agent still finds its replayed pick free and
@@ -36,11 +41,13 @@ make it exact:
 At the last turn later stages cannot change the manipulator's bundle, so
 the bundles are the picks plus each free item. ``node_budget`` counts nodes:
 the root and each (state, candidate pick), the candidates at the last turn
-being the leaf bundles. A state is kept only as its int key, and each
-replay starts from a fresh ``PickState`` built from the key. Memory grows
-with the keys of one turn, at most one per node: about 75 MiB peak RSS at
-the default budget on the instance that ``enumerate_achievable_bundles``
-describes. ``node_budget`` is each search's only limit.
+being the leaf bundles; a group charges its pick sets times its free items
+before its replays. Item sets are ints, each replay starts from a fresh
+``PickState`` built from a taken set, and a group is dropped as soon as it
+is expanded. Memory grows with the states of one turn, at most one per
+node: 70 to 74 MiB peak RSS at the default budget on the instance that
+``enumerate_achievable_bundles`` describes. ``node_budget`` is each
+search's only limit.
 
 The refuted ordinal greedy does not search: it asks ``engine.secures``, a
 polynomial test, from one shared state at the manipulator's first turn,
@@ -49,9 +56,10 @@ whether each extension of its kept set is achievable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product, repeat, starmap
 from math import inf
 from typing import Callable, Iterator, Mapping
 
@@ -106,26 +114,31 @@ def enumerate_achievable_bundles(
 ) -> set[frozenset[str]]:
     """All bundles the manipulator can end up holding under some report.
 
-    Searches turn by turn over merged (picks, taken) states, sharing one
-    pass replay per state (see the module docstring). Item sets are ints
-    with byte k standing for item k, so a ``PickState.taken`` converts with
-    one ``int.from_bytes``, and a state is nothing but its int key.
-    ValidationError if ``node_budget`` is negative. BudgetExceededError once
-    the root and the (state, candidate pick) nodes exceed ``node_budget``.
+    Searches turn by turn over merged (taken, picks) states, grouped by the
+    items taken, with one pass replay per group (see the module docstring).
+    Item sets, taken and picked alike, are ints with bit 0 of byte k
+    standing for item k, so a ``PickState.taken`` converts with one
+    ``int.from_bytes``. ValidationError if ``node_budget`` is negative.
+    BudgetExceededError once the root and the (state, candidate pick) nodes
+    exceed ``node_budget``; its message names the turn reached (0 being the
+    root) out of the manipulator's turns, and that turn's number of merged
+    states, both independent of the order in which the groups are expanded.
 
-    One turn's merged keys are held at once, so memory grows with
+    One turn's merged states are held at once, so memory grows with
     ``node_budget``: three agents with near-identical orders of 30 items,
     under round robin with 10 turns each, exceed the default budget at
-    about 75 MiB peak RSS on CPython 3.10 to 3.13.
+    turn 6, with 129,456 merged states, at 70 to 74 MiB peak RSS on
+    CPython 3.10 to 3.13.
     """
     check_budget("node_budget", node_budget)
     enc, turns = _setup(inst, manipulator)
-    reached: set[int] = set()  # the leaf bundles, filled at the last turn
+    states: dict[int, set[int]] = {}  # taken -> the manipulator's pick sets
+    turn = held = 0  # the turn reached (0 at the root) and its number of merged states
 
-    def found() -> str:
-        return f"{len(reached)} bundles found"
+    def progress() -> str:
+        return f"at turn {turn} of {len(turns)} with {held} merged states"
 
-    nodes = _spend(0, 1, node_budget, "nodes", found)  # the root
+    nodes = _spend(0, 1, node_budget, "nodes", progress)  # the root
     if not turns:
         return {frozenset()}
     m = enc.m
@@ -145,31 +158,38 @@ def enumerate_achievable_bundles(
 
     root = PickState(enc)
     root.advance(turns[0])
-    # a state is its key: bit 0 of byte k is set if item k is taken and bit 1
-    # if the manipulator picked it
-    states = {int.from_bytes(root.taken, "little")}
-    for now, stop in zip(turns, turns[1:]):
-        merged: set[int] = set()
-        for key in states:
-            taken = key & every
-            mine = key ^ taken
-            nodes = _spend(nodes, (every & ~key).bit_count(), node_budget, "nodes", found)
-            # one pass replay gives the others' picks for every candidate
-            # that they would not take themselves before ``stop``
+    states = {int.from_bytes(root.taken, "little"): {0}}
+    for turn, (now, stop) in enumerate(zip(turns, turns[1:]), 1):
+        merged: defaultdict[int, set[int]] = defaultdict(set)
+        held = sum(map(len, states.values()))
+        while states:  # a group is dropped as it is expanded, to bound the peak
+            taken, mines = states.popitem()
+            nodes = _spend(
+                nodes, len(mines) * (every ^ taken).bit_count(), node_budget, "nodes", progress
+            )
+            # the others' picks depend only on ``taken``, so each move (next
+            # taken set, pick) applies to all of ``mines`` at once; one pass
+            # replay gives the moves of the candidates that the others would
+            # not take themselves before ``stop``, one replay each the rest
             passed = resume(taken, now + 1)  # the manipulator passes
             for k in passed.advance(stop):
                 child = resume(taken | bit[k], now + 1)
                 child.advance(stop)
-                merged.add(int.from_bytes(child.taken, "little") | mine | bit[k] << 1)
+                merged[int.from_bytes(child.taken, "little")].update(map(bit[k].__or__, mines))
             after = int.from_bytes(passed.taken, "little")
-            merged.update(after | mine | 3 * b for b in singletons(every ^ after))
+            for b in singletons(every ^ after):
+                merged[after | b].update(map(b.__or__, mines))
         states = merged
+    turn, held = len(turns), sum(map(len, states.values()))
     # later stages cannot change the manipulator's bundle
-    for key in states:
-        free = every & ~key
-        nodes = _spend(nodes, free.bit_count(), node_budget, "nodes", found)
-        reached.update(map((key >> 1 & every).__or__, singletons(free)))
-    return {frozenset(compress(inst.items, b.to_bytes(m, "little"))) for b in reached}
+    reached: set[int] = set()
+    while states:
+        taken, mines = states.popitem()
+        free = list(singletons(every ^ taken))
+        nodes = _spend(nodes, len(mines) * len(free), node_budget, "nodes", progress)
+        reached.update(starmap(int.__or__, product(mines, free)))
+    rows = map(int.to_bytes, reached, repeat(m), repeat("little"))
+    return set(map(frozenset, map(compress, repeat(inst.items), rows)))
 
 
 def brute_force_best_response(

@@ -392,11 +392,17 @@ def _count_advances(monkeypatch):
 
 
 def test_merged_search_replays_a_quarter_of_the_walk(monkeypatch):
-    """The pick-order walk made 1,816 ``advance`` calls on this instance."""
+    """One pass replay per distinct taken set, plus one child replay per
+    item the others take in it: 208 ``advance`` calls on this instance.
+
+    The turns' merged states (15 and 102 before the last turn) share 13 and
+    55 taken sets. One replay per state made 355 calls, and the pick-order
+    walk 1,816.
+    """
     inst = _round_robin_instance(random.Random(61))
     calls = _count_advances(monkeypatch)
     assert len(enumerate_achievable_bundles(inst, "1")) == 1020
-    assert 0 < len(calls) <= 454, len(calls)
+    assert 0 < len(calls) <= 208, len(calls)
 
 
 def test_smallest_answering_node_budget_is_exact():
@@ -421,6 +427,53 @@ def test_smallest_answering_node_budget_is_exact():
             enumerate_achievable_bundles(inst, manip, node_budget=lo - 1)
         err = excinfo.value
         assert (err.limit, err.used, err.unit) == (lo - 1, lo - 1, "nodes")
+
+
+def _near_identical_small(rng, m):
+    """n = 3, round robin over m items, each order a few adjacent swaps from one order."""
+    items = [f"o{k}" for k in range(m)]
+    prefs = {}
+    for agent in "123":
+        order = items[:]
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(m - 1)
+            order[k], order[k + 1] = order[k + 1], order[k]
+        prefs[agent] = order
+    return validate_instance(items, list("123"), prefs, list("123") * (m // 3))
+
+
+def test_heavy_merging_matches_pick_order_walk():
+    """Near-identical orders: many pick orders share a taken set, so the
+    searched groups hold several pick sets. Bundles, the smallest answering
+    node budget and the progress named by each budget error all follow from
+    the walk's states."""
+    rng = random.Random(64)
+    shared = 0
+    for _ in range(12):
+        inst = _near_identical_small(rng, rng.randint(6, 9))
+        bundles, states = _pick_order_walk(inst, "1")
+        assert enumerate_achievable_bundles(inst, "1") == bundles, inst
+        turns = inst.sequence.count("1")
+        held = [[(picks, taken) for c, picks, taken in states if c == t] for t in range(turns)]
+        shared += sum(len(h) > len({taken for _, taken in h}) for h in held)
+        # the root, then each (state, candidate pick) turn by turn
+        nodes = [1] + [sum(taken.count(0) for _, taken in h) for h in held]
+        lo = sum(nodes)
+        assert enumerate_achievable_bundles(inst, "1", node_budget=lo) == bundles
+        spent = 0
+        for turn, count in enumerate(nodes):
+            spent += count
+            for budget in {spent - count, spent - 1}:  # the first and last that trip here
+                with pytest.raises(BudgetExceededError) as excinfo:
+                    enumerate_achievable_bundles(inst, "1", node_budget=budget)
+                err = excinfo.value
+                assert (err.limit, err.used, err.unit) == (budget, budget, "nodes")
+                merged = len(held[turn - 1]) if turn else 0
+                assert str(err) == (
+                    f"search exceeded node budget {budget} after {budget} nodes, "
+                    f"at turn {turn} of {turns} with {merged} merged states"
+                )
+    assert shared >= 12, shared  # turns whose states share a taken set
 
 
 def test_zero_node_budget_raises_before_any_replay(monkeypatch):
@@ -473,7 +526,9 @@ def test_near_identical_round_robin_exceeds_the_default_node_budget():
     """The premise of ``test_oracle_answers_where_the_walk_exceeds_its_budget``.
 
     Runs in a fresh process, so that the peak RSS is this search's own: one
-    turn's merged states are held at once, as int keys, within 110 MiB.
+    turn's merged states are held at once, grouped by the items taken, within
+    110 MiB. The error names the turn reached and that turn's merged states,
+    whatever order the search takes them in.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_SCRIPT],
@@ -484,7 +539,10 @@ def test_near_identical_round_robin_exceeds_the_default_node_budget():
     fields, peak = json.loads(proc.stdout)
     assert fields is not None, "the search answered within the default budget"
     message, *err = fields
-    assert "node budget" in message
+    assert message == (
+        "search exceeded node budget 2000000 after 2000000 nodes, "
+        "at turn 6 of 10 with 129456 merged states"
+    )
     assert err == [DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET, "nodes"]
     assert peak <= 110 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"
 
