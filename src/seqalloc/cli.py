@@ -3,7 +3,9 @@
 Exit codes: 0 success (or verdict true), 1 verdict false, 2 usage/parse
 error, 3 search budget exceeded. Every command can emit a machine-readable
 JSON document with ``--json``; utilities are always rendered as exact
-decimal or rational strings, never binary floats.
+decimal or rational strings, never binary floats. Each command imports
+the modules it uses when it runs, so ``allocate`` and the two-agent
+commands never load the search modules.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import sys
 import time
 from pathlib import Path
 
-from . import golden, oracle, reduction, two_agent
 from .engine import run_sequential_allocation
 from .instance_io import parse_instance, render_fraction, serialize_instance
 from .model import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_PATTERN_BUDGET,
     BudgetExceededError,
     ValidationError,
     bundle_utility,
@@ -92,6 +95,8 @@ def cmd_best_response(args) -> int:
 
     lines: list[str] = []
     if args.mode == "two-agent":
+        from . import two_agent
+
         rep, bundle, value = two_agent.best_response(inst, utility, agent)
         report.doc["results"].update(
             {"report": list(rep), "bundle": sorted(bundle), "utility": render_fraction(value)}
@@ -102,7 +107,9 @@ def cmd_best_response(args) -> int:
             "utility: " + render_fraction(value),
         ]
     elif args.mode == "oracle":
-        budget = _budget_or(args, oracle.DEFAULT_NODE_BUDGET)
+        from . import oracle
+
+        budget = _budget_or(args, DEFAULT_NODE_BUDGET)
         res = oracle.brute_force_best_response(inst, utility, agent, node_budget=budget)
         bundles = [sorted(b) for b in res.optimal_bundles]
         witnesses = {
@@ -123,6 +130,8 @@ def cmd_best_response(args) -> int:
             ]
         lines += [f"achievability checks: {res.checks} of budget {budget}"]
     else:  # refuted-greedy
+        from . import oracle
+
         bundle = oracle.refuted_greedy_best_response(inst, agent)
         value = bundle_utility(utility, agent, bundle)
         report.doc["results"].update(bundle=sorted(bundle), utility=render_fraction(value))
@@ -135,6 +144,8 @@ def cmd_best_response(args) -> int:
 
 
 def cmd_nash_verify(args) -> int:
+    from . import two_agent
+
     report = Report(["nash-verify", args.instance], args.instance)
     inst, utility = parse_instance(report.text)
     if utility is None or set(utility.agents()) != set(inst.agents):
@@ -168,6 +179,8 @@ def cmd_nash_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reduction
+
     report = Report(["reduce", args.formula, args.out], args.formula)
     formula = reduction.parse_formula(report.text)
     out = reduction.build_instance(formula)
@@ -216,12 +229,14 @@ def _parse_assignment(text: str, num_vars: int) -> dict[int, bool]:
 
 
 def cmd_verify_reduction(args) -> int:
+    from . import reduction
+
     report = Report(["verify-reduction", args.formula], args.formula)
     formula = reduction.parse_formula(report.text)
     out = reduction.build_instance(formula)
     if args.patterns:
         pattern_report = reduction.verify_choice_patterns(
-            out, max_patterns=_budget_or(args, reduction.DEFAULT_PATTERN_BUDGET)
+            out, max_patterns=_budget_or(args, DEFAULT_PATTERN_BUDGET)
         )
         if not pattern_report.sat_enumeration_agrees:
             raise RuntimeError("pattern verdict disagrees with direct SAT enumeration")
@@ -262,6 +277,8 @@ def cmd_verify_reduction(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from . import golden
+
     report = Report(["examples"], None)
     results = golden.run_golden_checks()
     ok = all(passed for _, passed, _ in results)
@@ -314,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_budget,
         help=f"most achievability checks that --mode oracle may make"
-        f" (default {oracle.DEFAULT_NODE_BUDGET})",
+        f" (default {DEFAULT_NODE_BUDGET})",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_best_response)
@@ -338,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_budget,
         help=f"most choice patterns that --patterns may check"
-        f" (default {reduction.DEFAULT_PATTERN_BUDGET})",
+        f" (default {DEFAULT_PATTERN_BUDGET})",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_reduction)

@@ -45,6 +45,10 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
 
 
+DEFAULT_NODE_BUDGET = 2_000_000  # the oracle's achievability checks or enumeration nodes
+DEFAULT_PATTERN_BUDGET = 4 ** 8  # choice patterns of an 8-variable formula
+
+
 def check_budget(name: str, budget: int) -> None:
     """ValidationError if the search budget ``name`` is negative."""
     if budget < 0:

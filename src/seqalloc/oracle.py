@@ -65,6 +65,7 @@ from typing import Callable, Iterator, Mapping
 
 from .engine import Encoded, PickState, secures, stages_of
 from .model import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     Instance,
     UtilityFunction,
@@ -74,8 +75,6 @@ from .model import (
     integer_values,
 )
 from .two_agent import ordinal_greedy
-
-DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 
 from .engine import Encoded, PickState, run_with_report, stages_of
 from .model import (
+    DEFAULT_PATTERN_BUDGET,
     Allocation,
     BudgetExceededError,
     Instance,
@@ -42,7 +43,6 @@ from .model import (
 )
 
 MANIPULATOR = "1"
-DEFAULT_PATTERN_BUDGET = 4 ** 8  # choice patterns of an 8-variable formula
 
 
 class FormulaError(ValidationError):

@@ -295,6 +295,54 @@ def test_verify_reduction_pattern_budget(capsys, formula_file):
     assert code == cli.EXIT_BUDGET
 
 
+BUDGET_HELP = {
+    "best-response": """\
+usage: seqalloc best-response [-h] --agent AGENT
+                              [--mode {two-agent,oracle,refuted-greedy}]
+                              [--budget BUDGET] [--json]
+                              instance
+
+positional arguments:
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --agent AGENT
+  --mode {two-agent,oracle,refuted-greedy}
+  --budget BUDGET       most achievability checks that --mode oracle may make
+                        (default 2000000)
+  --json
+""",
+    "verify-reduction": """\
+usage: seqalloc verify-reduction [-h] (--assignment ASSIGNMENT | --patterns)
+                                 [--budget BUDGET] [--json]
+                                 formula
+
+positional arguments:
+  formula
+
+options:
+  -h, --help            show this help message and exit
+  --assignment ASSIGNMENT
+                        e.g. x1=T,x2=F,x3=F
+  --patterns            enumerate all choice patterns
+  --budget BUDGET       most choice patterns that --patterns may check
+                        (default 65536)
+  --json
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_HELP))
+def test_budget_help_is_pinned(capsys, monkeypatch, command):
+    """The default budgets in the help come from ``model``, unchanged."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == BUDGET_HELP[command]
+
+
 def test_examples_all_green(capsys):
     code, doc = _run_json(capsys, ["examples"])
     assert code == cli.EXIT_OK

@@ -1,0 +1,138 @@
+"""The import footprint: a call loads only the submodules it uses.
+
+Footprints are read in fresh interpreters, because this test process has
+already imported every submodule.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import seqalloc
+from seqalloc import engine, model, oracle, reduction, two_agent
+
+from conftest import package_env
+
+SEARCH = ("two_agent", "oracle", "reduction", "golden")
+SUBMODULES = ("engine", "model", "instance_io", "two_agent", "oracle", "reduction", "golden")
+
+# the package's public names and the submodule each comes from
+EXPORTS = {
+    engine: ("run_sequential_allocation", "run_with_report"),
+    model: (
+        "Allocation", "BudgetExceededError", "Instance", "UtilityFunction",
+        "ValidationError", "bundle_utility", "make_lexicographic_utilities",
+        "validate_instance",
+    ),
+    oracle: (
+        "OracleResult", "brute_force_best_response", "enumerate_achievable_bundles",
+        "refuted_greedy_best_response",
+    ),
+    reduction: (
+        "ReductionOutput", "RestrictedFormula", "assignment_to_report", "build_instance",
+        "parse_formula", "verify_choice_patterns", "verify_forward",
+    ),
+    two_agent: (
+        "achievability_certificate", "best_response", "canonical_report", "is_achievable",
+        "lexicographic_best_response", "verify_nash_two_agents",
+    ),
+}
+
+PROFILE = """\
+agents 2 items 4 seq 4
+item a
+item b
+item c
+item d
+pref 1 : a b c d
+pref 2 : c d a b
+seq : 1 2 1 2
+util 1 : 8 4 2 1
+util 2 : 8 4 2 1
+"""
+
+
+def _loaded_after(code: str, cwd) -> set[str]:
+    """The seqalloc submodules a fresh interpreter holds after ``code``."""
+    script = (
+        code
+        + "\nimport json, sys"
+        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('seqalloc.'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd, env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {name.removeprefix("seqalloc.") for name in loaded}
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    assert _loaded_after("import seqalloc", tmp_path) == set()
+
+
+@pytest.mark.parametrize(
+    "name, absent",
+    [
+        ("best_response", {"oracle", "reduction", "golden"}),
+        ("brute_force_best_response", {"reduction", "golden"}),
+    ],
+)
+def test_a_name_loads_only_its_submodule_and_imports(tmp_path, name, absent):
+    loaded = _loaded_after(f"import seqalloc\nseqalloc.{name}", tmp_path)
+    assert not loaded & absent, loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["allocate", "profile.instance"],
+        ["nash-verify", "profile.instance"],
+        ["best-response", "profile.instance", "--agent", "1", "--mode", "two-agent"],
+    ],
+)
+def test_two_agent_commands_load_no_search_module(tmp_path, argv):
+    (tmp_path / "profile.instance").write_text(PROFILE)
+    loaded = _loaded_after(f"from seqalloc import cli\ncli.main({argv!r})", tmp_path)
+    assert not loaded & {"oracle", "reduction", "golden"}, loaded
+
+
+def test_submodules_resolve_after_a_bare_import(tmp_path):
+    code = "import seqalloc\n" + "".join(f"seqalloc.{name}\n" for name in SUBMODULES)
+    assert _loaded_after(code, tmp_path) >= set(SUBMODULES)
+
+
+def test_every_public_name_is_its_submodules_object():
+    assert sorted(seqalloc.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        for name in names:
+            assert getattr(seqalloc, name) is getattr(module, name), name
+    namespace: dict = {}
+    exec("from seqalloc import *", namespace)
+    for name in seqalloc.__all__:
+        assert namespace[name] is getattr(seqalloc, name), name
+
+
+def test_dir_lists_public_names_and_submodules():
+    assert set(dir(seqalloc)) >= {*seqalloc.__all__, *SUBMODULES, "__version__"}
+
+
+def test_unknown_name_is_attribute_error():
+    assert not hasattr(seqalloc, "BACKEND")
+    with pytest.raises(AttributeError, match="module 'seqalloc' has no attribute 'BACKEND'"):
+        seqalloc.BACKEND
+
+
+def test_a_name_patched_on_its_submodule_is_what_the_package_gives(monkeypatch):
+    """Names are never cached on the package, so a patch made after a first
+    access (as a tracer makes) is seen."""
+    assert seqalloc.brute_force_best_response is oracle.brute_force_best_response
+
+    def patched(*args, **kwargs):
+        raise AssertionError("unreachable")
+
+    monkeypatch.setattr(seqalloc.oracle, "brute_force_best_response", patched)
+    assert seqalloc.brute_force_best_response is patched
