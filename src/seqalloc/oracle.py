@@ -85,13 +85,18 @@ class OracleResult:
     checks: int  # achievability checks made, the unit of ``node_budget``
 
 
-def _setup(inst: Instance, manipulator: str) -> tuple[Encoded, list[int]]:
-    """The encoded instance and the manipulator's stages; ValidationError if
-    the manipulator is unknown."""
+def _setup(inst: Instance, manipulator: str) -> tuple[Encoded, list[int], PickState]:
+    """The encoded instance, the manipulator's stages and a state advanced to
+    their first turn (none if they have no turn), which ``secures`` leaves as
+    it is, so every check can share it; ValidationError if the manipulator is
+    unknown."""
     enc = Encoded(inst)
     if manipulator not in enc.agent_index:
         raise ValidationError([f"unknown agent {manipulator}"])
-    return enc, stages_of(enc.seq, enc.agent_index[manipulator])
+    turns = stages_of(enc.seq, enc.agent_index[manipulator])
+    start = PickState(enc)
+    start.advance(turns[0] if turns else 0)
+    return enc, turns, start
 
 
 def _spend(used: int, count: int, budget: int, unit: str, progress: Callable[[], str]) -> int:
@@ -130,14 +135,16 @@ def enumerate_achievable_bundles(
     CPython 3.10 to 3.13.
     """
     check_budget("node_budget", node_budget)
-    enc, turns = _setup(inst, manipulator)
-    states: dict[int, set[int]] = {}  # taken -> the manipulator's pick sets
     turn = held = 0  # the turn reached (0 at the root) and its number of merged states
 
     def progress() -> str:
-        return f"at turn {turn} of {len(turns)} with {held} merged states"
+        return f"at turn {turn} of {inst.turns(manipulator)} with {held} merged states"
 
-    nodes = _spend(0, 1, node_budget, "nodes", progress)  # the root
+    # the root, charged before the set-up advances to the first turn, so a
+    # zero budget raises before any replay (and before the manipulator is
+    # looked up)
+    nodes = _spend(0, 1, node_budget, "nodes", progress)
+    enc, turns, root = _setup(inst, manipulator)
     if not turns:
         return {frozenset()}
     m = enc.m
@@ -155,9 +162,8 @@ def enumerate_achievable_bundles(
         state.stage = stage
         return state
 
-    root = PickState(enc)
-    root.advance(turns[0])
-    states = {int.from_bytes(root.taken, "little"): {0}}
+    # taken -> the manipulator's pick sets
+    states: dict[int, set[int]] = {int.from_bytes(root.taken, "little"): {0}}
     for turn, (now, stop) in enumerate(zip(turns, turns[1:]), 1):
         merged: defaultdict[int, set[int]] = defaultdict(set)
         held = sum(map(len, states.values()))
@@ -207,7 +213,7 @@ def brute_force_best_response(
     names the best utility found so far and the optimal bundles held.
     """
     check_budget("node_budget", node_budget)
-    enc, turns = _setup(inst, manipulator)
+    enc, turns, start = _setup(inst, manipulator)  # every check shares ``start``
     worth, scale = integer_values(u, manipulator, inst.items)
     checks = 0
 
@@ -220,8 +226,6 @@ def brute_force_best_response(
     prefix = [0]  # prefix[j]: worth of the first j items in ``order``
     for k in order:
         prefix.append(prefix[-1] + worth[k])
-    start = PickState(enc)  # ``secures`` leaves it as it is, so every check shares it
-    start.advance(turns[0] if turns else 0)
     kept: list[int] = []
     optima: list[list[int]] = []
     best = -inf
@@ -285,9 +289,7 @@ def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[
     (``engine.secures``, every check from one state at the manipulator's
     first turn). Correct for two agents, not in general.
     """
-    enc, turns = _setup(inst, manipulator)
-    start = PickState(enc)  # ``secures`` leaves it as it is, so every check shares it
-    start.advance(turns[0] if turns else 0)
+    enc, turns, start = _setup(inst, manipulator)  # every check shares ``start``
     index = enc.item_index
     return frozenset(
         ordinal_greedy(

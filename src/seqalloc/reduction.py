@@ -10,11 +10,17 @@ is open: on the reference compile a report that encodes no assignment
 yields 228,252,147,873 > T = 214,475,092,837, so reaching T does not yet
 certify satisfiability.
 
-Structure of the generated picking sequence: one 16-stage choice round per
-variable (the manipulator commits to a polarity by picking both choice
-items of one literal), one 3-stage clause round per clause (agents opposed
-to the clause's literals grab clause items unless kept busy), and a final
+Structure of the generated picking sequence: one choice round per variable
+(the manipulator commits to a polarity by picking both choice items of one
+literal), one 3-stage clause round per clause (agents opposed to the
+clause's literals grab clause items unless kept busy), and a final
 collection round of |C| manipulator turns for the top clause items.
+
+A choice round is defined once, by the table of slots below: its items'
+names and layout, its four literal agents and their heads, its stages, the
+weights of its ten valued items, and the four picks of each kind of round.
+The compiler, the ledger, the audit and the pattern sweep read positions
+from it, and the round's sizes are the table's lengths.
 """
 
 from __future__ import annotations
@@ -142,31 +148,59 @@ def parse_formula(text: str) -> RestrictedFormula:
             current.append(t)
     if current:
         clauses.append(current)
-    if declared_clauses is not None and len(clauses) != declared_clauses:
+    if len(clauses) != declared_clauses:
         raise FormulaError(
             [f"problem line declares {declared_clauses} clauses, found {len(clauses)}"]
         )
     return validate_formula(num_vars, clauses)
 
 
-# --- gadget naming ---------------------------------------------------------
+# --- the choice round --------------------------------------------------------
+#
+# One table defines a variable's choice round; ``build_instance``, the ledger,
+# the audit, the reports and the pattern sweep all read it. A round's items
+# are laid out in slot order: the ten valued slots in the manipulator's order,
+# then eight dummies. In a name, {p} stands for x_v and {n} for ~x_v.
+_ROUND_ITEMS = (
+    "o_{p}^1", "o_{n}^1", "o_{p}^2", "o_{n}^2",
+    "h_{n}^1", "h_{n}^2", "h_{n}^3", "h_{p}^1", "h_{p}^2", "h_{p}^3",
+    "d_{p}^11", "d_{p}^12", "d_{p}^21", "d_{p}^22",
+    "d_{n}^11", "d_{n}^12", "d_{n}^21", "d_{n}^22",
+)
+# the valued slots' worths (a, e) = a * B + e for the round's scale B; the
+# +1 separates each positive-literal choice item from its negative twin
+_ROUND_WEIGHTS = (
+    (100, 1), (100, 0), (90, 1), (90, 0),
+    (60, 0), (45, 0), (31, 0), (30, 0), (15, 0), (1, 0),
+)
+# the four literal agents in agent order: name -> (literal sign, copy, head as
+# slots); agent a_l^j chases the items of ~l and plays the j-th clause of ~l
+_ROUND_AGENTS = {
+    "a_{n}^1": (-1, 1, (0, 10, 11, 2, 7, 8, 9)),
+    "a_{n}^2": (-1, 2, (12, 0, 2, 13, 7, 8, 9)),
+    "a_{p}^1": (1, 1, (1, 14, 4, 3, 5, 6, 15)),
+    "a_{p}^2": (1, 2, (16, 1, 3, 4, 5, 6, 17)),
+}
+_ROUND_STAGES = (
+    MANIPULATOR, "a_{n}^1", "a_{n}^2", "a_{p}^1", "a_{p}^2",
+    MANIPULATOR, "a_{n}^1", "a_{n}^2", "a_{p}^1", "a_{p}^2",
+    "a_{n}^1", "a_{n}^2", MANIPULATOR, "a_{p}^1", "a_{p}^2", MANIPULATOR,
+)
+# the manipulator's four picks of each kind of round, in pick order: T and F
+# are consistent (x_v true, false), I1 and I2 inconsistent; the pattern sweep
+# tries the kinds in this order
+_QUADRUPLES = {
+    "T": (1, 3, 6, 7),
+    "F": (0, 2, 4, 9),
+    "I1": (0, 3, 5, 8),
+    "I2": (1, 2, 5, 8),
+}
 
 
-def lit_name(lit: int) -> str:
-    v = abs(lit)
-    return f"x{v}" if lit > 0 else f"~x{v}"
-
-
-def choice_item(lit: int, j: int) -> str:
-    return f"o_{lit_name(lit)}^{j}"
-
-
-def consistency_item(lit: int, j: int) -> str:
-    return f"h_{lit_name(lit)}^{j}"
-
-
-def clause_item(c: int, j: int) -> str:
-    return f"o_c{c}^{j}"
+def _named(templates: Sequence[str], v: int) -> list[str]:
+    """The table's names filled in for variable v, by one ``format`` call
+    (no name holds a NUL)."""
+    return "\0".join(templates).format(p=f"x{v}", n=f"~x{v}").split("\0")
 
 
 @dataclass(frozen=True)
@@ -226,57 +260,47 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     utility ledger audited before returning.
 
     Items are laid out by position and each is named once: per variable its
-    manipulator-relevant block (the keys of its round's weight table) then
-    its eight dummies, then three items per clause. That layout is the
-    canonical item order. Every agent's preference is a head of item indices
-    completed with the canonical order and named once; the manipulator's
-    head is the relevant blocks, then the top clause items, and their worth
-    row is built by index and becomes the utilities' integer row (scale 1).
+    round's items in slot order, then three items per clause. That layout is
+    the canonical item order. Every agent's preference is a head of item
+    indices (each a table slot plus its round's first position) completed
+    with the canonical order; the manipulator's head is the valued slots of
+    every round, then the top clause items, and their worth row is built by
+    index and becomes the utilities' integer row (scale 1).
     ``validate_instance`` still checks the named instance and
-    ``audit_utilities`` the named ledger, read from that row.
+    ``audit_utilities`` the ledger.
     """
     occ = _occurrences(f)
     n_vars, n_clauses = f.num_vars, len(f.clauses)
-    first_clause = 18 * n_vars  # position of the first clause item
+    size, valued = len(_ROUND_ITEMS), len(_ROUND_WEIGHTS)
+    first_clause = size * n_vars  # position of the first clause item
     m = first_clause + 3 * n_clauses
-    explicit = 10 * n_vars + n_clauses  # the manipulator's head
-    round_values, tops, target = _ledger(n_vars, n_clauses, m - explicit)
+    explicit = valued * n_vars + n_clauses  # the manipulator's head
+    round_worths, tops, target = _ledger(n_vars, n_clauses, m - explicit)
+    bases = range(0, first_clause, size)  # each round's first position
 
     items: list[str] = []
     agents = [MANIPULATOR]
     sequence: list[str] = []
     rounds: list[RoundSpan] = []
-    heads: dict[str, tuple[list[str], int]] = {}  # agent -> (named head, its clause)
+    heads: dict[str, tuple[list[int], int]] = {}  # agent -> (head, its clause)
     literal_agents: dict[tuple[int, int], str] = {}
     choice: dict[int, tuple[str, str]] = {}
     consistency: dict[int, tuple[str, str, str]] = {}
     dummies: dict[int, tuple[str, str, str, str]] = {}
 
-    for v, values in zip(f.variables(), round_values):
-        for lit, s in ((-v, f"~x{v}"), (v, f"x{v}")):
-            literal_agents[(lit, 1)], literal_agents[(lit, 2)] = f"a_{s}^1", f"a_{s}^2"
-            choice[lit] = (f"o_{s}^1", f"o_{s}^2")
-            consistency[lit] = (f"h_{s}^1", f"h_{s}^2", f"h_{s}^3")
-            dummies[lit] = (f"d_{s}^11", f"d_{s}^12", f"d_{s}^21", f"d_{s}^22")
-        items += values  # the weight table's keys, in its order
-        items += dummies[v] + dummies[-v]
-        neg1, neg2 = literal_agents[(-v, 1)], literal_agents[(-v, 2)]
-        pos1, pos2 = literal_agents[(v, 1)], literal_agents[(v, 2)]
-        agents += [neg1, neg2, pos1, pos2]
+    for v, base in zip(f.variables(), bases):
+        block = _named(_ROUND_ITEMS, v)
+        items += block
+        for a, (sign, copy, head) in zip(_named(_ROUND_AGENTS, v), _ROUND_AGENTS.values()):
+            agents.append(a)
+            literal_agents[(sign * v, copy)] = a
+            heads[a] = [base + k for k in head], occ[-sign * v][copy - 1]
         start = len(sequence) + 1
-        sequence += [
-            MANIPULATOR, neg1, neg2, pos1, pos2,
-            MANIPULATOR, neg1, neg2, pos1, pos2,
-            neg1, neg2, MANIPULATOR, pos1, pos2, MANIPULATOR,
-        ]
+        sequence += _named(_ROUND_STAGES, v)
         rounds.append(RoundSpan("choice", f"x{v}", start, len(sequence)))
-        # agents of each literal chase the items of its negation
-        (ox1, ox2), (hx1, hx2, hx3), (dx11, dx12, dx21, dx22) = choice[v], consistency[v], dummies[v]
-        (on1, on2), (hn1, hn2, hn3), (dn11, dn12, dn21, dn22) = choice[-v], consistency[-v], dummies[-v]
-        heads[neg1] = [ox1, dx11, dx12, ox2, hx1, hx2, hx3], occ[v][0]
-        heads[neg2] = [dx21, ox1, ox2, dx22, hx1, hx2, hx3], occ[v][1]
-        heads[pos1] = [on1, dn11, hn1, on2, hn2, hn3, dn12], occ[-v][0]
-        heads[pos2] = [dn21, on1, on2, hn1, hn2, hn3, dn22], occ[-v][1]
+        choice[-v], choice[v] = (block[1], block[3]), (block[0], block[2])
+        consistency[-v], consistency[v] = tuple(block[4:7]), tuple(block[7:valued])
+        dummies[v], dummies[-v] = tuple(block[valued : valued + 4]), tuple(block[valued + 4 :])
 
     clause_items: dict[int, tuple[str, str, str]] = {}
     clause_agents: dict[int, tuple[str, str, str]] = {}
@@ -294,24 +318,23 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     sequence += [MANIPULATOR] * n_clauses
     rounds.append(RoundSpan("collection", "", start, len(sequence)))
 
-    # heads by index: a literal agent's clause block is o_c^3, o_c^2, o_c^1
-    index = {o: k for k, o in enumerate(items)}
-    manip_head = [base + k for base in range(0, first_clause, 18) for k in range(10)]
+    # a literal agent's head ends with its clause block o_c^3, o_c^2, o_c^1
+    manip_head = [base + k for base in bases for k in range(valued)]
     manip_head += range(first_clause, m, 3)
     prefs = {MANIPULATOR: _complete(manip_head, items)}
     for a, (head, c) in heads.items():
         top = first_clause + 3 * (c - 1)
-        prefs[a] = _complete([index[o] for o in head] + [top + 2, top + 1, top], items)
+        prefs[a] = _complete(head + [top + 2, top + 1, top], items)
     instance = validate_instance(items, agents, prefs, sequence)
 
     # the manipulator's worth by index: the tail t..1 along their order, each
-    # round's block its weight table in key order, then the top clause items
+    # round's valued slots their ledger worths, then the top clause items
     worth = [0] * m
     tail = _complete(manip_head, range(m))[explicit:]
     for k, pos in enumerate(tail):
         worth[pos] = len(tail) - k
-    for base, values in zip(range(0, first_clause, 18), round_values):
-        worth[base : base + 10] = values.values()
+    for base, values in zip(bases, round_worths):
+        worth[base : base + valued] = values
     worth[first_clause::3] = tops
     utility = UtilityFunction({MANIPULATOR: dict(zip(items, worth))})
     registry = GadgetRegistry(
@@ -339,32 +362,8 @@ def _complete(head: list[int], order: Sequence) -> tuple:
 # --- manipulator utility ---------------------------------------------------
 
 
-def _round_values(v: int, B: int) -> dict[str, int]:
-    """Concrete utilities of the ten manipulator-relevant items of round v.
-
-    Keys are in the manipulator's preference order. A +1 epsilon separates
-    each positive-literal choice item from its negative twin; everything
-    else scales with B.
-    """
-    x, nx = v, -v
-    return {
-        choice_item(x, 1): 100 * B + 1,
-        choice_item(nx, 1): 100 * B,
-        choice_item(x, 2): 90 * B + 1,
-        choice_item(nx, 2): 90 * B,
-        consistency_item(nx, 1): 60 * B,
-        consistency_item(nx, 2): 45 * B,
-        consistency_item(nx, 3): 31 * B,
-        consistency_item(x, 1): 30 * B,
-        consistency_item(x, 2): 15 * B,
-        consistency_item(x, 3): 1 * B,
-    }
-
-
-def _ledger(
-    n_vars: int, n_clauses: int, t: int
-) -> tuple[list[dict[str, int]], list[int], int]:
-    """The construction's integer ledger: each round's weight table in
+def _ledger(n_vars: int, n_clauses: int, t: int) -> tuple[list[list[int]], list[int], int]:
+    """The construction's integer ledger: each round's valued-slot worths in
     variable order, the top clause items' values in clause order, and T.
 
     Scales are built bottom-up: the ``t`` tail items are worth t..1 along
@@ -379,11 +378,12 @@ def _ledger(
     below = tail_sum + sum(tops)
     target = sum(tops)
     rounds = []
-    for v in range(n_vars, 0, -1):
-        values = _round_values(v, below + 2 * n_vars + 3)
-        below += sum(values.values())
+    for _ in range(n_vars):
+        B = below + 2 * n_vars + 3
+        values = [a * B + e for a, e in _ROUND_WEIGHTS]
+        below += sum(values)
         # each round guarantees the value of its cheaper consistent branch
-        target += sum(values[o] for o in _round_quadruple(v, "T"))
+        target += sum(values[k] for k in _QUADRUPLES["T"])
         rounds.append(values)
     return rounds[::-1], tops, target
 
@@ -413,8 +413,9 @@ def audit_utilities(out: ReductionOutput) -> None:
         _check(vals[a] > vals[b], f"order violated at {a} vs {b}")
     _check(all(v > 0 for v in vals.values()), "non-positive utility")
 
-    n_clauses = len(f.clauses)
-    explicit = 10 * f.num_vars + n_clauses
+    size, valued = len(_ROUND_ITEMS), len(_ROUND_WEIGHTS)
+    first_clause = size * f.num_vars
+    explicit = valued * f.num_vars + len(f.clauses)
     tail_sum = sum(vals[o] for o in pref[explicit:])
     tail_max = max(vals[o] for o in pref[explicit:])
     eps_total = 2 * f.num_vars * scale
@@ -423,34 +424,29 @@ def audit_utilities(out: ReductionOutput) -> None:
     for w in ascending:
         ascending_sum.append(ascending_sum[-1] + w)
 
-    for v in f.variables():
-        x, nx = v, -v
-        o1p, o1n = vals[choice_item(x, 1)], vals[choice_item(nx, 1)]
-        o2p, o2n = vals[choice_item(x, 2)], vals[choice_item(nx, 2)]
-        h = {
-            (s, j): vals[consistency_item(s * v, j)]
-            for s in (1, -1)
-            for j in (1, 2, 3)
-        }
-        B = h[(1, 3)]
+    for v, base in zip(f.variables(), range(0, first_clause, size)):
+        # the valued slots: x's and ~x's o^1, o^2, then h_~x^1..3 and h_x^1..3
+        round_worths = worth[base : base + valued]
+        o1p, o1n, o2p, o2n, hn1, hn2, hn3, hp1, hp2, hp3 = round_worths
+        B = hp3
         # near-ties between a literal's items and its negation's
         _check(0 < o1p - o1n <= eps_total, f"x{v}: o^1 twins not nearly tied")
         _check(0 < o2p - o2n <= eps_total, f"x{v}: o^2 twins not nearly tied")
         _check(o1n - o2p >= B, f"x{v}: o^1 items do not dominate o^2 items")
         # consistency ordering h_~x^1 > h_~x^2 > h_~x^3 > h_x^1 > h_x^2 > h_x^3
-        ordered = [h[(-1, 1)], h[(-1, 2)], h[(-1, 3)], h[(1, 1)], h[(1, 2)], h[(1, 3)]]
+        ordered = [hn1, hn2, hn3, hp1, hp2, hp3]
         _check(all(a > b for a, b in zip(ordered, ordered[1:])), f"x{v}: h order violated")
         # the two consistent pairs tie and beat the inconsistent pair
-        pairs_ok = h[(1, 2)] + h[(-1, 2)] < h[(-1, 1)] + h[(1, 3)] == h[(1, 1)] + h[(-1, 3)]
+        pairs_ok = hp2 + hn2 < hn1 + hp3 == hp1 + hn3
         _check(pairs_ok, f"x{v}: consistency pair inequality violated")
         # inter-round dominance: one unit of this round's scale exceeds the
         # total value of everything below it, epsilon bonuses included
-        round_min = min([o1p, o1n, o2p, o2n] + list(h.values()))
+        round_min = min(round_worths)
         below = ascending_sum[bisect_left(ascending, round_min)]
         _check(round_min - eps_total > below, f"x{v}: round scale does not dominate later items")
 
     # top clause items dominate everything the collection round could scrape up
-    tops = [vals[clause_item(c, 1)] for c in range(1, n_clauses + 1)]
+    tops = worth[first_clause::3]
     for c, top in enumerate(tops, 1):
         _check(top - eps_total > tail_max, f"c{c}: top clause item does not dominate leftovers")
     _check(min(tops) > tail_sum, "clause scale does not dominate the tail")
@@ -460,29 +456,20 @@ def audit_utilities(out: ReductionOutput) -> None:
 
 
 def _round_quadruple(v: int, kind: str) -> list[str]:
-    """The four items the manipulator picks in round v, in pick order.
-
-    kind: "T" (consistent, variable true), "F" (consistent, false),
-    "I1" (inconsistent o_x^1 then o_~x^2), "I2" (inconsistent o_~x^1 then o_x^2).
-    """
-    x, nx = v, -v
-    if kind == "T":
-        return [choice_item(nx, 1), choice_item(nx, 2), consistency_item(nx, 3), consistency_item(x, 1)]
-    if kind == "F":
-        return [choice_item(x, 1), choice_item(x, 2), consistency_item(nx, 1), consistency_item(x, 3)]
-    if kind == "I1":
-        return [choice_item(x, 1), choice_item(nx, 2), consistency_item(nx, 2), consistency_item(x, 2)]
-    if kind == "I2":
-        return [choice_item(nx, 1), choice_item(x, 2), consistency_item(nx, 2), consistency_item(x, 2)]
-    raise ValueError(f"unknown round kind {kind!r}")
+    """The four items the manipulator picks in round v of ``kind``, in pick
+    order (see ``_QUADRUPLES``)."""
+    if kind not in _QUADRUPLES:
+        raise ValueError(f"unknown round kind {kind!r}")
+    return _named([_ROUND_ITEMS[k] for k in _QUADRUPLES[kind]], v)
 
 
 def _pattern_report(out: ReductionOutput, kinds: Sequence[str]) -> tuple[str, ...]:
+    f, items = out.formula, out.instance.items
     body: list[str] = []
-    for v, kind in zip(out.formula.variables(), kinds):
+    for v, kind in zip(f.variables(), kinds):
         body += _round_quadruple(v, kind)
-    body += [clause_item(c, 1) for c in range(1, len(out.formula.clauses) + 1)]
-    return complete_order(body, out.instance.items)
+    body += items[len(_ROUND_ITEMS) * f.num_vars :: 3]  # the top clause items
+    return complete_order(body, items)
 
 
 def assignment_to_report(
@@ -561,19 +548,21 @@ def verify_choice_patterns(
     # one encoding for the whole sweep; each pattern replaces only the
     # manipulator's row, which is safe as the encoding never leaves this call
     enc = Encoded(out.instance)
-    index, manip = enc.item_index, enc.agent_index[MANIPULATOR]
+    manip = enc.agent_index[MANIPULATOR]
     turns = stages_of(enc.seq, manip)
-    tops = [index[out.registry.clause_items[c][0]] for c in range(1, len(f.clauses) + 1)]
+    size = len(_ROUND_ITEMS)
+    tops = list(range(size * f.num_vars, len(items), 3))
     # per round: its quadruple of each kind, its six consistency items and
     # the middle pair that an inconsistent choice must leave the manipulator with
+    six = [k for k, name in enumerate(_ROUND_ITEMS) if name.startswith("h_")]
+    pair = [_ROUND_ITEMS.index(name) for name in ("h_{n}^2", "h_{p}^2")]
     quads, consistency = [], {}
-    for v in f.variables():
-        quads.append({k: [index[o] for o in _round_quadruple(v, k)] for k in ("T", "F", "I1", "I2")})
-        h, nh = ([index[o] for o in out.registry.consistency_items[lit]] for lit in (v, -v))
-        consistency[v] = (frozenset(h + nh), {h[1], nh[1]})
+    for v, base in zip(f.variables(), range(0, size * f.num_vars, size)):
+        quads.append({kind: [base + k for k in quad] for kind, quad in _QUADRUPLES.items()})
+        consistency[v] = (frozenset(base + k for k in six), {base + k for k in pair})
     outcomes = []
     pattern_sat = False
-    for kinds in itertools.product(*quads):  # each round's kinds: T, F, I1, I2
+    for kinds in itertools.product(*quads):  # each round's kinds, in table order
         body = [o for quad, k in zip(quads, kinds) for o in quad[k]]
         enc.prefs[manip] = complete_order(body + tops, range(len(items)))
         picks = PickState(enc).advance(len(enc.seq))

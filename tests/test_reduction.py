@@ -33,15 +33,9 @@ from seqalloc.reduction import (
     RoundSpan,
     _occurrences,
     _pattern_report,
-    _round_quadruple,
-    _round_values,
     assignment_to_report,
     audit_utilities,
     build_instance,
-    choice_item,
-    clause_item,
-    consistency_item,
-    lit_name,
     parse_formula,
     validate_formula,
     verify_choice_patterns,
@@ -396,27 +390,33 @@ def test_pattern_sweep_matches_engine_replay(monkeypatch):
         assert consistent == 2 ** f.num_vars
 
 
-def _name_based_sweep(out):
+def _name_based_sweep(out, quadruple=None):
     """Reference sweep: each pattern's report built from item names, then encoded.
 
-    Every check of ``verify_choice_patterns`` on names: the report through
-    ``_pattern_report``, the bundle as a set of names, utility compared as a
-    ``Fraction`` against T.
+    Every check of ``verify_choice_patterns`` on names: the report from
+    ``quadruple`` (by default ``_round_quadruple`` below) and the top clause
+    items, the bundle as a set of names, utility compared as a ``Fraction``
+    against T.
     """
+    quadruple = quadruple or _round_quadruple
     f = out.formula
     items = out.instance.items
     worth, scale = integer_values(out.utility, MANIPULATOR, items)
     enc = Encoded(out.instance)
     manip = enc.agent_index[MANIPULATOR]
     turns = stages_of(enc.seq, manip)
+    tops = [clause_item(c, 1) for c in range(1, len(f.clauses) + 1)]
     consistency = {}
     for v in f.variables():
-        h, nh = out.registry.consistency_items[v], out.registry.consistency_items[-v]
+        h = [consistency_item(v, j) for j in (1, 2, 3)]
+        nh = [consistency_item(-v, j) for j in (1, 2, 3)]
         consistency[v] = (frozenset(h + nh), {h[1], nh[1]})
     outcomes = []
     pattern_sat = False
     for kinds in itertools.product(["T", "F", "I1", "I2"], repeat=f.num_vars):
-        enc.prefs[manip] = [enc.item_index[o] for o in _pattern_report(out, kinds)]
+        body = [o for v, k in zip(f.variables(), kinds) for o in quadruple(v, k)]
+        report = complete_order(body + tops, items)
+        enc.prefs[manip] = [enc.item_index[o] for o in report]
         picks = PickState(enc).advance(len(enc.seq))
         mine = [picks[t] for t in turns]
         bundle = frozenset(items[k] for k in mine)
@@ -453,10 +453,29 @@ def _name_based_sweep(out):
 
 
 # The compile as it was before it ran on item indices, kept verbatim but for
-# its name and the names of the parts that left ``reduction``: every item and
-# agent named through the naming helpers at each use, every preference
-# completed with ``complete_order`` over names, and a name-keyed utility
-# ledger. The index compile must reproduce it byte for byte.
+# its name: every item and agent named through the naming helpers at each
+# use, every preference completed with ``complete_order`` over names, and a
+# name-keyed utility ledger. The naming helpers, the weight table and the
+# quadruples are this file's own, as they were before ``reduction`` defined
+# a round by one table of slots, so a wrong slot in that table fails the
+# compares below. The index compile must reproduce it byte for byte.
+
+
+def lit_name(lit: int) -> str:
+    v = abs(lit)
+    return f"x{v}" if lit > 0 else f"~x{v}"
+
+
+def choice_item(lit: int, j: int) -> str:
+    return f"o_{lit_name(lit)}^{j}"
+
+
+def consistency_item(lit: int, j: int) -> str:
+    return f"h_{lit_name(lit)}^{j}"
+
+
+def clause_item(c: int, j: int) -> str:
+    return f"o_c{c}^{j}"
 
 
 def agent_id(lit: int, copy: int) -> str:
@@ -465,6 +484,46 @@ def agent_id(lit: int, copy: int) -> str:
 
 def dummy_item(lit: int, j: str) -> str:
     return f"d_{lit_name(lit)}^{j}"
+
+
+def _round_values(v: int, B: int) -> dict[str, int]:
+    """Concrete utilities of the ten manipulator-relevant items of round v.
+
+    Keys are in the manipulator's preference order. A +1 epsilon separates
+    each positive-literal choice item from its negative twin; everything
+    else scales with B.
+    """
+    x, nx = v, -v
+    return {
+        choice_item(x, 1): 100 * B + 1,
+        choice_item(nx, 1): 100 * B,
+        choice_item(x, 2): 90 * B + 1,
+        choice_item(nx, 2): 90 * B,
+        consistency_item(nx, 1): 60 * B,
+        consistency_item(nx, 2): 45 * B,
+        consistency_item(nx, 3): 31 * B,
+        consistency_item(x, 1): 30 * B,
+        consistency_item(x, 2): 15 * B,
+        consistency_item(x, 3): 1 * B,
+    }
+
+
+def _round_quadruple(v: int, kind: str) -> list[str]:
+    """The four items the manipulator picks in round v, in pick order.
+
+    kind: "T" (consistent, variable true), "F" (consistent, false),
+    "I1" (inconsistent o_x^1 then o_~x^2), "I2" (inconsistent o_~x^1 then o_x^2).
+    """
+    x, nx = v, -v
+    if kind == "T":
+        return [choice_item(nx, 1), choice_item(nx, 2), consistency_item(nx, 3), consistency_item(x, 1)]
+    if kind == "F":
+        return [choice_item(x, 1), choice_item(x, 2), consistency_item(nx, 1), consistency_item(x, 3)]
+    if kind == "I1":
+        return [choice_item(x, 1), choice_item(nx, 2), consistency_item(nx, 2), consistency_item(x, 2)]
+    if kind == "I2":
+        return [choice_item(nx, 1), choice_item(x, 2), consistency_item(nx, 2), consistency_item(x, 2)]
+    raise ValueError(f"unknown round kind {kind!r}")
 
 
 def _name_based_build(f: RestrictedFormula) -> ReductionOutput:
@@ -636,24 +695,25 @@ def test_index_sweep_equals_name_based_sweep(name):
     assert len(report.outcomes) == 4 ** formula.num_vars
 
 
-def test_inconsistent_round_error_names_items(reference):
-    """A registry whose middle pair is wrong fails the first inconsistent pattern."""
-    reg = reference.registry
-    h1, h2, h3 = reg.consistency_items[3]
-    broken = dataclasses.replace(
-        reference,
-        registry=dataclasses.replace(
-            reg, consistency_items={**reg.consistency_items, 3: (h2, h1, h3)}
-        ),
-    )
+def test_inconsistent_round_error_names_items(reference, monkeypatch):
+    """An I1 quadruple that picks h_~x^3 for h_~x^2 fails the first
+    inconsistent pattern, with the same message from both sweeps."""
+    broken = dict(reduction._QUADRUPLES, I1=(0, 3, 6, 8))
+    monkeypatch.setattr(reduction, "_QUADRUPLES", broken)
+
+    def broken_quadruple(v, kind):
+        quad = _round_quadruple(v, kind)
+        return quad[:2] + [consistency_item(-v, 3), quad[3]] if kind == "I1" else quad
+
+    assert reduction._round_quadruple(3, "I1") == broken_quadruple(3, "I1")
     expected = (
-        "pattern ('T', 'T', 'I1'): round x3 consistency items ['h_x3^2', 'h_~x3^2'],"
-        " expected exactly ['h_x3^1', 'h_~x3^2']"
+        "pattern ('T', 'T', 'I1'): round x3 consistency items ['h_x3^2', 'h_~x3^3'],"
+        " expected exactly ['h_x3^2', 'h_~x3^2']"
     )
     with pytest.raises(RuntimeError) as swept:
-        verify_choice_patterns(broken)
+        verify_choice_patterns(reference)
     with pytest.raises(RuntimeError) as by_name:
-        _name_based_sweep(broken)
+        _name_based_sweep(reference, broken_quadruple)
     assert str(swept.value) == str(by_name.value) == expected
 
 
@@ -698,3 +758,11 @@ def test_consistent_branches_realize_their_quadruples():
             if stage <= 16 and agent == MANIPULATOR
         ]
         assert round1 == _round_quadruple(1, kind)
+
+
+def test_round_quadruples_match_the_name_based_ones():
+    for v in (1, 2, 7):
+        for kind in ("T", "F", "I1", "I2"):
+            assert reduction._round_quadruple(v, kind) == _round_quadruple(v, kind)
+    with pytest.raises(ValueError, match="unknown round kind 'X'"):
+        reduction._round_quadruple(1, "X")
