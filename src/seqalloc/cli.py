@@ -35,10 +35,11 @@ EXIT_BUDGET = 3
 
 
 def _read_input(path: str) -> tuple[str, str]:
-    """The file's text and the SHA-256 of its bytes, from one read."""
+    """The file's text, without a leading byte-order mark, and the SHA-256
+    of its bytes, from one read."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError([f"{path}: not UTF-8 text ({exc})"]) from exc
     return text, hashlib.sha256(data).hexdigest()

@@ -12,6 +12,8 @@ which they reach those items gives the verdict.
 
 from __future__ import annotations
 
+from itertools import compress, count, repeat
+from operator import eq
 from typing import Collection, Iterable, Sequence
 
 from .model import Allocation, Instance
@@ -27,14 +29,12 @@ class Encoded:
     __slots__ = ("item_index", "agent_index", "prefs", "seq", "m")
 
     def __init__(self, inst: Instance):
-        # locals, not attributes, inside the comprehensions: the lookups run
-        # once per item per agent on every replay
-        item_index = {o: k for k, o in enumerate(inst.items)}
-        agent_index = {a: i for i, a in enumerate(inst.agents)}
+        item_index = dict(zip(inst.items, count()))
+        agent_index = dict(zip(inst.agents, count()))
         self.item_index = item_index
         self.agent_index = agent_index
-        self.prefs = [[item_index[o] for o in inst.preferences[a]] for a in inst.agents]
-        self.seq = [agent_index[a] for a in inst.sequence]
+        self.prefs = [list(map(item_index.__getitem__, inst.preferences[a])) for a in inst.agents]
+        self.seq = list(map(agent_index.__getitem__, inst.sequence))
         self.m = len(inst.items)
 
 
@@ -86,7 +86,7 @@ class PickState:
 
 def stages_of(sequence: Sequence, agent: str | int) -> list[int]:
     """The 0-based stages at which ``agent`` picks, by name or by index."""
-    return [t for t, a in enumerate(sequence) if a == agent]
+    return list(compress(count(), map(eq, sequence, repeat(agent))))
 
 
 def can_achieve(enc: Encoded, manipulator: int, target: Iterable[int]) -> bool:
@@ -160,12 +160,10 @@ def secures(state: PickState, turns: list[int], needed: Collection[int]) -> bool
 def run_sequential_allocation(inst: Instance) -> Allocation:
     """Execute the picking sequence and return bundles plus the full trace."""
     picks = PickState(Encoded(inst)).advance(len(inst.sequence))
-    trace = tuple(
-        (stage + 1, inst.sequence[stage], inst.items[item])
-        for stage, item in enumerate(picks)
-    )
+    names = list(map(inst.items.__getitem__, picks))
+    trace = tuple(zip(range(1, len(names) + 1), inst.sequence, names))
     bundles = {a: set() for a in inst.agents}
-    for _, agent, item in trace:
+    for agent, item in zip(inst.sequence, names):
         bundles[agent].add(item)
     return Allocation({a: frozenset(b) for a, b in bundles.items()}, trace)
 

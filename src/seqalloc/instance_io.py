@@ -21,6 +21,8 @@ its own worth.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 
 from .model import Instance, UtilityFunction, ValidationError, validate_instance, validate_utilities
 
@@ -42,13 +44,19 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     sequence: list[str] | None = None
     utils: dict[str, tuple[int, list[int | Fraction]]] = {}  # agent: (line, row)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    if "#" in text:  # each line up to its first '#'
+        lines = map(itemgetter(0), map(str.split, lines, repeat("#"), repeat(1)))
+    # split() and strip() agree on whitespace: a line of none but whitespace has no fields
+    for line_no, fields in enumerate(map(str.split, lines), start=1):
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "agents":
+        if kind == "item":
+            if len(fields) != 2:
+                raise InstanceParseError(line_no, "expected 'item <name>'")
+            items.append(fields[1])
+        elif kind == "agents":
             if header is not None:
                 raise InstanceParseError(line_no, "duplicate header")
             if len(fields) != 6 or fields[2] != "items" or fields[4] != "seq":
@@ -57,10 +65,6 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
                 header = (int(fields[1]), int(fields[3]), int(fields[5]))
             except ValueError:
                 raise InstanceParseError(line_no, "header counts must be integers") from None
-        elif kind == "item":
-            if len(fields) != 2:
-                raise InstanceParseError(line_no, "expected 'item <name>'")
-            items.append(fields[1])
         elif kind == "pref":
             agent, values = _directive(fields, line_no, "pref")
             if agent in prefs:

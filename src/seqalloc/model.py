@@ -69,7 +69,7 @@ class Instance:
     sequence: tuple[str, ...]
 
     def turns(self, agent: str) -> int:
-        return sum(1 for a in self.sequence if a == agent)
+        return self.sequence.count(agent)
 
     def with_preference(self, agent: str, order: Iterable[str]) -> "Instance":
         """Copy of the instance with one agent's preference replaced;
@@ -310,15 +310,15 @@ def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -
     two of them equally (the induced order would not be strict).
     """
     items = tuple(items)
-    worth, _ = integer_values(u, agent, items)
-    ranked = sorted(range(len(items)), key=lambda k: -worth[k])
-    for j, k in zip(ranked, ranked[1:]):
-        if worth[j] == worth[k]:
-            a, b = items[j], items[k]
-            raise ValidationError(
-                [f"agent {agent} values {a} and {b} equally; induced order is not strict"]
-            )
-    return tuple(items[k] for k in ranked)
+    value = dict(zip(items, integer_values(u, agent, items)[0]))
+    ranked = sorted(items, key=value.__getitem__, reverse=True)  # stable: ties keep item order
+    worth = list(map(value.__getitem__, ranked))
+    if not all(map(gt, worth, worth[1:])):
+        a, b = next((a, b) for a, b, w, v in zip(ranked, ranked[1:], worth, worth[1:]) if w == v)
+        raise ValidationError(
+            [f"agent {agent} values {a} and {b} equally; induced order is not strict"]
+        )
+    return tuple(ranked)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import eq, le
 from typing import Callable, Iterable
 
 from .engine import Encoded, can_achieve, run_sequential_allocation, stages_of
@@ -64,7 +65,7 @@ def canonical_report(
     order is used to keep outputs deterministic.
     """
     S = _known_items(S, all_items)
-    rank = {o: k for k, o in enumerate(opponent_pref)}
+    rank = dict(zip(opponent_pref, range(len(opponent_pref))))
     return complete_order(sorted(S, key=rank.__getitem__), all_items)
 
 
@@ -90,9 +91,9 @@ def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
     opponent = _opponent(inst, manipulator)
     opp_pref = inst.preferences[opponent]
     rank = dict(zip(opp_pref, range(len(opp_pref))))
-    ranks = sorted(rank[o] for o in _known_items(S, rank))
+    ranks = sorted(map(rank.__getitem__, _known_items(S, rank)))
     stages = stages_of(inst.sequence, manipulator)
-    return len(ranks) <= len(stages) and all(s <= p for s, p in zip(stages, ranks))
+    return len(ranks) <= len(stages) and all(map(le, stages, ranks))
 
 
 def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
@@ -138,28 +139,26 @@ def _deadline_test(inst: Instance, manipulator: str) -> Callable[[list[str]], bo
 
     An item of opponent rank r is due by slot H(r), the manipulator's
     stages <= r (the turn count past the sequence), among slots 1..turns.
-    ``parent`` links each slot to a slot no later than it, and ``find(d)``
-    is the latest free slot <= d, 0 meaning none. The kept set is achievable
-    iff each kept item takes a free slot by its deadline, so an item is
-    accepted iff ``find`` of its deadline is a slot, which it then takes.
-    Valid only inside ``ordinal_greedy``, which keeps exactly the items this
-    test accepts.
+    ``parent`` links each slot to a slot no later than it; following the
+    links from slot d (halving the path) ends at the latest free slot <= d,
+    0 meaning none. The kept set is achievable iff each kept item takes a
+    free slot by its deadline, so an item is accepted iff that walk from its
+    deadline ends at a slot, which it then takes. Valid only inside
+    ``ordinal_greedy``, which keeps exactly the items this test accepts.
     """
     opp_pref = inst.preferences[_opponent(inst, manipulator)]
     turns = inst.turns(manipulator)
-    due = list(accumulate(int(a == manipulator) for a in inst.sequence))
-    due += [turns] * (len(opp_pref) - len(due))
-    deadline = dict(zip(opp_pref, due))
+    # due[r + 1] counts the manipulator's stages <= r; due[0] is the initial 0
+    due = list(accumulate(map(eq, inst.sequence, repeat(manipulator)), initial=0))
+    due += [turns] * (len(opp_pref) + 1 - len(due))
+    deadline = dict(zip(opp_pref, due[1:]))
     parent = list(range(turns + 1))
 
-    def find(k: int) -> int:
+    def accepts(trial: list[str]) -> bool:
+        k = deadline[trial[-1]]
         while parent[k] != k:
             parent[k] = parent[parent[k]]
             k = parent[k]
-        return k
-
-    def accepts(trial: list[str]) -> bool:
-        k = find(deadline[trial[-1]])
         if k == 0:
             return False
         parent[k] = k - 1
@@ -224,10 +223,16 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     """Per-agent best-response comparison against the reported profile.
 
     ``inst`` carries the reported preferences; ``u`` carries each agent's
-    true utilities, whose induced order is that agent's true preference.
+    true utilities, whose induced order is that agent's true preference. A
+    row with no ``row_problems`` strictly decreases along the reported
+    order, so it induces that order; any other row is ranked afresh.
     """
     _require_two_agents(inst)
-    true_orders = {a: order_from_utilities(u, a, inst.items) for a in inst.agents}
+    true_orders = {
+        a: order_from_utilities(u, a, inst.items) if row_problems(u, inst, a)
+        else inst.preferences[a]
+        for a in inst.agents
+    }
     current = run_sequential_allocation(inst)
     out = []
     for agent in inst.agents:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -358,6 +359,36 @@ def test_malformed_instance_is_usage_error(capsys, tmp_path):
 
 def test_missing_file_is_usage_error(capsys, tmp_path):
     assert cli.main(["allocate", str(tmp_path / "nope")]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("case.instance", INSTANCE, ["allocate", "case.instance"]),
+        ("case.instance", NOT_NASH_PROFILE, ["nash-verify", "case.instance"]),
+        ("formula.cnf", REFERENCE_FORMULA, ["reduce", "formula.cnf", "--out", "compiled"]),
+    ],
+    ids=["allocate", "nash-verify", "reduce"],
+)
+def test_byte_order_mark_is_skipped(capsys, tmp_path, monkeypatch, name, text, argv):
+    """A UTF-8 file that starts with a byte-order mark reads as the same
+    text; ``input_sha256`` stays the digest of the bytes as stored."""
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        workdir = tmp_path / f"mark{len(mark)}"
+        workdir.mkdir()
+        data = mark + text.encode()
+        (workdir / name).write_bytes(data)
+        monkeypatch.chdir(workdir)
+        code = cli.main(argv)
+        assert code != cli.EXIT_USAGE, capsys.readouterr().err
+        plain = capsys.readouterr().out
+        doc = _run_json(capsys, argv)[1]
+        assert doc.pop("input_sha256") == hashlib.sha256(data).hexdigest()
+        doc.pop("elapsed_seconds")
+        written = sorted((p.name, p.read_bytes()) for p in workdir.iterdir() if p.name != name)
+        runs.append((code, plain, doc, written))
+    assert runs[0] == runs[1]
 
 
 def test_json_results_are_deterministic(capsys, instance_file):

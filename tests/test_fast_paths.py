@@ -1,0 +1,278 @@
+"""The builtin-pass forms of the two-agent path against their per-item forms.
+
+Each reference below is the loop or comprehension that a fast path
+replaced, kept here so the two can be compared on seeded inputs: the same
+answers, and the same errors with the same messages.
+"""
+
+import inspect
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import accumulate
+
+import pytest
+
+from seqalloc import two_agent
+from seqalloc.engine import Encoded, run_sequential_allocation, stages_of
+from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
+from seqalloc.model import (
+    Allocation,
+    UtilityFunction,
+    ValidationError,
+    bundle_utility,
+    integer_values,
+    order_from_utilities,
+)
+from seqalloc.two_agent import NashEvidence, best_response, nash_evidence
+
+from conftest import random_instance
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the error it raised: its type, problems and line number."""
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return type(exc), exc.problems, getattr(exc, "line_no", None)
+
+
+# --- references ---------------------------------------------------------------
+
+
+def _order_by_sort(u, agent, items):
+    """``order_from_utilities`` as a sort of indices with a tie scan per pair."""
+    items = tuple(items)
+    worth, _ = integer_values(u, agent, items)
+    ranked = sorted(range(len(items)), key=lambda k: -worth[k])
+    for j, k in zip(ranked, ranked[1:]):
+        if worth[j] == worth[k]:
+            a, b = items[j], items[k]
+            raise ValidationError(
+                [f"agent {agent} values {a} and {b} equally; induced order is not strict"]
+            )
+    return tuple(items[k] for k in ranked)
+
+
+def _nash_by_ranking(inst, u):
+    """``nash_evidence`` ranking every agent's row afresh, without the shortcut."""
+    true_orders = {a: _order_by_sort(u, a, inst.items) for a in inst.agents}
+    current = run_sequential_allocation(inst)
+    out = []
+    for agent in inst.agents:
+        _, bundle, utility = best_response(inst.with_preference(agent, true_orders[agent]), u, agent)
+        out.append(
+            NashEvidence(
+                agent=agent,
+                current_bundle=current.bundles[agent],
+                current_utility=bundle_utility(u, agent, current.bundles[agent]),
+                best_response_bundle=bundle,
+                best_response_utility=utility,
+            )
+        )
+    return out
+
+
+def _head_lines(text):
+    """The text as the per-line loop reads it: each line up to its first
+    '#', stripped, one line per line so that line numbers stay."""
+    return "\n".join(raw.split("#", 1)[0].strip() for raw in text.splitlines())
+
+
+def _run_by_generator(inst):
+    """``run_sequential_allocation``'s trace and bundles from the stage loop."""
+    enc = Encoded(inst)
+    taken, picks = set(), []
+    for agent in enc.seq:
+        item = next(k for k in enc.prefs[agent] if k not in taken)
+        taken.add(item)
+        picks.append(item)
+    trace = tuple(
+        (stage + 1, inst.sequence[stage], inst.items[item]) for stage, item in enumerate(picks)
+    )
+    bundles = {a: set() for a in inst.agents}
+    for _, agent, item in trace:
+        bundles[agent].add(item)
+    return Allocation({a: frozenset(b) for a, b in bundles.items()}, trace)
+
+
+# --- Nash shortcut --------------------------------------------------------------
+
+_ROW_KINDS = ("consistent", "reordered", "tied", "non-positive", "partial", "missing")
+
+
+def _row(rng, inst, agent, kind):
+    """A utility row of the given kind for ``agent``, or None for no row."""
+    if kind == "missing":
+        return None
+    order = list(inst.preferences[agent])
+    if kind == "reordered":
+        while len(order) > 1 and tuple(order) == inst.preferences[agent]:
+            rng.shuffle(order)
+    steps = [Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 3))) for _ in order]
+    row = dict(zip(reversed(order), accumulate(steps)))
+    if kind == "tied" and len(order) > 1:
+        a, b = rng.sample(order, 2)
+        row[a] = row[b]
+    elif kind == "non-positive":
+        row = {o: v - row[order[-1]] for o, v in row.items()}
+    elif kind == "partial":
+        del row[rng.choice(order)]
+    return row
+
+
+def test_nash_shortcut_matches_ranking_every_row():
+    rng = random.Random(2501)
+    seen = Counter()
+    for _ in range(600):
+        inst = random_instance(rng, 2, rng.randint(1, 9))
+        kinds = {a: rng.choice(_ROW_KINDS) for a in inst.agents}
+        rows = {a: _row(rng, inst, a, k) for a, k in kinds.items()}
+        u = UtilityFunction({a: r for a, r in rows.items() if r is not None})
+        got = _outcome(nash_evidence, inst, u)
+        assert got == _outcome(_nash_by_ranking, inst, u), (inst, kinds)
+        seen[kinds[inst.agents[0]], isinstance(got, list)] += 1
+    # every kind of row, and both answers and errors, came up
+    assert {k for k, _ in seen} == set(_ROW_KINDS)
+    assert seen["consistent", True] and seen["reordered", True] and seen["tied", False]
+
+
+def test_nash_shortcut_skips_ranking_only_for_consistent_rows(monkeypatch):
+    rng = random.Random(2502)
+    ranked = []
+    real = two_agent.order_from_utilities
+    monkeypatch.setattr(
+        two_agent, "order_from_utilities", lambda u, a, items: ranked.append(a) or real(u, a, items)
+    )
+    for kinds in (("consistent", "consistent"), ("consistent", "reordered")):
+        inst = random_instance(rng, 2, 8)
+        rows = {a: _row(rng, inst, a, k) for a, k in zip(inst.agents, kinds)}
+        ranked.clear()
+        nash_evidence(inst, UtilityFunction(rows))
+        assert ranked == [a for a, k in zip(inst.agents, kinds) if k != "consistent"]
+
+
+# --- parse pre-pass ---------------------------------------------------------------
+
+_BREAKS = ("\n", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028")
+_SPACES = (" ", " ", "  ", "\t", " \t", "\xa0", "\u3000")
+_MALFORMED = (
+    "gizmo o1", "item", "item a b", "pref 1 o1", "seq 1 2", "util 1 : x", ":",
+    "agents 2 items 3", "agents 2 items 3 seq x", "agents 1 items 1 seq 1",
+)
+
+
+def _noisy_text(rng, comments: bool):
+    """A serialized instance with comments, blank lines, odd whitespace and
+    line endings, and now and then a malformed line."""
+    inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 6))
+    rows = {a: {o: len(inst.items) - k for k, o in enumerate(inst.preferences[a])}
+            for a in inst.agents if rng.random() < 0.6}
+    lines = serialize_instance(inst, UtilityFunction(rows) if rows else None).splitlines()
+    out = []
+    for line in lines:
+        if comments and rng.random() < 0.15:
+            out.append("#" + rng.choice(("", " ", " note ")) + rng.choice(lines))
+        if rng.random() < 0.15:
+            out.append(rng.choice(("", " ", "\t", " \t ", "\xa0")))
+        if rng.random() < 0.05:
+            out.append(rng.choice(_MALFORMED))
+        fields = line.split()
+        line = "".join(f + rng.choice(_SPACES) for f in fields[:-1]) + fields[-1]
+        line = rng.choice(("", "", " ", "\t")) + line + rng.choice(("", "", " ", "\t"))
+        if comments and rng.random() < 0.2:
+            # after the line or anywhere in it, also inside a value
+            cut = rng.choice((len(line), rng.randint(0, len(line))))
+            line = line[:cut] + "#" + rng.choice(("", " x", "#", " item o1"))
+        out.append(line)
+    return "".join(line + rng.choice(_BREAKS) for line in out)
+
+
+def test_parse_pre_pass_matches_the_per_line_loop():
+    rng = random.Random(2503)
+    seen = Counter()
+    for k in range(1500):
+        text = _noisy_text(rng, comments=k % 3 != 0)
+        got = _outcome(parse_instance, text)
+        assert got == _outcome(parse_instance, _head_lines(text)), repr(text)
+        seen["#" in text, isinstance(got, tuple) and got[0] is InstanceParseError] += 1
+    # texts with and without '#', parsed and rejected with a line number
+    assert seen[True, True] and seen[True, False] and seen[False, True] and seen[False, False]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_parse_keeps_line_numbers_across_comments_and_endings(newline):
+    text = newline.join([
+        "# header next", "agents 1 items 2 seq 1", "\t", "item a # first", "item b",
+        "pref 1 : a b  #", "seq : 1", "util 1 : 2 # 1", "",
+    ])
+    with pytest.raises(InstanceParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line_no == 8
+    assert str(exc.value) == "line 8: agent 1: 1 utilities for 2 items"
+
+
+# --- helpers against their comprehension forms ----------------------------------
+
+
+def test_turns_stages_and_encoding_match_comprehensions():
+    rng = random.Random(2504)
+    for _ in range(300):
+        inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 12))
+        enc = Encoded(inst)
+        assert enc.prefs == [[inst.items.index(o) for o in inst.preferences[a]] for a in inst.agents]
+        assert enc.seq == [inst.agents.index(a) for a in inst.sequence]
+        assert enc.item_index == {o: k for k, o in enumerate(inst.items)}
+        assert enc.agent_index == {a: i for i, a in enumerate(inst.agents)}
+        for i, a in enumerate((*inst.agents, "nobody")):  # "nobody" has no turn
+            stages = [t for t, b in enumerate(inst.sequence) if b == a]
+            assert inst.turns(a) == sum(1 for b in inst.sequence if b == a) == len(stages)
+            assert stages_of(inst.sequence, a) == stages
+            assert stages_of(enc.seq, i) == [t for t, j in enumerate(enc.seq) if j == i]
+
+
+def test_run_matches_the_stage_loop():
+    rng = random.Random(2505)
+    for n in range(2, 6):
+        for _ in range(80):
+            m = rng.randint(1, 10)
+            inst = random_instance(rng, n, m, L=rng.randint(0, min(m, 4)))
+            got = run_sequential_allocation(inst)
+            assert got == _run_by_generator(inst)
+            assert all(type(s) is int for s, _, _ in got.trace)
+
+
+def test_deadlines_match_the_running_turn_count():
+    rng = random.Random(2506)
+    seen = Counter()
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        inst = random_instance(rng, 2, m, L=rng.randint(0, m))
+        manip = rng.choice(inst.agents)
+        opp = next(a for a in inst.agents if a != manip)
+        turns = inst.turns(manip)
+        due = list(accumulate(int(a == manip) for a in inst.sequence))
+        due += [turns] * (m - len(due))
+        test = two_agent._deadline_test(inst, manip)
+        deadline = inspect.getclosurevars(test).nonlocals["deadline"]
+        assert deadline == dict(zip(inst.preferences[opp], due))
+        assert all(type(d) is int for d in deadline.values())
+        seen[turns == 0, len(inst.sequence) < m] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+
+
+def test_order_from_utilities_matches_the_index_sort():
+    rng = random.Random(2507)
+    seen = Counter()
+    for _ in range(500):
+        m = rng.randint(1, 10)
+        items = [f"o{k}" for k in range(m)]
+        row = {o: Fraction(rng.randint(1, 6), rng.choice((1, 2))) for o in items}
+        if rng.random() < 0.1:
+            del row[rng.choice(items)]
+        u = UtilityFunction({"1": row})
+        order = rng.sample(items, m)
+        got = _outcome(order_from_utilities, u, "1", order)
+        assert got == _outcome(_order_by_sort, u, "1", order)
+        seen[isinstance(got, tuple) and type(got[0]) is type] += 1
+    assert seen[True] and seen[False]
