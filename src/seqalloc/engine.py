@@ -12,9 +12,9 @@ which they reach those items gives the verdict.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
 from itertools import compress, count, repeat
 from operator import eq
-from typing import Collection, Iterable, Sequence
 
 from .model import Allocation, Instance
 

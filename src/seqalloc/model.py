@@ -1,20 +1,74 @@
 """Domain types for sequential allocation: instances, utilities, allocations.
 
-All types are immutable after construction. Utilities are exact rationals
-(``fractions.Fraction``) at the API only: ``UtilityFunction`` holds each
-agent's row once, as integer worths over one positive scale
-(``UtilityFunction.rows``), so every comparison and sum is exact integer
-arithmetic and tie detection is deterministic.
+All types are immutable after construction. Every result type of the
+package is a ``Record``: a frozen class of named fields with value
+equality, written out once here rather than generated per class, so that
+importing the package loads no module beyond the few it computes with.
+Utilities are exact rationals (``fractions.Fraction``) at the API only:
+``UtilityFunction`` holds each agent's row once, as integer worths over one
+positive scale (``UtilityFunction.rows``), so every comparison and sum is
+exact integer arithmetic and tie detection is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import filterfalse
 from math import lcm
 from operator import gt
-from typing import Iterable, Mapping, Sequence
+
+
+class Record:
+    """A frozen record: its fields are the subclass's own annotated names.
+
+    Fields are given by position or keyword; a class attribute of a field's
+    name is its default. Records are equal, and hash alike, when they are of
+    the same class with equal field values. Assigning or deleting an
+    attribute raises AttributeError. Values live in ``__dict__``, so copy,
+    deepcopy and pickle need no support here.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+            return
+        name, defaults = type(self).__name__, vars(type(self))
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unknown or repeated field {key!r}")
+        values.update(kwargs)
+        for key in fields:
+            if key not in values and key not in defaults:
+                raise TypeError(f"{name}() missing field {key!r}")
+            self.__dict__[key] = values[key] if key in values else defaults[key]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *map(self.__dict__.__getitem__, self._fields)))
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
 
 
 class ValidationError(ValueError):
@@ -55,8 +109,7 @@ def check_budget(name: str, budget: int) -> None:
         raise ValidationError([f"{name} must be non-negative, got {budget}"])
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A complete allocation setting: items, agents, preferences, sequence.
 
     ``items`` doubles as the canonical global item order used wherever a
@@ -153,8 +206,7 @@ def validate_instance(
     return Instance(items, agents, prefs, sequence)
 
 
-@dataclass(frozen=True)
-class UtilityFunction:
+class UtilityFunction(Record):
     """Per-agent additive item utilities, exact and integer inside.
 
     ``rows[agent] = (worth, scale)``: ``worth[o] / scale`` is the agent's
@@ -165,8 +217,7 @@ class UtilityFunction:
     ``int`` values is its own worth at scale 1 and is only copied; a row
     with any ``bool`` or ``Fraction`` is converted over the lcm of its
     denominators. May cover a subset of the agents (e.g. only the
-    manipulator). ``dataclasses.replace`` is not supported: the constructor
-    takes values, not converted rows.
+    manipulator).
     """
 
     rows: Mapping[str, tuple[Mapping[str, int], int]]
@@ -184,7 +235,7 @@ class UtilityFunction:
                     )
             worth, scale = _over_common_denominator(list(row.values()))
             converted[agent] = (dict(zip(row, worth)), scale)
-        object.__setattr__(self, "rows", converted)
+        self.__dict__["rows"] = converted
 
     @property
     def values(self) -> dict[str, dict[str, Fraction]]:
@@ -321,8 +372,7 @@ def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -
     return tuple(ranked)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """Bundles per agent plus the stage-by-stage pick trace.
 
     Trace entries are ``(stage, agent, item)`` with stages numbered from 1.
@@ -330,7 +380,7 @@ class Allocation:
     """
 
     bundles: Mapping[str, frozenset[str]]
-    trace: tuple[tuple[int, str, str], ...] = field(default_factory=tuple)
+    trace: tuple[tuple[int, str, str], ...] = ()
 
     def holder_of(self, item: str) -> str | None:
         for agent, bundle in self.bundles.items():

@@ -57,17 +57,17 @@ whether each extension of its kept set is achievable.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from itertools import compress, product, repeat, starmap
 from math import inf
-from typing import Callable, Iterator, Mapping
 
 from .engine import Encoded, PickState, secures, stages_of
 from .model import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     Instance,
+    Record,
     UtilityFunction,
     ValidationError,
     check_budget,
@@ -77,8 +77,7 @@ from .model import (
 from .two_agent import ordinal_greedy
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     max_utility: Fraction
     optimal_bundles: tuple[frozenset[str], ...]
     witness_reports: Mapping[frozenset, tuple[str, ...]]
@@ -287,7 +286,9 @@ def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[
     Scans the manipulator's true order and keeps an item whenever some
     report gives a bundle containing the kept set plus that item
     (``engine.secures``, every check from one state at the manipulator's
-    first turn). Correct for two agents, not in general.
+    first turn). Correct for two agents, not in general. It is exact under
+    lexicographic utilities for any number of agents: a greedy in preference
+    order over a subset-closed family finds the lexicographic maximum.
     """
     enc, turns, start = _setup(inst, manipulator)  # every check shares ``start``
     index = enc.item_index

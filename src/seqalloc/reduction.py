@@ -29,9 +29,8 @@ import itertools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .engine import Encoded, PickState, run_with_report, stages_of
 from .model import (
@@ -39,6 +38,7 @@ from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
+    Record,
     UtilityFunction,
     ValidationError,
     bundle_utility,
@@ -55,8 +55,7 @@ class FormulaError(ValidationError):
     """A formula that is not restricted 3-CNF, or malformed DIMACS text."""
 
 
-@dataclass(frozen=True)
-class RestrictedFormula:
+class RestrictedFormula(Record):
     """3-CNF with every literal occurring exactly twice.
 
     Clauses are ordered triples of nonzero DIMACS-style integers; variable
@@ -203,16 +202,14 @@ def _named(templates: Sequence[str], v: int) -> list[str]:
     return "\0".join(templates).format(p=f"x{v}", n=f"~x{v}").split("\0")
 
 
-@dataclass(frozen=True)
-class RoundSpan:
+class RoundSpan(Record):
     kind: str  # "choice" | "clause" | "collection"
     label: str  # variable or clause name, "" for collection
     start: int  # 1-based stage, inclusive
     end: int
 
 
-@dataclass(frozen=True)
-class GadgetRegistry:
+class GadgetRegistry(Record):
     """Names of every generated agent and item, keyed by formula element."""
 
     literal_agents: Mapping[tuple[int, int], str]  # (literal, copy) -> agent
@@ -238,8 +235,7 @@ class GadgetRegistry:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(Record):
     formula: RestrictedFormula
     instance: Instance
     utility: UtilityFunction  # covers the manipulator only
@@ -488,8 +484,7 @@ def assignment_to_report(
     return _pattern_report(out, kinds)
 
 
-@dataclass(frozen=True)
-class ForwardResult:
+class ForwardResult(Record):
     utility: Fraction
     meets_target: bool
     allocation: Allocation
@@ -505,8 +500,7 @@ def verify_forward(out: ReductionOutput, assignment: Mapping[int, bool]) -> Forw
     return ForwardResult(utility, utility >= out.target, alloc, bundle)
 
 
-@dataclass(frozen=True)
-class PatternOutcome:
+class PatternOutcome(Record):
     kinds: tuple[str, ...]
     utility: Fraction
     meets_target: bool
@@ -515,8 +509,7 @@ class PatternOutcome:
     satisfies: bool | None
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(Record):
     outcomes: tuple[PatternOutcome, ...]
     satisfiable: bool  # via the structured patterns
     sat_enumeration_agrees: bool  # cross-check against direct 2^|X| enumeration

@@ -22,15 +22,15 @@ item.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import eq, le
-from typing import Callable, Iterable
 
 from .engine import Encoded, can_achieve, run_sequential_allocation, stages_of
 from .model import (
     Instance,
+    Record,
     UtilityFunction,
     ValidationError,
     bundle_utility,
@@ -206,8 +206,7 @@ def best_response(
     return report, bundle, bundle_utility(u, manipulator, bundle)
 
 
-@dataclass(frozen=True)
-class NashEvidence:
+class NashEvidence(Record):
     agent: str
     current_bundle: frozenset[str]
     current_utility: Fraction

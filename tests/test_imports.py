@@ -1,4 +1,5 @@
-"""The import footprint: a call loads only the submodules it uses.
+"""The import footprint: a call loads only the submodules it uses, and no
+standard-library module that only declares types or generates classes.
 
 Footprints are read in fresh interpreters, because this test process has
 already imported every submodule.
@@ -54,20 +55,22 @@ util 2 : 8 4 2 1
 """
 
 
-def _loaded_after(code: str, cwd) -> set[str]:
-    """The seqalloc submodules a fresh interpreter holds after ``code``."""
-    script = (
-        code
-        + "\nimport json, sys"
-        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('seqalloc.'))))"
-    )
+def _modules_after(code: str, cwd, flags=()) -> set[str]:
+    """Every module a fresh interpreter, started with ``flags``, holds after
+    ``code``."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         cwd=cwd, env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    return {name.removeprefix("seqalloc.") for name in loaded}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code: str, cwd) -> set[str]:
+    """The seqalloc submodules a fresh interpreter holds after ``code``."""
+    loaded = _modules_after(code, cwd)
+    return {name.removeprefix("seqalloc.") for name in loaded if name.startswith("seqalloc.")}
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
@@ -136,3 +139,66 @@ def test_a_name_patched_on_its_submodule_is_what_the_package_gives(monkeypatch):
 
     monkeypatch.setattr(seqalloc.oracle, "brute_force_best_response", patched)
     assert seqalloc.brute_force_best_response is patched
+
+
+# ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis``,
+# ``tokenize`` and ``linecache``: together about 10 ms of every fresh process
+CLASS_MACHINERY = {"dataclasses", "inspect"}
+
+_PARSED = (
+    "from seqalloc.instance_io import parse_instance\n"
+    "inst, u = parse_instance(open('profile.instance').read())\n"
+)
+
+ENTRY_POINTS = {
+    "best_response": _PARSED + "seqalloc.best_response(inst, u, '1')",
+    "brute_force_best_response": _PARSED + "seqalloc.brute_force_best_response(inst, u, '1')",
+    "build_instance": (
+        "from seqalloc.golden import REFERENCE_FORMULA\n"
+        "seqalloc.build_instance(seqalloc.parse_formula(REFERENCE_FORMULA))"
+    ),
+}
+
+COMMANDS = {
+    "allocate": ["allocate", "profile.instance"],
+    "nash-verify": ["nash-verify", "profile.instance"],
+    "best-response-two-agent": [
+        "best-response", "profile.instance", "--agent", "1", "--mode", "two-agent",
+    ],
+    "best-response-oracle": [
+        "best-response", "profile.instance", "--agent", "1", "--mode", "oracle",
+    ],
+    "reduce": ["reduce", "ref.cnf", "--out", "ref"],
+    "verify-reduction-patterns": ["verify-reduction", "ref.cnf", "--patterns"],
+    "examples": ["examples"],
+}
+
+
+def _inputs(tmp_path):
+    from seqalloc.golden import REFERENCE_FORMULA
+
+    (tmp_path / "profile.instance").write_text(PROFILE)
+    (tmp_path / "ref.cnf").write_text(REFERENCE_FORMULA)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_call_loads_no_class_machinery(tmp_path, name):
+    _inputs(tmp_path)
+    loaded = _modules_after("import seqalloc\n" + ENTRY_POINTS[name], tmp_path)
+    assert not loaded & CLASS_MACHINERY, name
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_command_loads_no_class_machinery(tmp_path, command):
+    _inputs(tmp_path)
+    code = f"from seqalloc import cli\nstatus = cli.main({COMMANDS[command]!r})\nassert status == 0"
+    assert not _modules_after(code, tmp_path) & CLASS_MACHINERY, command
+
+
+def test_a_two_agent_query_loads_no_typing(tmp_path):
+    """Under ``-S`` no site hook imports ``typing`` first, so this sees the
+    package's own imports: every annotation is a string, and the names it
+    uses come from ``collections.abc``."""
+    _inputs(tmp_path)
+    code = "import seqalloc\n" + ENTRY_POINTS["best_response"]
+    assert "typing" not in _modules_after(code, tmp_path, flags=["-S"])

@@ -1,12 +1,16 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from seqalloc.golden import REFERENCE_FORMULA
 from seqalloc.model import (
     Allocation,
     Instance,
+    Record,
     UtilityFunction,
     ValidationError,
     bundle_utility,
@@ -15,6 +19,19 @@ from seqalloc.model import (
     validate_instance,
     validate_utilities,
 )
+from seqalloc.oracle import OracleResult, brute_force_best_response
+from seqalloc.reduction import (
+    ForwardResult,
+    GadgetRegistry,
+    PatternOutcome,
+    PatternReport,
+    ReductionOutput,
+    RestrictedFormula,
+    RoundSpan,
+    build_instance,
+    parse_formula,
+)
+from seqalloc.two_agent import NashEvidence
 
 from conftest import random_consistent_utilities, random_instance
 
@@ -450,3 +467,187 @@ def test_integer_row_is_copied():
     row["a"] = 100
     row["c"] = 1
     assert u.rows == {"1": ({"a": 3, "b": 2}, 1)}
+
+
+# One record of every result type, with the repr a frozen dataclass gave it.
+_SPAN = RoundSpan("choice", "x1", 1, 16)
+_FORMULA = RestrictedFormula(3, ((1, 2, 3), (-1, -2, -3)))
+_INSTANCE = Instance(("a", "b"), ("1", "2"), {"1": ("a", "b"), "2": ("b", "a")}, ("1", "2"))
+_UTILITY = UtilityFunction({"1": {"a": 2, "b": Fraction(1, 2)}})
+_ALLOCATION = Allocation({"1": frozenset({"a"})})
+_REGISTRY = GadgetRegistry(
+    {(1, 1): "a_x1^1"}, {1: ("o_x1^1", "o_x1^2")}, {}, {}, {}, {}, {1: (1, 2)}, (_SPAN,)
+)
+_OUTCOME = PatternOutcome(("I1",), Fraction(1), False, False, None, None)
+RECORDS = {
+    "Instance": (
+        _INSTANCE,
+        "Instance(items=('a', 'b'), agents=('1', '2'), "
+        "preferences={'1': ('a', 'b'), '2': ('b', 'a')}, sequence=('1', '2'))",
+    ),
+    "UtilityFunction": (_UTILITY, "UtilityFunction(rows={'1': ({'a': 4, 'b': 1}, 2)})"),
+    "Allocation": (_ALLOCATION, "Allocation(bundles={'1': frozenset({'a'})}, trace=())"),
+    "NashEvidence": (
+        NashEvidence("1", frozenset({"a"}), Fraction(2), frozenset({"b"}), Fraction(1, 2)),
+        "NashEvidence(agent='1', current_bundle=frozenset({'a'}), "
+        "current_utility=Fraction(2, 1), best_response_bundle=frozenset({'b'}), "
+        "best_response_utility=Fraction(1, 2))",
+    ),
+    "OracleResult": (
+        OracleResult(Fraction(5, 2), (frozenset({"a"}),), {frozenset({"a"}): ("a", "b")}, 3),
+        "OracleResult(max_utility=Fraction(5, 2), optimal_bundles=(frozenset({'a'}),), "
+        "witness_reports={frozenset({'a'}): ('a', 'b')}, checks=3)",
+    ),
+    "RestrictedFormula": (
+        _FORMULA, "RestrictedFormula(num_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))"
+    ),
+    "RoundSpan": (_SPAN, "RoundSpan(kind='choice', label='x1', start=1, end=16)"),
+    "GadgetRegistry": (
+        _REGISTRY,
+        "GadgetRegistry(literal_agents={(1, 1): 'a_x1^1'}, "
+        "choice_items={1: ('o_x1^1', 'o_x1^2')}, consistency_items={}, dummy_items={}, "
+        "clause_items={}, clause_agents={}, occurrences={1: (1, 2)}, "
+        "rounds=(RoundSpan(kind='choice', label='x1', start=1, end=16),))",
+    ),
+    "ReductionOutput": (
+        ReductionOutput(_FORMULA, _INSTANCE, _UTILITY, Fraction(7), _REGISTRY),
+        f"ReductionOutput(formula={_FORMULA!r}, instance={_INSTANCE!r}, utility={_UTILITY!r}, "
+        f"target=Fraction(7, 1), registry={_REGISTRY!r})",
+    ),
+    "ForwardResult": (
+        ForwardResult(Fraction(3), True, _ALLOCATION, frozenset({"a"})),
+        "ForwardResult(utility=Fraction(3, 1), meets_target=True, "
+        "allocation=Allocation(bundles={'1': frozenset({'a'})}, trace=()), "
+        "manipulator_bundle=frozenset({'a'}))",
+    ),
+    "PatternOutcome": (
+        PatternOutcome(("T", "F"), Fraction(1), False, True, {1: True, 2: False}, False),
+        "PatternOutcome(kinds=('T', 'F'), utility=Fraction(1, 1), meets_target=False, "
+        "consistent=True, assignment={1: True, 2: False}, satisfies=False)",
+    ),
+    "PatternReport": (
+        PatternReport((_OUTCOME,), True, True),
+        "PatternReport(outcomes=(PatternOutcome(kinds=('I1',), utility=Fraction(1, 1), "
+        "meets_target=False, consistent=False, assignment=None, satisfies=None),), "
+        "satisfiable=True, sat_enumeration_agrees=True)",
+    ),
+}
+
+
+def _values(record):
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def _rebuilt(record):
+    """An equal record made afresh from the field values, by keyword."""
+    cls = type(record)
+    if cls is UtilityFunction:  # its constructor takes values, not converted rows
+        return UtilityFunction(record.values)
+    return cls(**dict(zip(record._fields, _values(record))))
+
+
+def _hashable(record):
+    try:
+        hash(_values(record))
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_result_type_is_a_record():
+    assert {type(r).__name__ for r, _ in RECORDS.values()} == set(RECORDS)
+    assert all(isinstance(r, Record) for r, _ in RECORDS.values())
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_repr_is_pinned(name):
+    record, text = RECORDS[name]
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_by_class_and_values(name):
+    record, _ = RECORDS[name]
+    twin = _rebuilt(record)
+    assert twin is not record and twin == record and not twin != record
+    assert record != _values(record)
+    assert record != object()
+    if _hashable(record):
+        assert hash(twin) == hash(record)
+    else:  # a dict field makes the record unhashable, as its dict is
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
+def test_records_of_other_classes_or_values_differ():
+    class Span(Record):
+        kind: str
+        label: str
+        start: int
+        end: int
+
+    assert Span(*_values(_SPAN)) != _SPAN
+    assert RoundSpan("choice", "x1", 1, 17) != _SPAN
+    assert len({_SPAN, RoundSpan("choice", "x1", 1, 16), RoundSpan("clause", "x1", 1, 16)}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_frozen(name):
+    record, text = RECORDS[name]
+    field = record._fields[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(record, field)
+    assert repr(record) == text
+
+
+def _round_trips(record):
+    for copied in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record) and copied == record
+        assert repr(copied) == repr(record)
+        with pytest.raises(AttributeError):
+            setattr(copied, record._fields[0], None)
+
+
+def test_reference_compile_copies_and_pickles():
+    _round_trips(build_instance(parse_formula(REFERENCE_FORMULA)))
+
+
+def test_oracle_result_copies_and_pickles():
+    inst = small()
+    u = make_lexicographic_utilities(inst.preferences)
+    result = brute_force_best_response(inst, u, "1")
+    assert isinstance(result, OracleResult)
+    _round_trips(result)
+
+
+def test_records_take_fields_by_keyword_or_position():
+    assert RoundSpan(kind="choice", label="x1", start=1, end=16) == _SPAN
+    assert RoundSpan("choice", "x1", end=16, start=1) == _SPAN
+    assert Allocation(bundles=_ALLOCATION.bundles).trace == ()
+    trace = ((1, "1", "a"),)
+    assert Allocation(_ALLOCATION.bundles, trace=trace).trace is trace
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("choice", "x1", 1), {}, "missing field 'end'"),
+        (("choice", "x1", 1, 16), {"width": 2}, "got an unknown or repeated field 'width'"),
+        (("choice", "x1", 1), {"kind": "clause"}, "got an unknown or repeated field 'kind'"),
+        (("choice", "x1", 1, 16, 0), {}, "takes 4 fields, got 5"),
+    ],
+    ids=["missing", "unknown", "repeated", "too-many"],
+)
+def test_a_wrong_field_is_type_error(args, kwargs, message):
+    with pytest.raises(TypeError) as exc:
+        RoundSpan(*args, **kwargs)
+    assert str(exc.value) == f"RoundSpan() {message}"
+
+
+def test_an_allocation_needs_its_bundles():
+    with pytest.raises(TypeError, match="^Allocation\\(\\) missing field 'bundles'$"):
+        Allocation(trace=())

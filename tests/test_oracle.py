@@ -139,6 +139,26 @@ def test_greedy_optimal_for_two_agents():
         assert bundle_utility(u, manip, greedy) == oracle.max_utility
 
 
+def test_greedy_is_the_unique_optimum_under_lexicographic_utilities():
+    """Utilities 2^(m-k) rank bundles lexicographically along the order, and
+    the achievable sets are closed under subsets; a greedy in preference
+    order over a subset-closed family finds its lexicographic maximum. So
+    the greedy, wrong for three or more agents in general, is exact here."""
+    rng = random.Random(66)
+    not_prefix = 0
+    for _ in range(1000):
+        n = rng.randint(3, 5)
+        inst = random_instance(rng, n=n, m=rng.randint(n, 11))
+        manip = rng.choice(inst.agents)
+        u = make_lexicographic_utilities(inst.preferences)
+        greedy = refuted_greedy_best_response(inst, manip)
+        assert brute_force_best_response(inst, u, manip).optimal_bundles == (greedy,), (
+            inst, manip,
+        )
+        not_prefix += greedy != set(inst.preferences[manip][: len(greedy)])
+    assert not_prefix >= 150, not_prefix
+
+
 def test_refuted_greedy_on_one_start_state_matches_can_achieve_form():
     """The greedy with every check from one shared start state keeps the
     items it keeps when each check is a fresh ``engine.can_achieve`` replay."""

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -214,9 +213,8 @@ def _with_values(out, edits=None, scale=1, preference=None):
     instance = out.instance
     if preference is not None:
         instance = instance.with_preference(MANIPULATOR, preference)
-    return dataclasses.replace(
-        out, instance=instance, utility=UtilityFunction({MANIPULATOR: vals})
-    )
+    utility = UtilityFunction({MANIPULATOR: vals})
+    return ReductionOutput(out.formula, instance, utility, out.target, out.registry)
 
 
 # One hand-edited value row per named inequality of the reference ledger
@@ -275,23 +273,28 @@ def test_audit_scales_its_constants_with_the_values(reference):
 def test_audit_requires_utilities_on_every_item(reference):
     vals = dict(reference.utility.values[MANIPULATOR])
     del vals["o_c4^3"]
-    broken = dataclasses.replace(reference, utility=UtilityFunction({MANIPULATOR: vals}))
+    utility = UtilityFunction({MANIPULATOR: vals})
+    broken = ReductionOutput(
+        reference.formula, reference.instance, utility, reference.target, reference.registry
+    )
     with pytest.raises(ValidationError, match="utilities of agent 1 do not cover the item set"):
         audit_utilities(broken)
 
 
 # Swap the manipulator's two top values on the reference compile.
 _BROKEN_LEDGER_AUDIT = """
-import dataclasses
 from seqalloc.golden import REFERENCE_FORMULA
 from seqalloc.model import UtilityFunction
-from seqalloc.reduction import MANIPULATOR, audit_utilities, build_instance, parse_formula
+from seqalloc.reduction import (
+    MANIPULATOR, ReductionOutput, audit_utilities, build_instance, parse_formula,
+)
 
 out = build_instance(parse_formula(REFERENCE_FORMULA))
 vals = dict(out.utility.values[MANIPULATOR])
 first, second = out.instance.preferences[MANIPULATOR][:2]
 vals[first], vals[second] = vals[second], vals[first]
-audit_utilities(dataclasses.replace(out, utility=UtilityFunction({MANIPULATOR: vals})))
+utility = UtilityFunction({MANIPULATOR: vals})
+audit_utilities(ReductionOutput(out.formula, out.instance, utility, out.target, out.registry))
 """
 
 
