@@ -292,8 +292,13 @@ def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[
     """
     enc, turns, start = _setup(inst, manipulator)  # every check shares ``start``
     index = enc.item_index
-    return frozenset(
-        ordinal_greedy(
-            inst, manipulator, lambda trial: secures(start, turns, [index[o] for o in trial])
-        )
-    )
+    kept: list[int] = []
+
+    def accepts(o: str) -> bool:
+        kept.append(index[o])
+        if secures(start, turns, kept):
+            return True
+        kept.pop()
+        return False
+
+    return frozenset(ordinal_greedy(inst, manipulator, accepts))

@@ -18,13 +18,18 @@ best response schedules each kept item in the latest free slot by its
 deadline, found by a union-find over the slots (CLRS, Problem 16-4), so a
 best response costs O(m alpha(m)), with no call of the closed form per
 item.
+
+Each answer is one builtin pass over an order: one pass over the
+opponent's order yields the ranks p_j already sorted and, in the same way,
+the head of the canonical report; the greedy is one ``filter`` of the
+manipulator's order by a per-item test.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, le
 
 from .engine import Encoded, can_achieve, run_sequential_allocation, stages_of
@@ -59,14 +64,25 @@ def _opponent(inst: Instance, manipulator: str) -> str:
 def canonical_report(
     S: Iterable[str], opponent_pref: tuple[str, ...], all_items: tuple[str, ...]
 ) -> tuple[str, ...]:
-    """Target items first, sorted by the opponent's preference; then the rest.
+    """Target items first, in the opponent's order; then the rest.
 
-    The tail order never affects the outcome, so the fixed canonical item
-    order is used to keep outputs deterministic.
+    One pass over ``opponent_pref`` picks out the items of S in its order,
+    and the tail is every other item of ``all_items`` (distinct ids) in that
+    fixed canonical order, which never affects the outcome and keeps
+    outputs deterministic. ValidationError if S names an item outside
+    ``all_items``, or if ``opponent_pref`` does not list every item of S
+    exactly once.
     """
-    S = _known_items(S, all_items)
-    rank = dict(zip(opponent_pref, range(len(opponent_pref))))
-    return complete_order(sorted(S, key=rank.__getitem__), all_items)
+    S = frozenset(S)
+    head = list(compress(opponent_pref, map(S.__contains__, opponent_pref)))
+    report = complete_order(head, all_items)
+    if len(head) != len(S) or len(report) != len(all_items):
+        _known_items(S, all_items)
+        miscounted = sorted(o for o in S if opponent_pref.count(o) != 1)
+        raise ValidationError(
+            [f"target items not listed exactly once in the opponent's order: {miscounted}"]
+        )
+    return report
 
 
 def _known_items(S: Iterable[str], items: Iterable[str]) -> set[str]:
@@ -86,12 +102,15 @@ def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
     the items of S (both 0-based), S is achievable iff |S| <= turns and
     s_j <= p_j for every j. Before stage s_j the opponent has picked
     s_j - j times, and p_j - j items outside S rank above the j-th target.
+    One pass over the opponent's order yields the p_j already sorted; fewer
+    of them than items of S means S names an unknown item.
     """
     _require_two_agents(inst)
-    opponent = _opponent(inst, manipulator)
-    opp_pref = inst.preferences[opponent]
-    rank = dict(zip(opp_pref, range(len(opp_pref))))
-    ranks = sorted(map(rank.__getitem__, _known_items(S, rank)))
+    opp_pref = inst.preferences[_opponent(inst, manipulator)]
+    S = frozenset(S)
+    ranks = list(compress(count(), map(S.__contains__, opp_pref)))
+    if len(ranks) != len(S):
+        _known_items(S, opp_pref)  # raises: the order lists every item once
     stages = stages_of(inst.sequence, manipulator)
     return len(ranks) <= len(stages) and all(map(le, stages, ranks))
 
@@ -112,38 +131,31 @@ def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str
 
 
 def ordinal_greedy(
-    inst: Instance, manipulator: str, achievable: Callable[[list[str]], bool]
+    inst: Instance, manipulator: str, accepts: Callable[[str], bool]
 ) -> list[str]:
     """Bouveret and Lang's greedy over the manipulator's true order.
 
-    Keeps an item whenever ``achievable`` accepts the kept items plus it,
-    until the manipulator's turns are used up. A best response for two
-    agents, not for three or more. The greedy keeps an item iff its test
-    accepts it, so a stateful test may take each accepted item as kept.
-    The test gets the greedy's own list, with the item last, and must not
-    keep it: a rejected item is popped again.
+    One ``filter`` of that order: keeps each item that ``accepts`` accepts
+    until the manipulator's turns are used up, and tests no item after
+    that. A best response for two agents, not for three or more.
+    ``accepts(o)`` answers whether the items accepted so far plus o are
+    achievable; the greedy keeps exactly the accepted items, so the test
+    itself records an accepted item as kept.
     """
-    turns = inst.turns(manipulator)
-    kept: list[str] = []
-    for o in inst.preferences[manipulator]:
-        if len(kept) == turns:
-            break
-        kept.append(o)
-        if not achievable(kept):
-            kept.pop()
-    return kept
+    order = inst.preferences[manipulator]
+    return list(islice(filter(accepts, order), inst.turns(manipulator)))
 
 
-def _deadline_test(inst: Instance, manipulator: str) -> Callable[[list[str]], bool]:
-    """The closed form as a stateful test of the greedy's next item.
+def _deadline_test(inst: Instance, manipulator: str) -> Callable[[str], bool]:
+    """The closed form as a stateful per-item test for ``ordinal_greedy``.
 
     An item of opponent rank r is due by slot H(r), the manipulator's
     stages <= r (the turn count past the sequence), among slots 1..turns.
     ``parent`` links each slot to a slot no later than it; following the
     links from slot d (halving the path) ends at the latest free slot <= d,
     0 meaning none. The kept set is achievable iff each kept item takes a
-    free slot by its deadline, so an item is accepted iff that walk from its
-    deadline ends at a slot, which it then takes. Valid only inside
+    free slot by its deadline, so ``accepts(o)`` is true iff the walk from
+    ``deadline[o]`` ends at a slot, which o then takes. Valid only inside
     ``ordinal_greedy``, which keeps exactly the items this test accepts.
     """
     opp_pref = inst.preferences[_opponent(inst, manipulator)]
@@ -154,8 +166,8 @@ def _deadline_test(inst: Instance, manipulator: str) -> Callable[[list[str]], bo
     deadline = dict(zip(opp_pref, due[1:]))
     parent = list(range(turns + 1))
 
-    def accepts(trial: list[str]) -> bool:
-        k = deadline[trial[-1]]
+    def accepts(o: str) -> bool:
+        k = deadline[o]
         while parent[k] != k:
             parent[k] = parent[parent[k]]
             k = parent[k]
@@ -180,11 +192,10 @@ def lexicographic_best_response(
     """
     _require_two_agents(inst)
     opponent = _opponent(inst, manipulator)
-    S = ordinal_greedy(inst, manipulator, _deadline_test(inst, manipulator))
+    S = frozenset(ordinal_greedy(inst, manipulator, _deadline_test(inst, manipulator)))
     if not is_achievable(S, inst, manipulator):
         raise AssertionError(f"greedy kept an unachievable set {sorted(S)}")
-    report = canonical_report(S, inst.preferences[opponent], inst.items)
-    return report, frozenset(S)
+    return canonical_report(S, inst.preferences[opponent], inst.items), S
 
 
 def best_response(
@@ -224,19 +235,27 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     ``inst`` carries the reported preferences; ``u`` carries each agent's
     true utilities, whose induced order is that agent's true preference. A
     row with no ``row_problems`` strictly decreases along the reported
-    order, so it induces that order; any other row is ranked afresh.
+    order, so it induces that order and is checked once: that agent's best
+    response is the lexicographic one, valued by ``bundle_utility``. Any
+    other row is ranked afresh and goes through ``best_response``, whose
+    errors name its problems.
     """
     _require_two_agents(inst)
+    consistent = {a for a in inst.agents if not row_problems(u, inst, a)}
     true_orders = {
-        a: order_from_utilities(u, a, inst.items) if row_problems(u, inst, a)
-        else inst.preferences[a]
+        a: inst.preferences[a] if a in consistent
+        else order_from_utilities(u, a, inst.items)
         for a in inst.agents
     }
     current = run_sequential_allocation(inst)
     out = []
     for agent in inst.agents:
         deviation_setting = inst.with_preference(agent, true_orders[agent])
-        _, bundle, utility = best_response(deviation_setting, u, agent)
+        if agent in consistent:
+            _, bundle = lexicographic_best_response(deviation_setting, agent)
+            utility = bundle_utility(u, agent, bundle)
+        else:
+            _, bundle, utility = best_response(deviation_setting, u, agent)
         out.append(
             NashEvidence(
                 agent=agent,

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from operator import le
 
 import pytest
 
@@ -21,10 +22,17 @@ from seqalloc.model import (
     UtilityFunction,
     ValidationError,
     bundle_utility,
+    complete_order,
     integer_values,
     order_from_utilities,
 )
-from seqalloc.two_agent import NashEvidence, best_response, nash_evidence
+from seqalloc.two_agent import (
+    NashEvidence,
+    best_response,
+    canonical_report,
+    is_achievable,
+    nash_evidence,
+)
 
 from conftest import random_instance
 
@@ -71,6 +79,23 @@ def _nash_by_ranking(inst, u):
             )
         )
     return out
+
+
+def _achievable_by_sort(S, inst, manipulator):
+    """``is_achievable`` with an opponent rank dict and a sort of S's ranks."""
+    two_agent._require_two_agents(inst)
+    opp_pref = inst.preferences[two_agent._opponent(inst, manipulator)]
+    rank = dict(zip(opp_pref, range(len(opp_pref))))
+    ranks = sorted(map(rank.__getitem__, two_agent._known_items(S, rank)))
+    stages = stages_of(inst.sequence, manipulator)
+    return len(ranks) <= len(stages) and all(map(le, stages, ranks))
+
+
+def _report_by_sort(S, opponent_pref, all_items):
+    """``canonical_report`` sorting S by an opponent rank dict."""
+    S = two_agent._known_items(S, all_items)
+    rank = dict(zip(opponent_pref, range(len(opponent_pref))))
+    return complete_order(sorted(S, key=rank.__getitem__), all_items)
 
 
 def _head_lines(text):
@@ -150,6 +175,56 @@ def test_nash_shortcut_skips_ranking_only_for_consistent_rows(monkeypatch):
         ranked.clear()
         nash_evidence(inst, UtilityFunction(rows))
         assert ranked == [a for a, k in zip(inst.agents, kinds) if k != "consistent"]
+
+
+def test_nash_checks_each_consistent_row_once(monkeypatch):
+    rng = random.Random(2508)
+    checked = []
+    real = two_agent.row_problems
+    monkeypatch.setattr(
+        two_agent, "row_problems", lambda u, inst, a: checked.append(a) or real(u, inst, a)
+    )
+    for _ in range(20):
+        inst = random_instance(rng, 2, rng.randint(1, 9))
+        u = UtilityFunction({a: _row(rng, inst, a, "consistent") for a in inst.agents})
+        checked.clear()
+        nash_evidence(inst, u)
+        assert sorted(checked) == sorted(inst.agents)
+
+
+# --- one pass over the opponent's order -------------------------------------------
+
+
+def _targets(rng, inst, manipulator):
+    """Target sets of every kind: empty, up to all items (so above the
+    turns), a list with repeats, and sets naming unknown items."""
+    items = list(inst.items)
+    yield set()
+    for _ in range(4):
+        yield set(rng.sample(items, rng.randint(1, len(items))))
+    yield set(rng.sample(items, min(len(items), inst.turns(manipulator) + 1)))
+    yield [rng.choice(items) for _ in range(rng.randint(2, len(items) + 2))]
+    yield {"zz", *rng.sample(items, rng.randint(0, len(items)))}
+    yield ["zz", "zz"]
+
+
+def test_opponent_order_pass_matches_the_rank_sort():
+    rng = random.Random(2509)
+    seen = Counter()
+    for k in range(400):
+        m = 256 if k % 100 == 0 else rng.randint(1, 12)
+        inst = random_instance(rng, 2, m, L=rng.randint(0, m))
+        manipulator = rng.choice((*inst.agents, "nobody"))
+        opponent_pref = inst.preferences[next(a for a in inst.agents if a != manipulator)]
+        for S in _targets(rng, inst, manipulator):
+            got = _outcome(is_achievable, S, inst, manipulator)
+            assert got == _outcome(_achievable_by_sort, S, inst, manipulator), (inst, S)
+            report = _outcome(canonical_report, S, opponent_pref, inst.items)
+            assert report == _outcome(_report_by_sort, S, opponent_pref, inst.items), (inst, S)
+            seen[m == 256, got if type(got) is bool else got[1][0].split(":")[0]] += 1
+    # both verdicts and both errors came up, also at m = 256
+    assert {v for _, v in seen} == {True, False, "unknown agent nobody", "unknown items in target set"}
+    assert seen[True, True] and seen[True, False]
 
 
 # --- parse pre-pass ---------------------------------------------------------------

@@ -27,7 +27,7 @@ from seqalloc.oracle import (
 )
 from seqalloc.golden import REFERENCE_FORMULA, counterexample_utilities, three_agent_counterexample
 from seqalloc.reduction import MANIPULATOR, build_instance, parse_formula, verify_choice_patterns
-from seqalloc.two_agent import lexicographic_best_response, ordinal_greedy
+from seqalloc.two_agent import lexicographic_best_response
 
 from conftest import (
     package_env,
@@ -169,9 +169,12 @@ def test_refuted_greedy_on_one_start_state_matches_can_achieve_form():
         manip = rng.choice(inst.agents)
         enc = Encoded(inst)
         agent, index = enc.agent_index[manip], enc.item_index
-        kept = ordinal_greedy(
-            inst, manip, lambda trial: engine.can_achieve(enc, agent, [index[o] for o in trial])
-        )
+        kept = []
+        for o in inst.preferences[manip]:
+            if len(kept) == inst.turns(manip):
+                break
+            if engine.can_achieve(enc, agent, [index[k] for k in (*kept, o)]):
+                kept.append(o)
         assert refuted_greedy_best_response(inst, manip) == frozenset(kept), (inst, manip)
         rejected += kept != list(inst.preferences[manip][: len(kept)])
     assert rejected >= 30, rejected

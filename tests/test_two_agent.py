@@ -25,7 +25,6 @@ from seqalloc.two_agent import (
     is_achievable,
     lexicographic_best_response,
     nash_evidence,
-    ordinal_greedy,
     verify_nash_two_agents,
 )
 from seqalloc.golden import alternating_manipulation_example, two_agent_example
@@ -43,6 +42,24 @@ def test_canonical_report_layout():
 def test_canonical_report_rejects_unknown_items():
     with pytest.raises(ValidationError):
         canonical_report({"z"}, ("a",), ("a",))
+
+
+@pytest.mark.parametrize(
+    "S, opponent_pref, miscounted",
+    [
+        ({"a"}, ("b",), ["a"]),  # a target item the order misses
+        ({"a"}, ("a", "a", "b"), ["a"]),  # a target item listed twice
+        ({"a", "b"}, ("a", "a", "c"), ["a", "b"]),  # one of each: the lengths agree
+    ],
+)
+def test_canonical_report_rejects_an_order_without_each_target_once(S, opponent_pref, miscounted):
+    with pytest.raises(ValidationError) as exc:
+        canonical_report(S, opponent_pref, ("a", "b", "c"))
+    assert exc.value.problems == [
+        f"target items not listed exactly once in the opponent's order: {miscounted}"
+    ]
+    with pytest.raises(ValidationError, match=r"unknown items in target set: \['z'\]"):
+        canonical_report(S | {"z"}, (*opponent_pref, "z"), ("a", "b", "c"))
 
 
 def test_reference_best_response():
@@ -297,7 +314,12 @@ def test_achievability_certificate_rejects_unknown_items():
 def _per_item_best_response(inst, manip):
     """The reference greedy: one closed-form ``is_achievable`` call per scanned item."""
     (opponent,) = set(inst.agents) - {manip}
-    S = ordinal_greedy(inst, manip, lambda trial: is_achievable(trial, inst, manip))
+    S = []
+    for o in inst.preferences[manip]:
+        if len(S) == inst.turns(manip):
+            break
+        if is_achievable([*S, o], inst, manip):
+            S.append(o)
     return canonical_report(S, inst.preferences[opponent], inst.items), frozenset(S)
 
 
