@@ -2,12 +2,14 @@
 
 At each stage the agent named by the sequence receives their most-preferred
 remaining item. ``Encoded`` is the one integer view of an instance and
-``PickState`` the one picking loop; the oracle resumes and copies the same
-state to branch over the manipulator's picks. ``can_achieve`` (or
-``secures``, from a given state) decides in one replay which item sets the
-manipulator can secure: the other agents pick around the reserved target
-items while the manipulator passes, and Hall's condition on the stages at
-which they reach those items gives the verdict.
+``PickState`` the one picking loop; the oracle's enumeration resets one
+state per search to replay the other agents' picks between the
+manipulator's turns. ``can_achieve`` (or ``secures``, from a given state)
+decides in one replay which item sets the manipulator can secure: the other
+agents pick around the reserved target items while the manipulator passes,
+and Hall's condition on the stages at which they reach those items gives
+the verdict. ``secures`` also returns those stages as due turns, which
+settle every pick order that secures the set.
 """
 
 from __future__ import annotations
@@ -107,34 +109,42 @@ def can_achieve(enc: Encoded, manipulator: int, target: Iterable[int]) -> bool:
     secures the target, and the manipulator must take each target item at
     one of its stages before the item's due stage; taking the items in due
     order (earliest deadline first) does so whenever Hall's condition holds.
+    The same argument gives every pick order that secures the target: the
+    orders that take each item at a turn before its due turn, which is what
+    ``oracle.first_pick_order`` searches without a replay.
     For two agents the due stage comes from the opponent's rank: the target
     item of j-th smallest opponent rank p_j falls due at the opponent's
     pick number p_j - j (0-based), so with s_j the manipulator's j-th stage
     Hall's condition reads s_j <= p_j, ``two_agent.is_achievable``'s
     closed form.
     """
-    return secures(PickState(enc), stages_of(enc.seq, manipulator), set(target))
+    return secures(PickState(enc), stages_of(enc.seq, manipulator), set(target)) is not None
 
 
-def secures(state: PickState, turns: list[int], needed: Collection[int]) -> bool:
-    """``can_achieve`` resumed from ``state``: can the manipulator still get ``needed``?
+def secures(state: PickState, turns: list[int], needed: Collection[int]) -> dict[int, int] | None:
+    """``can_achieve`` resumed from ``state``: each needed item's due turn, or
+    None if the manipulator cannot still get ``needed``.
 
     ``turns`` are the manipulator's stages from ``state.stage`` on and
-    ``needed`` holds distinct item indices. Runs the one-pass rule from the
-    state's taken items, cursors and stage on copies, so neither ``state``
-    nor ``needed`` changes.
+    ``needed`` holds distinct item indices. An item's due turn is the number
+    of ``turns`` before another agent's scan reaches it, or ``len(needed)``
+    if no scan does before the manipulator has had that many turns; every
+    pick order that takes each item at a turn below its due turn secures
+    ``needed``. An empty ``needed`` gives ``{}``, so test the result against
+    None. Runs the one-pass rule from the state's taken items, cursors and
+    stage on copies, so neither ``state`` nor ``needed`` changes.
     """
     goal = len(needed)
     if goal > len(turns):
-        return False
+        return None
     taken = state.taken[:]
     for k in needed:
         if taken[k]:
-            return False
+            return None
         taken[k] = 2  # reserved, not yet due
     prefs, seq, cursor = state.enc.prefs, state.enc.seq, state.cursor[:]
     stage = state.stage
-    due = 0
+    due: dict[int, int] = {}
     # from the goal-th turn on, at least goal stages precede every due event
     for before, turn in enumerate(turns[:goal]):
         for agent in seq[stage:turn]:
@@ -143,18 +153,18 @@ def secures(state: PickState, turns: list[int], needed: Collection[int]) -> bool
             item = row[p]
             while taken[item]:
                 if taken[item] == 2:  # this scan is the first to reach it
-                    due += 1
-                    if due > before:  # also before any scan runs off its row
-                        return False
+                    due[item] = before
+                    if len(due) > before:  # also before any scan runs off its row
+                        return None
                     taken[item] = 1
                 p += 1
                 item = row[p]
             taken[item] = 1
             cursor[agent] = p + 1
-        if due == goal:
-            return True
+        if len(due) == goal:
+            return due
         stage = turn + 1  # the manipulator passes
-    return True
+    return dict.fromkeys(needed, goal) | due
 
 
 def run_sequential_allocation(inst: Instance) -> Allocation:

@@ -10,8 +10,10 @@ with one item per turn, so the leaves are exactly the achievable bundles
 and the recursion is at most as deep as the manipulator's turn count. A
 branch is cut when its kept value plus the best values that could fill its
 free turns is below the best bundle found, so tied optima all survive.
-``node_budget`` bounds the achievability checks, those that build the
-witnesses included.
+Each optimum keeps the due turns of its leaf check, from which
+``first_pick_order`` builds its witness without a replay, so
+``node_budget`` bounds the search's achievability checks and the witnesses
+spend none.
 
 ``enumerate_achievable_bundles`` is the exhaustive reference. Searching
 the manipulator's pick at each of their turns is outcome-equivalent to
@@ -38,14 +40,19 @@ facts make it exact:
   Only the items the others take in the replay, at most one per other
   stage before the next turn, need a replay of their own.
 
+  Groups whose pass replays leave the same taken set share those moves,
+  so they are applied once per taken set after the pass, to the union of
+  the groups' pick sets.
+
 At the last turn later stages cannot change the manipulator's bundle, so
-the bundles are the picks plus each free item. ``node_budget`` counts nodes:
+the bundles are the picks plus each free item: each pick set's names as one
+``frozenset``, joined with each free item's. ``node_budget`` counts nodes:
 the root and each (state, candidate pick), the candidates at the last turn
 being the leaf bundles; a group charges its pick sets times its free items
-before its replays. Item sets are ints, each replay starts from a fresh
-``PickState`` built from a taken set, and a group is dropped as soon as it
-is expanded. Memory grows with the states of one turn, at most one per
-node: 70 to 74 MiB peak RSS at the default budget on the instance that
+before its replays. Item sets are ints until the last turn, every replay
+resets one ``PickState`` to a taken set, and a group is dropped as soon as
+it is expanded. Memory grows with the states of one turn, at most one per
+node: about 50 MiB peak RSS at the default budget on the instance that
 ``enumerate_achievable_bundles`` describes. ``node_budget`` is each
 search's only limit.
 
@@ -57,10 +64,11 @@ whether each extension of its kept set is achievable.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from itertools import compress, product, repeat, starmap
+from itertools import compress
 from math import inf
+from operator import itemgetter
 
 from .engine import Encoded, PickState, secures, stages_of
 from .model import (
@@ -81,7 +89,7 @@ class OracleResult(Record):
     max_utility: Fraction
     optimal_bundles: tuple[frozenset[str], ...]
     witness_reports: Mapping[frozenset, tuple[str, ...]]
-    checks: int  # achievability checks made, the unit of ``node_budget``
+    checks: int  # the search's achievability checks, the unit of ``node_budget``
 
 
 def _setup(inst: Instance, manipulator: str) -> tuple[Encoded, list[int], PickState]:
@@ -121,7 +129,8 @@ def enumerate_achievable_bundles(
     items taken, with one pass replay per group (see the module docstring).
     Item sets, taken and picked alike, are ints with bit 0 of byte k
     standing for item k, so a ``PickState.taken`` converts with one
-    ``int.from_bytes``. ValidationError if ``node_budget`` is negative.
+    ``int.from_bytes``; the last turn builds the bundles as name sets, so
+    none is decoded from an int. ValidationError if ``node_budget`` is negative.
     BudgetExceededError once the root and the (state, candidate pick) nodes
     exceed ``node_budget``; its message names the turn reached (0 being the
     root) out of the manipulator's turns, and that turn's number of merged
@@ -130,8 +139,8 @@ def enumerate_achievable_bundles(
     One turn's merged states are held at once, so memory grows with
     ``node_budget``: three agents with near-identical orders of 30 items,
     under round robin with 10 turns each, exceed the default budget at
-    turn 6, with 129,456 merged states, at 70 to 74 MiB peak RSS on
-    CPython 3.10 to 3.13.
+    turn 6, with 129,456 merged states, at about 50 MiB peak RSS on
+    CPython 3.11.
     """
     check_budget("node_budget", node_budget)
     turn = held = 0  # the turn reached (0 at the root) and its number of merged states
@@ -149,15 +158,13 @@ def enumerate_achievable_bundles(
     m = enc.m
     bit = [1 << 8 * k for k in range(m)]
     every = sum(bit)
-
-    def singletons(items: int) -> Iterator[int]:
-        """The one-item sets that make up ``items``."""
-        return compress(bit, items.to_bytes(m, "little"))
+    state = PickState(enc)  # every replay resets this one state
+    fresh = [0] * len(enc.prefs)
 
     def resume(taken: int, stage: int) -> PickState:
-        """A fresh state at ``stage`` with the items of ``taken`` taken."""
-        state = PickState(enc)
+        """The state at ``stage`` with the items of ``taken`` taken."""
         state.taken[:] = taken.to_bytes(m, "little")
+        state.cursor[:] = fresh
         state.stage = stage
         return state
 
@@ -165,6 +172,7 @@ def enumerate_achievable_bundles(
     states: dict[int, set[int]] = {int.from_bytes(root.taken, "little"): {0}}
     for turn, (now, stop) in enumerate(zip(turns, turns[1:]), 1):
         merged: defaultdict[int, set[int]] = defaultdict(set)
+        passed: defaultdict[int, set[int]] = defaultdict(set)  # taken after the pass -> pick sets
         held = sum(map(len, states.values()))
         while states:  # a group is dropped as it is expanded, to bound the peak
             taken, mines = states.popitem()
@@ -175,25 +183,28 @@ def enumerate_achievable_bundles(
             # taken set, pick) applies to all of ``mines`` at once; one pass
             # replay gives the moves of the candidates that the others would
             # not take themselves before ``stop``, one replay each the rest
-            passed = resume(taken, now + 1)  # the manipulator passes
-            for k in passed.advance(stop):
-                child = resume(taken | bit[k], now + 1)
-                child.advance(stop)
-                merged[int.from_bytes(child.taken, "little")].update(map(bit[k].__or__, mines))
-            after = int.from_bytes(passed.taken, "little")
-            for b in singletons(every ^ after):
+            lost = resume(taken, now + 1).advance(stop)  # the manipulator passes
+            passed[int.from_bytes(state.taken, "little")].update(mines)
+            for k in lost:
+                resume(taken | bit[k], now + 1).advance(stop)
+                merged[int.from_bytes(state.taken, "little")].update(map(bit[k].__or__, mines))
+        # the moves past the others' pass, once per taken set after it
+        for after, mines in passed.items():
+            for b in compress(bit, (every ^ after).to_bytes(m, "little")):
                 merged[after | b].update(map(b.__or__, mines))
         states = merged
     turn, held = len(turns), sum(map(len, states.values()))
     # later stages cannot change the manipulator's bundle
-    reached: set[int] = set()
+    single = [frozenset((o,)) for o in inst.items]
+    reached: set[frozenset[str]] = set()
     while states:
         taken, mines = states.popitem()
-        free = list(singletons(every ^ taken))
+        free = list(compress(single, (every ^ taken).to_bytes(m, "little")))
         nodes = _spend(nodes, len(mines) * len(free), node_budget, "nodes", progress)
-        reached.update(starmap(int.__or__, product(mines, free)))
-    rows = map(int.to_bytes, reached, repeat(m), repeat("little"))
-    return set(map(frozenset, map(compress, repeat(inst.items), rows)))
+        for mine in mines:
+            named = frozenset(compress(inst.items, mine.to_bytes(m, "little")))
+            reached.update(map(named.union, free))
+    return reached
 
 
 def brute_force_best_response(
@@ -206,7 +217,8 @@ def brute_force_best_response(
 
     Optimal bundles come in canonical order: by their item indices, sorted
     and compared lexicographically. Each witness is its bundle's smallest
-    manipulator pick order by item index, completed by ``complete_order``.
+    manipulator pick order by item index, completed by ``complete_order``;
+    it comes from the due turns of the bundle's leaf check, at no check.
     ValidationError if ``node_budget`` is negative. BudgetExceededError once
     the achievability checks would exceed ``node_budget``; its message also
     names the best utility found so far and the optimal bundles held.
@@ -226,11 +238,12 @@ def brute_force_best_response(
     for k in order:
         prefix.append(prefix[-1] + worth[k])
     kept: list[int] = []
-    optima: list[list[int]] = []
+    optima: list[tuple[list[int], dict[int, int]]] = []  # each with its leaf's due turns
     best = -inf
 
-    def extend(pos: int, value: int) -> None:
-        """Fill the free turns from ``order[pos:]``, given ``kept`` worth ``value``."""
+    def extend(pos: int, value: int, due: dict[int, int]) -> None:
+        """Fill the free turns from ``order[pos:]``, given ``kept`` worth
+        ``value`` with due turns ``due``."""
         nonlocal best, checks
         free = len(turns) - len(kept)
         if not free:
@@ -238,46 +251,50 @@ def brute_force_best_response(
                 best = value
                 optima.clear()
             if value == best:
-                optima.append(sorted(kept))
+                optima.append((sorted(kept), due))
             return
         for j in range(pos, enc.m - free + 1):
             if value + prefix[j + free] - prefix[j] < best:
                 break  # later windows are worth no more
             checks = _spend(checks, 1, node_budget, "achievability checks", held)
             kept.append(order[j])
-            if secures(start, turns, kept):
-                extend(j + 1, value + worth[order[j]])
+            found = secures(start, turns, kept)
+            if found is not None:
+                extend(j + 1, value + worth[order[j]], found)
             kept.pop()
 
-    def first_pick_order(bundle: list[int]) -> list[int]:
-        """At each turn, the smallest item after which the rest stays achievable."""
-        nonlocal checks
-        state = start.copy()
-        needed = set(bundle)
-        picks = []
-        for c, t in enumerate(turns):
-            state.advance(t)
-            for item in sorted(needed)[:-1]:
-                checks = _spend(checks, 1, node_budget, "achievability checks", held)
-                trial = state.copy()
-                trial.take(item)
-                if secures(trial, turns[c + 1 :], needed - {item}):
-                    break
-            else:  # the last candidate: some item must work
-                item = max(needed)
-            state.take(item)
-            needed.remove(item)
-            picks.append(item)
-        return picks
-
-    extend(0, 0)
+    extend(0, 0, {})
     named = {
         frozenset(inst.items[k] for k in bundle): complete_order(
-            [inst.items[k] for k in first_pick_order(bundle)], inst.items
+            [inst.items[k] for k in first_pick_order(bundle, due)], inst.items
         )
-        for bundle in sorted(optima)
+        for bundle, due in sorted(optima, key=itemgetter(0))
     }
     return OracleResult(Fraction(best, scale), tuple(named), named, checks)
+
+
+def first_pick_order(bundle: list[int], due: Mapping[int, int]) -> list[int]:
+    """The smallest pick order by item index that secures ``bundle``.
+
+    ``due`` holds each item's due turn, as ``engine.secures`` returns it
+    for the whole bundle from the manipulator's first turn. The orders that
+    secure the bundle are exactly those that take each item at a turn below
+    its due turn (see ``engine.can_achieve``), so no replay is needed. At
+    turn c the remaining items' due turns, sorted as d_0 <= d_1 <= ...,
+    have d_i > c + i. Taking one of them leaves the others feasible from
+    turn c + 1 (earliest deadline first) iff its due turn is at most the
+    first d_i with no turn to spare, d_i = c + 1 + i, if there is one; the
+    smallest such item is taken.
+    """
+    left = sorted(bundle)
+    picks = []
+    for c in range(len(left)):
+        ranked = sorted(map(due.__getitem__, left))
+        cap = next((d for i, d in enumerate(ranked, c + 1) if d == i), inf)
+        item = next(k for k in left if due[k] <= cap)
+        left.remove(item)
+        picks.append(item)
+    return picks
 
 
 def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[str]:
@@ -296,7 +313,7 @@ def refuted_greedy_best_response(inst: Instance, manipulator: str) -> frozenset[
 
     def accepts(o: str) -> bool:
         kept.append(index[o])
-        if secures(start, turns, kept):
+        if secures(start, turns, kept) is not None:
             return True
         kept.pop()
         return False

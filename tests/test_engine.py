@@ -126,11 +126,46 @@ def _edf_first_lost(state, later_turns, needed):
     return min(needed)
 
 
+def _due_by_replay(state, turns, needed):
+    """The slow reference for ``secures``'s due turns, stage by stage.
+
+    The other agents play from ``state`` while the manipulator passes, each
+    scanning its whole order for the first item neither taken nor needed;
+    a needed item ranked above that pick falls due then, at the number of
+    ``turns`` already past, capped at ``len(needed)``. The set is secured
+    iff no needed item is taken, there are enough turns and, with the due
+    turns sorted, the i-th (from 0) is above i. Changes neither argument.
+    """
+    goal = len(needed)
+    if goal > len(turns) or any(state.taken[k] for k in needed):
+        return None
+    taken = set(k for k in range(state.enc.m) if state.taken[k])
+    due = dict.fromkeys(needed, goal)
+    gone = set()
+    for stage in range(state.stage, len(state.enc.seq)):
+        if stage in turns:
+            continue
+        before = min(goal, sum(t < stage for t in turns))
+        for k in state.enc.prefs[state.enc.seq[stage]]:
+            if k in needed:
+                if k not in gone:
+                    gone.add(k)
+                    due[k] = before
+            elif k not in taken:
+                taken.add(k)
+                break
+    ranked = sorted(due.values())
+    if any(d <= i for i, d in enumerate(ranked)):
+        return None
+    return due
+
+
 def test_one_pass_rule_matches_earliest_deadline_reference():
-    """``can_achieve`` and ``secures`` against the per-turn replaying rule, from
-    the start and from mid-run states; ``secures`` changes nothing it gets."""
+    """``can_achieve`` and ``secures`` against the per-turn replaying rule, and
+    ``secures``'s due turns against the stage-by-stage replay, from the start
+    and from mid-run states; ``secures`` changes nothing it gets."""
     rng = random.Random(26)
-    seen = {"over_turns": 0, "short_sequence": 0, "resumed": 0, True: 0, False: 0}
+    seen = {"over_turns": 0, "short_sequence": 0, "resumed": 0, "due": 0, True: 0, False: 0}
     for _ in range(3000):
         m = rng.randint(2, 14)
         inst = random_instance(rng, n=rng.randint(2, 5), m=m, L=rng.choice([None, m]))
@@ -143,6 +178,9 @@ def test_one_pass_rule_matches_earliest_deadline_reference():
         target = rng.sample(range(m), size)
         verdict = can_achieve(enc, manip, target)
         assert verdict == _edf_secures(PickState(enc), turns, set(target)), (inst, manip, target)
+        due = secures(PickState(enc), turns, target)
+        assert due == _due_by_replay(PickState(enc), turns, target), (inst, manip, target)
+        assert (due is not None) == verdict
         seen[verdict] += 1
         seen["over_turns"] += size > len(turns)
 
@@ -160,7 +198,9 @@ def test_one_pass_rule_matches_earliest_deadline_reference():
         before = (state.stage, bytes(state.taken), list(state.cursor), set(needed))
         got = secures(state, later, needed)
         assert (state.stage, bytes(state.taken), list(state.cursor), set(needed)) == before
-        assert got == _edf_secures(state.copy(), later, set(needed)), (inst, manip, before)
+        assert got == _due_by_replay(state, later, needed), (inst, manip, before)
+        assert (got is not None) == _edf_secures(state.copy(), later, set(needed)), before
+        seen["due"] += bool(got) and min(got.values()) < len(needed)  # a scan reached one
         seen["resumed"] += state.stage > 0
     assert all(seen.values()), seen
 

@@ -1,0 +1,86 @@
+"""Every small three-agent instance, checked against the exhaustive references.
+
+The family: m = 3 and 4 items i0 .. i(m-1); the manipulator (agent 1) ranks
+them i0 first, which loses nothing, since any instance is this one with its
+items relabelled; agents 2 and 3 have every order; the sequence is every
+word over {1, 2, 3} of length 0..m. That is 1,440 instances at m = 3 and
+69,696 at m = 4. The manipulator values i_k at m - k, so at m = 4 bundles
+of equal worth, and with them tied optima, occur (i0 + i3 = i1 + i2).
+"""
+
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations, product
+
+from seqalloc.engine import Encoded, PickState, stages_of
+from seqalloc.model import UtilityFunction, validate_instance
+from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
+
+AGENTS = ("1", "2", "3")
+MANIPULATOR = "1"
+
+
+def _family(m):
+    """Every instance of the family with ``m`` items."""
+    items = [f"i{k}" for k in range(m)]
+    for second, third in product(permutations(items), repeat=2):
+        prefs = {"1": items, "2": second, "3": third}
+        for length in range(m + 1):
+            for sequence in product(AGENTS, repeat=length):
+                yield validate_instance(items, AGENTS, prefs, sequence)
+
+
+def _first_pick_orders(inst):
+    """Each reachable bundle's first pick order, walking the manipulator's
+    pick orders in index order: at each turn every free item, smallest first."""
+    enc = Encoded(inst)
+    turns = stages_of(enc.seq, enc.agent_index[MANIPULATOR])
+    first = {}
+
+    def walk(state, picks):
+        if len(picks) == len(turns):
+            first.setdefault(frozenset(inst.items[k] for k in picks), picks)
+            return
+        state.advance(turns[len(picks)])
+        for item in range(enc.m):
+            if not state.taken[item]:
+                child = state.copy()
+                child.take(item)
+                walk(child, picks + [item])
+
+    walk(PickState(enc), [])
+    return first
+
+
+def _check(m, walk):
+    items = [f"i{k}" for k in range(m)]
+    u = UtilityFunction({MANIPULATOR: {o: Fraction(m - k) for k, o in enumerate(items)}})
+    worth = dict(zip(items, range(m, 0, -1)))
+    seen = Counter()
+    for inst in _family(m):
+        res = brute_force_best_response(inst, u, MANIPULATOR)
+        bundles = enumerate_achievable_bundles(inst, MANIPULATOR)
+        value = {b: sum(map(worth.__getitem__, b)) for b in bundles}
+        best = max(value.values())
+        assert res.max_utility == best, inst
+        assert set(res.optimal_bundles) == {b for b, v in value.items() if v == best}, inst
+        if walk:
+            first = _first_pick_orders(inst)
+            assert bundles == set(first), inst
+            turns = inst.turns(MANIPULATOR)
+            for bundle in res.optimal_bundles:
+                head = res.witness_reports[bundle][:turns]
+                assert list(head) == [inst.items[k] for k in first[bundle]], (inst, bundle)
+        seen["instances"] += 1
+        seen["tied"] += len(res.optimal_bundles) > 1
+    return seen
+
+
+def test_every_three_agent_instance_with_three_items():
+    seen = _check(3, walk=True)
+    assert seen["instances"] == 1440, seen
+
+
+def test_every_three_agent_instance_with_four_items():
+    seen = _check(4, walk=False)
+    assert seen["instances"] == 69696 and seen["tied"], seen

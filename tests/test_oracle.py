@@ -35,7 +35,7 @@ from conftest import (
     random_instance,
     random_restricted_formula,
 )
-from test_engine import _edf_secures
+from test_engine import _due_by_replay
 
 
 def _all_report_bundles(inst, manip):
@@ -298,15 +298,29 @@ def test_node_budget_counts_achievability_checks():
         )
 
 
+def _tied_random_case():
+    """A seeded n = 3 instance with three optima, the third found at the last check."""
+    rng = random.Random(2810)
+    inst = random_instance(rng, n=3, m=6, L=6)
+    manip = inst.sequence[0]
+    u = UtilityFunction({manip: {o: Fraction(rng.randint(1, 3)) for o in inst.items}})
+    return inst, u, manip
+
+
 def test_budget_message_says_how_far_the_search_got():
-    inst = three_agent_counterexample()
-    for tie, budget, progress in [
-        (False, 0, "best utility so far none, 0 optimal bundles held"),
-        (False, 4, "best utility so far 41/10, 1 optimal bundles held"),
-        (True, 7, "best utility so far 5, 2 optimal bundles held"),  # building witnesses
+    counterexample = three_agent_counterexample()
+    for (inst, u, manip), budget, progress in [
+        ((counterexample, counterexample_utilities(False), "1"), 0,
+         "best utility so far none, 0 optimal bundles held"),
+        ((counterexample, counterexample_utilities(False), "1"), 4,
+         "best utility so far 41/10, 1 optimal bundles held"),
+        # the second optimum comes at the last of 6 checks
+        ((counterexample, counterexample_utilities(True), "1"), 5,
+         "best utility so far 5, 1 optimal bundles held"),
+        (_tied_random_case(), 3, "best utility so far 5, 2 optimal bundles held"),
     ]:
         with pytest.raises(BudgetExceededError) as excinfo:
-            brute_force_best_response(inst, counterexample_utilities(tie), "1", node_budget=budget)
+            brute_force_best_response(inst, u, manip, node_budget=budget)
         err = excinfo.value
         assert str(err) == (
             f"search exceeded node budget {budget} after {budget} achievability checks, {progress}"
@@ -315,8 +329,9 @@ def test_budget_message_says_how_far_the_search_got():
 
 
 def test_answers_equal_under_earliest_deadline_reference(monkeypatch):
-    """Every ``OracleResult``, check counts included, and every budget error is
-    the same when achievability is decided by the per-turn replaying rule."""
+    """Every ``OracleResult``, witnesses and check counts included, and every
+    budget error is the same when achievability and due turns come from the
+    stage-by-stage replay; every check goes through it."""
     cases = [
         (three_agent_counterexample(), counterexample_utilities(tie), "1") for tie in (False, True)
     ]
@@ -340,11 +355,15 @@ def test_answers_equal_under_earliest_deadline_reference(monkeypatch):
         return results, str(excinfo.value), excinfo.value.used
 
     fast = answers()
-    monkeypatch.setattr(
-        oracle, "secures",
-        lambda state, turns, needed: _edf_secures(state.copy(), turns, set(needed)),
-    )
+    calls = []
+
+    def reference(state, turns, needed):
+        calls.append(len(needed))
+        return _due_by_replay(state, turns, set(needed))
+
+    monkeypatch.setattr(oracle, "secures", reference)
     assert answers() == fast
+    assert len(calls) == sum(res.checks for res in fast[0]) + fast[2]
 
 
 def _pick_order_walk(inst, manip):
