@@ -43,7 +43,6 @@ _EXPORTS = {
         "verify_forward",
     ),
     "two_agent": (
-        "achievability_certificate",
         "best_response",
         "canonical_report",
         "is_achievable",

@@ -31,6 +31,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 from .engine import Encoded, PickState, run_with_report, stages_of
 from .model import (
@@ -526,6 +527,20 @@ def verify_choice_patterns(
     formula. Raises RuntimeError on any violation. The sweep runs on item
     indices: the rounds' quadruples, the top clause items and the consistency
     sets are built once per call, and names only for an error message.
+
+    Each pattern resumes from a saved ``PickState`` instead of stage 0. The
+    choice rounds are the first blocks of ``len(_ROUND_STAGES)`` stages, and
+    the sweep keeps the state at each one's start. The manipulator's row is
+    the rounds' quadruples in order, then the top clause items, then every
+    item, so a pattern whose first changed round is r has the previous
+    pattern's row below position 4r. ``advance`` reads the row only below
+    the cursor, and every item there is already taken. So a saved state
+    whose manipulator cursor is at most 4r is the state that a replay from
+    stage 0 reaches, and the pattern resumes from the latest such state,
+    stepping r down otherwise. On the gadget the cursor at round r's start
+    is exactly 4r; it is greater only if one of the manipulator's picks was
+    taken before its turn. The rounds from there on are replayed once, each
+    saving the next round's start state.
     """
     check_budget("max_patterns", max_patterns)
     f = out.formula
@@ -542,9 +557,12 @@ def verify_choice_patterns(
     # manipulator's row, which is safe as the encoding never leaves this call
     enc = Encoded(out.instance)
     manip = enc.agent_index[MANIPULATOR]
-    turns = stages_of(enc.seq, manip)
-    size = len(_ROUND_ITEMS)
+    mine_of = itemgetter(*stages_of(enc.seq, manip))
+    size, span, width = len(_ROUND_ITEMS), len(_ROUND_STAGES), len(_QUADRUPLES["T"])
     tops = list(range(size * f.num_vars, len(items), 3))
+    # the row after the quadruples: the top clause items, then every item; an
+    # item listed twice is taken before the scan reaches its second place
+    tail = tops + list(range(len(items)))
     # per round: its quadruple of each kind, its six consistency items and
     # the middle pair that an inconsistent choice must leave the manipulator with
     six = [k for k, name in enumerate(_ROUND_ITEMS) if name.startswith("h_")]
@@ -553,13 +571,28 @@ def verify_choice_patterns(
     for v, base in zip(f.variables(), range(0, size * f.num_vars, size)):
         quads.append({kind: [base + k for k in quad] for kind, quad in _QUADRUPLES.items()})
         consistency[v] = (frozenset(base + k for k in six), {base + k for k in pair})
+    last = f.num_vars - 1
+    # the state at each choice round's start; the first pattern sets rounds 1 on
+    snaps = [PickState(enc)] * f.num_vars
+    picks = [0] * len(enc.seq)  # the item taken at each stage
     outcomes = []
     pattern_sat = False
+    previous = ()
     for kinds in itertools.product(*quads):  # each round's kinds, in table order
-        body = [o for quad, k in zip(quads, kinds) for o in quad[k]]
-        enc.prefs[manip] = complete_order(body + tops, range(len(items)))
-        picks = PickState(enc).advance(len(enc.seq))
-        mine = [picks[t] for t in turns]
+        # the first round whose kind changed (0 for the first pattern)
+        r = next((k for k, (now, was) in enumerate(zip(kinds, previous)) if now != was), 0)
+        previous = kinds
+        enc.prefs[manip] = [o for quad, k in zip(quads, kinds) for o in quad[k]] + tail
+        while snaps[r].cursor[manip] > width * r:
+            r -= 1
+        state = snaps[r]
+        for k in range(r, last):
+            state = state.copy()
+            picks[span * k : span * (k + 1)] = state.advance(span * (k + 1))
+            snaps[k + 1] = state
+        state = state.copy()
+        picks[span * last :] = state.advance(len(picks))
+        mine = mine_of(picks)
         worth_sum = sum(map(worth.__getitem__, mine))
         utility, meets = Fraction(worth_sum, scale), worth_sum >= need
         consistent = all(k in ("T", "F") for k in kinds)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, le
 
-from .engine import Encoded, can_achieve, run_sequential_allocation, stages_of
+from .engine import run_sequential_allocation, stages_of
 from .model import (
     Instance,
     Record,
@@ -113,21 +113,6 @@ def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
         _known_items(S, opp_pref)  # raises: the order lists every item once
     stages = stages_of(inst.sequence, manipulator)
     return len(ranks) <= len(stages) and all(map(le, stages, ranks))
-
-
-def achievability_certificate(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
-    """The engine reference for ``is_achievable``: ``engine.can_achieve``.
-
-    One replay on the engine's picking state: the opponent picks around the
-    reserved target items while the manipulator passes, and Hall's condition
-    on the stages at which the opponent reaches them decides. It does not
-    use the closed form.
-    """
-    _require_two_agents(inst)
-    _opponent(inst, manipulator)  # rejects an unknown manipulator
-    S = _known_items(S, inst.items)
-    enc = Encoded(inst)
-    return can_achieve(enc, enc.agent_index[manipulator], [enc.item_index[o] for o in S])
 
 
 def ordinal_greedy(

@@ -8,12 +8,11 @@ import random
 import time
 from fractions import Fraction
 
-from seqalloc.engine import run_sequential_allocation, run_with_report
+from seqalloc.engine import Encoded, can_achieve, run_sequential_allocation, run_with_report
 from seqalloc.model import bundle_utility
 from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles, refuted_greedy_best_response
 from seqalloc.reduction import MANIPULATOR, audit_utilities, build_instance, parse_formula, verify_choice_patterns, verify_forward
 from seqalloc.two_agent import (
-    achievability_certificate,
     best_response,
     is_achievable,
     lexicographic_best_response,
@@ -157,9 +156,11 @@ def test_criterion_06_characterization_equivalence():
     for _ in range(100):
         inst = random_instance(rng, n=2, m=rng.randint(3, 6))
         manip = rng.choice(inst.agents)
+        enc = Encoded(inst)
         for size in (2, 3):
             for S in itertools.combinations(inst.items, size):
-                if is_achievable(S, inst, manip) != achievability_certificate(S, inst, manip):
+                certified = can_achieve(enc, enc.agent_index[manip], map(enc.item_index.__getitem__, S))
+                if is_achievable(S, inst, manip) != certified:
                     mismatches += 1
     ok = mismatches == 0
     _report(

@@ -10,9 +10,9 @@ of equal worth, and with them tied optima, occur (i0 + i3 = i1 + i2).
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from seqalloc.engine import Encoded, PickState, stages_of
+from seqalloc.engine import Encoded, PickState, can_achieve, stages_of
 from seqalloc.model import UtilityFunction, validate_instance
 from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
 
@@ -67,6 +67,16 @@ def _check(m, walk):
         if walk:
             first = _first_pick_orders(inst)
             assert bundles == set(first), inst
+            # ``secures``, from the start state: S is achievable iff the walk
+            # reaches a bundle that contains it
+            enc = Encoded(inst)
+            manip = enc.agent_index[MANIPULATOR]
+            for size in range(m + 1):
+                for S in combinations(range(m), size):
+                    names = {inst.items[k] for k in S}
+                    reached = any(names <= bundle for bundle in first)
+                    assert can_achieve(enc, manip, S) == reached, (inst, S)
+                    seen["subsets"] += 1
             turns = inst.turns(MANIPULATOR)
             for bundle in res.optimal_bundles:
                 head = res.witness_reports[bundle][:turns]
@@ -78,7 +88,7 @@ def _check(m, walk):
 
 def test_every_three_agent_instance_with_three_items():
     seen = _check(3, walk=True)
-    assert seen["instances"] == 1440, seen
+    assert seen["instances"] == 1440 and seen["subsets"] == 1440 * 2**3, seen
 
 
 def test_every_three_agent_instance_with_four_items():

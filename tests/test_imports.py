@@ -36,8 +36,8 @@ EXPORTS = {
         "parse_formula", "verify_choice_patterns", "verify_forward",
     ),
     two_agent: (
-        "achievability_certificate", "best_response", "canonical_report", "is_achievable",
-        "lexicographic_best_response", "verify_nash_two_agents",
+        "best_response", "canonical_report", "is_achievable", "lexicographic_best_response",
+        "verify_nash_two_agents",
     ),
 }
 

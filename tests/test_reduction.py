@@ -358,39 +358,55 @@ def test_choice_patterns_on_random_formula():
     assert report.sat_enumeration_agrees
 
 
-def test_pattern_sweep_matches_engine_replay(monkeypatch):
-    """The sweep's one shared encoding against a fresh engine replay per pattern."""
-    runs = []
-
-    class RecordingPickState(PickState):
-        def advance(self, until):
-            picks = super().advance(until)
-            runs.append(picks)
-            return picks
-
-    monkeypatch.setattr(reduction, "PickState", RecordingPickState)
+def test_pattern_sweep_matches_engine_replay():
+    """Each resumed pattern against a fresh engine replay of its report."""
     rng = random.Random(66)
     formulas = [random_restricted_formula(rng, 3) for _ in range(4)]
     formulas.append(random_restricted_formula(rng, 6))
     for f in formulas:
         out = build_instance(f)
-        runs.clear()
         report = verify_choice_patterns(out)
-        assert len(report.outcomes) == len(runs) == 4 ** f.num_vars
-        turns = stages_of(out.instance.sequence, MANIPULATOR)
+        assert report == _name_based_sweep(out)
+        assert len(report.outcomes) == 4 ** f.num_vars
         consistent = 0
-        for outcome, picks in zip(report.outcomes, runs):
-            swept = frozenset(out.instance.items[picks[t]] for t in turns)
+        for outcome in report.outcomes:
             alloc = run_with_report(out.instance, MANIPULATOR, _pattern_report(out, outcome.kinds))
             bundle = alloc.bundles[MANIPULATOR]
-            assert swept == bundle, outcome.kinds
-            assert outcome.utility == bundle_utility(out.utility, MANIPULATOR, bundle)
+            assert outcome.utility == bundle_utility(out.utility, MANIPULATOR, bundle), outcome.kinds
             if outcome.consistent:
                 consistent += 1
                 fwd = verify_forward(out, outcome.assignment)
                 assert (fwd.manipulator_bundle, fwd.utility) == (bundle, outcome.utility)
                 assert fwd.meets_target == outcome.meets_target
         assert consistent == 2 ** f.num_vars
+
+
+def _record_resumes(monkeypatch):
+    """Record the choice round from which each swept pattern resumes: the
+    round of the state that its first ``advance`` plays from. A pattern's
+    last ``advance`` plays to the end of the sequence."""
+    resumed, fresh = [], [True]
+    advance = PickState.advance
+
+    def recording(self, until):
+        if fresh[0]:
+            resumed.append(self.stage // len(reduction._ROUND_STAGES))
+        fresh[0] = until == len(self.enc.seq)
+        return advance(self, until)
+
+    monkeypatch.setattr(PickState, "advance", recording)
+    return resumed
+
+
+def _steps_back(resumed, num_vars):
+    """Per swept pattern, how many rounds it resumed before its first changed
+    round (patterns in ``itertools.product`` order; the first has none)."""
+    kinds = list(itertools.product(range(4), repeat=num_vars))
+    changed = [0] + [
+        next(r for r, (a, b) in enumerate(zip(now, before)) if a != b)
+        for before, now in zip(kinds, kinds[1:])
+    ]
+    return [r - j for j, r in zip(resumed, changed)]
 
 
 def _name_based_sweep(out, quadruple=None):
@@ -718,6 +734,81 @@ def test_inconsistent_round_error_names_items(reference, monkeypatch):
     with pytest.raises(RuntimeError) as by_name:
         _name_based_sweep(reference, broken_quadruple)
     assert str(swept.value) == str(by_name.value) == expected
+
+
+def test_resumed_sweep_never_falls_back_on_the_gadget(reference, monkeypatch):
+    resumed = _record_resumes(monkeypatch)
+    verify_choice_patterns(reference)
+    assert len(resumed) == 64 and not any(_steps_back(resumed, 3))
+
+
+def test_resumed_sweep_falls_back_exactly(reference, monkeypatch):
+    """An I1 quadruple that opens with d_~x^21: the manipulator takes it
+    before a_x^2's turn, so a_x^2 takes o_~x^2 before the manipulator's
+    second turn, whose scan then reads into the next round's quadruple. The
+    sweep resumes from an earlier round on 24 patterns, 36 rounds back in
+    all, and still equals the name-based sweep with the same table."""
+    broken = dict(reduction._QUADRUPLES, I1=(16, 3, 5, 8))
+    monkeypatch.setattr(reduction, "_QUADRUPLES", broken)
+
+    def broken_quadruple(v, kind):
+        quad = _round_quadruple(v, kind)
+        return [dummy_item(-v, "21")] + quad[1:] if kind == "I1" else quad
+
+    assert reduction._round_quadruple(2, "I1") == broken_quadruple(2, "I1")
+    resumed = _record_resumes(monkeypatch)
+    report = verify_choice_patterns(reference)
+    steps = _steps_back(resumed, 3)
+    assert (len(steps), sum(map(bool, steps)), sum(steps)) == (64, 24, 36)
+    assert report == _name_based_sweep(reference, broken_quadruple)
+
+
+def test_resumed_sweep_falls_back_before_the_same_error(reference, monkeypatch):
+    """A T quadruple that opens with o_x^1: the fallback fires, and then
+    both sweeps fail the same pattern with the same message."""
+    broken = dict(reduction._QUADRUPLES, T=(0, 3, 6, 7))
+    monkeypatch.setattr(reduction, "_QUADRUPLES", broken)
+
+    def broken_quadruple(v, kind):
+        quad = _round_quadruple(v, kind)
+        return [choice_item(v, 1)] + quad[1:] if kind == "T" else quad
+
+    assert reduction._round_quadruple(2, "T") == broken_quadruple(2, "T")
+    resumed = _record_resumes(monkeypatch)
+    with pytest.raises(RuntimeError) as swept:
+        verify_choice_patterns(reference)
+    assert any(_steps_back(resumed, 3))
+    with pytest.raises(RuntimeError) as by_name:
+        _name_based_sweep(reference, broken_quadruple)
+    assert str(swept.value) == str(by_name.value)
+    assert str(swept.value) == "pattern ('T', 'T', 'F'): meets_target=False but satisfies=True"
+
+
+def _sign_pattern_formulas():
+    """Every restricted formula on 3 variables with literals in variable
+    order: each of the 4 clauses holds all three variables, and each
+    variable is positive in the 2 clauses that a pair of C(4,2) names."""
+    pairs = list(itertools.combinations(range(4), 2))
+    for positive in itertools.product(pairs, repeat=3):
+        clauses = [
+            tuple(v if c in pos else -v for v, pos in zip((1, 2, 3), positive))
+            for c in range(4)
+        ]
+        yield validate_formula(3, clauses)
+
+
+def test_every_three_variable_sign_pattern():
+    seen = set()
+    for f in _sign_pattern_formulas():
+        seen.add(f.clauses)
+        out = build_instance(f)
+        report = verify_choice_patterns(out)
+        assert report == _name_based_sweep(out), f
+        satisfying = f.satisfying_assignments()
+        assert report.satisfiable == bool(satisfying) and report.sat_enumeration_agrees, f
+        for assignment in satisfying:
+            assert verify_forward(out, assignment).meets_target, (f, assignment)
+    assert len(seen) == 216
 
 
 def test_pattern_budget_guard():

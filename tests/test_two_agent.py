@@ -19,7 +19,6 @@ from seqalloc.model import (
 )
 from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
 from seqalloc.two_agent import (
-    achievability_certificate,
     best_response,
     canonical_report,
     is_achievable,
@@ -90,11 +89,13 @@ def test_achievability_matches_certificate_exhaustively():
     for _ in range(60):
         inst = random_instance(rng, n=2, m=5)
         manip = rng.choice(inst.agents)
+        enc = engine.Encoded(inst)
         for size in (1, 2, 3):
             for S in itertools.combinations(inst.items, size):
-                assert is_achievable(S, inst, manip) == achievability_certificate(
-                    S, inst, manip
-                ), (inst, manip, S)
+                certified = engine.can_achieve(
+                    enc, enc.agent_index[manip], map(enc.item_index.__getitem__, S)
+                )
+                assert is_achievable(S, inst, manip) == certified, (inst, manip, S)
 
 
 def _replay_achievable(S, inst, manip):
@@ -277,7 +278,6 @@ def _no_search(*args):
 def _forbid_search(monkeypatch):
     """Make any replay or achievability test of a search fail the test."""
     monkeypatch.setattr(two_agent, "run_sequential_allocation", _no_search)
-    monkeypatch.setattr(two_agent, "can_achieve", _no_search)
     monkeypatch.setattr(two_agent, "is_achievable", _no_search)
 
 
@@ -304,11 +304,6 @@ def test_nash_evidence_requires_utilities_on_every_item(monkeypatch):
     _forbid_search(monkeypatch)
     with pytest.raises(ValidationError, match="utilities of agent 2 do not cover the item set"):
         nash_evidence(inst, partial)
-
-
-def test_achievability_certificate_rejects_unknown_items():
-    with pytest.raises(ValidationError, match="unknown items"):
-        achievability_certificate({"zz"}, two_agent_example(), "1")
 
 
 def _per_item_best_response(inst, manip):
@@ -370,7 +365,6 @@ def test_best_response_makes_one_closed_form_call_on_256_items(blocked, monkeypa
 
     for module, name in [
         (two_agent, "is_achievable"),
-        (two_agent, "can_achieve"),
         (two_agent, "run_sequential_allocation"),
         (engine, "can_achieve"),
         (engine, "run_sequential_allocation"),
