@@ -81,7 +81,7 @@ class PickState:
         self.stage += 1
 
     def copy(self) -> "PickState":
-        twin = PickState.__new__(PickState)
+        twin = type(self).__new__(type(self))
         twin.enc = self.enc
         twin.stage = self.stage
         twin.taken = self.taken[:]

@@ -1,26 +1,27 @@
 """Built-in reference cases with known-good outcomes.
 
-Small hand-checkable settings exercising every algorithm: a two-agent
-setting with sequence 1221, a three-agent setting on which the ordinal
-greedy is provably suboptimal, and a reference restricted 3-CNF formula
-whose compiled instance has a fully hand-tabulated 64-stage trace.
+Small hand-checkable settings exercising every algorithm: two-agent
+settings with sequences 1221 and 1212, a three-agent setting on which the
+ordinal greedy is provably suboptimal, and a reference restricted 3-CNF
+formula whose compiled instance has a fully hand-tabulated 64-stage trace.
 
-``run_golden_checks`` replays all of them and reports any divergence; the
-CLI's ``examples`` command and the acceptance tests both consume it.
+``run_golden_checks`` replays all of them as rows of exact expected values;
+the CLI's ``examples`` command reports each row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
-from .engine import run_sequential_allocation, run_with_report
+from .engine import Encoded, can_achieve, run_sequential_allocation, run_with_report
 from .model import UtilityFunction, validate_instance
 from .oracle import (
     brute_force_best_response,
     enumerate_achievable_bundles,
     refuted_greedy_best_response,
 )
-from .reduction import MANIPULATOR, build_instance, parse_formula, verify_forward
+from .reduction import build_instance, parse_formula, verify_forward
 from .two_agent import lexicographic_best_response
 
 
@@ -124,76 +125,50 @@ def expected_reference_trace() -> list[str]:
 
 
 def run_golden_checks() -> list[tuple[str, bool, str]]:
-    """Replay every built-in case. Returns (name, passed, detail) triples."""
-    results: list[tuple[str, bool, str]] = []
+    """Replay every built-in case. Returns (name, passed, detail) triples.
 
-    def check(name: str, ok: bool, detail: str = ""):
-        results.append((name, bool(ok), detail))
-
-    inst = two_agent_example()
-    alloc = run_sequential_allocation(inst)
-    check(
-        "two-agent-example/allocation",
-        alloc.bundles["1"] == {"o1", "o4"} and alloc.bundles["2"] == {"o2", "o3"},
-        f"bundles {dict(alloc.bundles)}",
-    )
-    _, bundle = lexicographic_best_response(inst, "1")
-    check("two-agent-example/best-response", bundle == {"o1", "o4"}, f"bundle {sorted(bundle)}")
-
-    cx = three_agent_counterexample()
-    truthful = run_sequential_allocation(cx)
-    check("counterexample/truthful", truthful.bundles["1"] == {"a", "d"}, str(truthful.bundles["1"]))
-    misreport = run_with_report(cx, "1", ["c", "b", "a", "d"])
-    check("counterexample/misreport", misreport.bundles["1"] == {"b", "c"}, str(misreport.bundles["1"]))
-
-    achievable = enumerate_achievable_bundles(cx, "1")
-    check(
-        "counterexample/achievable-set",
-        {frozenset("ad"), frozenset("bc")} <= achievable
-        and frozenset("ab") not in achievable
-        and frozenset("ac") not in achievable,
-        f"{sorted(sorted(b) for b in achievable)}",
-    )
-
+    Each check is a row: its name, the value the package computes and the
+    exact value expected. A row passes iff the two are equal; its detail
+    shows both.
+    """
+    two, alt = two_agent_example(), alternating_manipulation_example()
+    cx, ad, bc = three_agent_counterexample(), frozenset("ad"), frozenset("bc")
+    enc = Encoded(cx)
+    pairs = {"".join(pair) for pair in combinations("abcd", 2)
+             if can_achieve(enc, 0, map(enc.item_index.get, pair))}
     strict = brute_force_best_response(cx, counterexample_utilities(tie=False), "1")
-    check(
-        "counterexample/oracle-strict",
-        strict.max_utility == 5 and strict.optimal_bundles == (frozenset("bc"),),
-        f"max {strict.max_utility}, bundles {[sorted(b) for b in strict.optimal_bundles]}",
-    )
     tied = brute_force_best_response(cx, counterexample_utilities(tie=True), "1")
-    check(
-        "counterexample/oracle-tied",
-        tied.max_utility == 5
-        and set(tied.optimal_bundles) == {frozenset("ad"), frozenset("bc")},
-        f"max {tied.max_utility}, bundles {[sorted(b) for b in tied.optimal_bundles]}",
-    )
-    greedy = refuted_greedy_best_response(cx, "1")
-    check("counterexample/refuted-greedy", greedy == {"a", "d"}, str(sorted(greedy)))
-
     out = build_instance(parse_formula(REFERENCE_FORMULA))
-    check(
-        "reduction/structure",
-        len(out.instance.agents) == 13
-        and len(out.instance.items) == 66
-        and len(out.instance.sequence) == 64,
-        f"{len(out.instance.agents)} agents, {len(out.instance.items)} items,"
-        f" {len(out.instance.sequence)} stages",
-    )
     fwd = verify_forward(out, REFERENCE_ASSIGNMENT)
-    check("reduction/meets-target", fwd.meets_target, f"utility {fwd.utility}, T {out.target}")
-    top_items = {f"o_c{c}^1" for c in (1, 2, 3, 4)}
-    check(
-        "reduction/collects-clause-items",
-        top_items <= fwd.manipulator_bundle,
-        f"missing {sorted(top_items - fwd.manipulator_bundle)}",
-    )
-    expected = expected_reference_trace()
-    got = [item for _, _, item in fwd.allocation.trace]
-    diffs = [
-        (stage, want, have)
-        for stage, (want, have) in enumerate(zip(expected, got), start=1)
-        if want != have
+    trace = zip_longest(expected_reference_trace(), (item for _, _, item in fwd.allocation.trace))
+    rows = [
+        ("two-agent-example/allocation", dict(run_sequential_allocation(two).bundles),
+         {"1": {"o1", "o4"}, "2": {"o2", "o3"}}),
+        ("two-agent-example/best-response", lexicographic_best_response(two, "1"),
+         (("o1", "o4", "o2", "o3"), {"o1", "o4"})),
+        ("alternating-example/truthful", run_sequential_allocation(alt).bundles["1"], {"a", "c"}),
+        ("alternating-example/best-response", lexicographic_best_response(alt, "1"),
+         (("b", "a", "c", "d"), {"a", "b"})),
+        ("counterexample/truthful", run_sequential_allocation(cx).bundles["1"], {"a", "d"}),
+        ("counterexample/misreport", run_with_report(cx, "1", "cbad").bundles["1"], {"b", "c"}),
+        ("counterexample/achievable-set", enumerate_achievable_bundles(cx, "1"),
+         {ad, bc, frozenset("bd")}),
+        ("counterexample/achievable-pairs", pairs, {"ad", "bc", "bd"}),
+        ("counterexample/oracle-strict",
+         (strict.max_utility, strict.optimal_bundles, strict.witness_reports),
+         (5, (bc,), {bc: ("c", "b", "a", "d")})),
+        ("counterexample/oracle-tied",
+         (tied.max_utility, tied.optimal_bundles, tied.witness_reports),
+         (5, (ad, bc), {ad: ("a", "d", "b", "c"), bc: ("c", "b", "a", "d")})),
+        ("counterexample/refuted-greedy", refuted_greedy_best_response(cx, "1"), {"a", "d"}),
+        ("reduction/structure",
+         (len(out.instance.agents), len(out.instance.items), len(out.instance.sequence)),
+         (13, 66, 64)),
+        ("reduction/meets-target", (fwd.meets_target, fwd.utility, out.target),
+         (True, 214_475_092_841, 214_475_092_837)),
+        ("reduction/collects-clause-items",
+         {f"o_c{c}^1" for c in (1, 2, 3, 4)} - fwd.manipulator_bundle, set()),
+        ("reduction/trace-fidelity",
+         [(stage, *pair) for stage, pair in enumerate(trace, 1) if pair[0] != pair[1]], []),
     ]
-    check("reduction/trace-fidelity", not diffs, f"diffs {diffs}")
-    return results
+    return [(name, got == want, f"got {got!r}, expected {want!r}") for name, got, want in rows]

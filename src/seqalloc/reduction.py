@@ -31,7 +31,8 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate
+from operator import gt, itemgetter
 
 from .engine import Encoded, PickState, run_with_report, stages_of
 from .model import (
@@ -400,26 +401,25 @@ def audit_utilities(out: ReductionOutput) -> None:
     ValidationError if the utilities miss an item.
     """
     f = out.formula
-    items = out.instance.items
-    worth, scale = integer_values(out.utility, MANIPULATOR, items)
-    vals = dict(zip(items, worth))
     pref = out.instance.preferences[MANIPULATOR]
+    row, scale = integer_values(out.utility, MANIPULATOR, pref)
 
-    # strict decrease along the manipulator's full preference order
-    for a, b in zip(pref, pref[1:]):
-        _check(vals[a] > vals[b], f"order violated at {a} vs {b}")
-    _check(all(v > 0 for v in vals.values()), "non-positive utility")
+    # strict decrease along the manipulator's full preference order; the
+    # first pair that breaks it is named
+    if not all(map(gt, row, row[1:])):
+        k = next(k for k, (a, b) in enumerate(zip(row, row[1:])) if a <= b)
+        raise AssertionError(f"order violated at {pref[k]} vs {pref[k + 1]}")
+    _check(row[-1] > 0, "non-positive utility")  # the last value is the least
 
     size, valued = len(_ROUND_ITEMS), len(_ROUND_WEIGHTS)
     first_clause = size * f.num_vars
     explicit = valued * f.num_vars + len(f.clauses)
-    tail_sum = sum(vals[o] for o in pref[explicit:])
-    tail_max = max(vals[o] for o in pref[explicit:])
+    tail = row[explicit:]
     eps_total = 2 * f.num_vars * scale
-    ascending = sorted(worth)
-    ascending_sum = [0]  # ascending_sum[j]: total of the j smallest values
-    for w in ascending:
-        ascending_sum.append(ascending_sum[-1] + w)
+    ascending = row[::-1]  # sorted, since the row strictly decreases
+    ascending_sum = list(accumulate(ascending, initial=0))  # [j]: total of the j smallest
+    # the gadget's values by item layout, which need not follow the preference
+    worth = integer_values(out.utility, MANIPULATOR, out.instance.items)[0]
 
     for v, base in zip(f.variables(), range(0, first_clause, size)):
         # the valued slots: x's and ~x's o^1, o^2, then h_~x^1..3 and h_x^1..3
@@ -445,8 +445,8 @@ def audit_utilities(out: ReductionOutput) -> None:
     # top clause items dominate everything the collection round could scrape up
     tops = worth[first_clause::3]
     for c, top in enumerate(tops, 1):
-        _check(top - eps_total > tail_max, f"c{c}: top clause item does not dominate leftovers")
-    _check(min(tops) > tail_sum, "clause scale does not dominate the tail")
+        _check(top - eps_total > tail[0], f"c{c}: top clause item does not dominate leftovers")
+    _check(min(tops) > sum(tail), "clause scale does not dominate the tail")
 
 
 # --- report construction and verification ----------------------------------

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from seqalloc import cli, oracle
+from seqalloc import cli, golden, oracle
 from seqalloc.golden import REFERENCE_FORMULA
 
 from conftest import package_env
@@ -348,6 +348,24 @@ def test_examples_all_green(capsys):
     code, doc = _run_json(capsys, ["examples"])
     assert code == cli.EXIT_OK
     assert all(entry["passed"] for entry in doc["results"].values())
+
+
+def test_a_diverging_golden_row_fails_alone(capsys, monkeypatch):
+    """A golden row whose computed value differs from its expected one is
+    the only row that fails, and every output names both values."""
+    wrong = frozenset("bc")
+    monkeypatch.setattr(golden, "refuted_greedy_best_response", lambda inst, agent: wrong)
+    detail = f"got {wrong!r}, expected {({'a', 'd'})!r}"
+    failed = [(name, why) for name, passed, why in golden.run_golden_checks() if not passed]
+    assert failed == [("counterexample/refuted-greedy", detail)]
+
+    assert cli.main(["examples"]) == cli.EXIT_VERDICT_FALSE
+    out = capsys.readouterr().out
+    assert f"FAIL counterexample/refuted-greedy  {detail}\n" in out
+    assert out.endswith("golden divergence detected\n")
+    code, doc = _run_json(capsys, ["examples"])
+    assert code == cli.EXIT_VERDICT_FALSE
+    assert doc["results"]["counterexample/refuted-greedy"] == {"passed": False, "detail": detail}
 
 
 def test_malformed_instance_is_usage_error(capsys, tmp_path):

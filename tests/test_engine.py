@@ -74,6 +74,26 @@ def test_pick_state_copies_branch_independently():
     assert checked >= 30
 
 
+def test_pick_state_copy_keeps_the_subclass():
+    """A subclass's copy is of that subclass, with equal fields of its own."""
+
+    class SubState(PickState):
+        __slots__ = ()
+
+    inst = validate_instance(
+        items=["a", "b", "c"], agents=["1", "2"],
+        preferences={"1": ["a", "b", "c"], "2": ["b", "a", "c"]}, sequence=["1", "2", "1"],
+    )
+    state = SubState(Encoded(inst))
+    state.advance(2)
+    twin = state.copy()
+    assert type(twin) is SubState
+    assert twin.enc is state.enc and twin.stage == state.stage == 2
+    assert twin.taken == state.taken == bytearray([1, 1, 0])
+    assert twin.cursor == state.cursor == [1, 1]
+    assert twin.taken is not state.taken and twin.cursor is not state.cursor
+
+
 def test_can_achieve_matches_exhaustive_walk_on_every_subset():
     """The one-pass rule against containment in the oracle's bundles."""
     rng = random.Random(25)
