@@ -2,9 +2,7 @@
 
 At each stage the agent named by the sequence receives their most-preferred
 remaining item. ``Encoded`` is the one integer view of an instance and
-``PickState`` the one picking loop; the oracle's enumeration resets one
-state per search to replay the other agents' picks between the
-manipulator's turns, and the reduction's pattern sweep keeps a
+``PickState`` the one picking loop; the reduction's pattern sweep keeps a
 ``PickState.copy`` of the state at each choice round's start, so each
 pattern resumes from the rounds it shares with the one before.
 ``can_achieve`` (or ``secures``, from a given state) decides in one replay
@@ -12,7 +10,9 @@ which item sets the manipulator can secure: the other agents pick around
 the reserved target items while the manipulator passes, and Hall's
 condition on the stages at which they reach those items gives the
 verdict. ``secures`` also returns those stages as due turns, which
-settle every pick order that secures the set.
+settle every pick order that secures the set. The oracle's enumeration
+runs the same rule for every target set at once, over the other agents'
+cursors, with no replay of its own.
 """
 
 from __future__ import annotations

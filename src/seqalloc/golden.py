@@ -1,9 +1,11 @@
 """Built-in reference cases with known-good outcomes.
 
 Small hand-checkable settings exercising every algorithm: two-agent
-settings with sequences 1221 and 1212, a three-agent setting on which the
-ordinal greedy is provably suboptimal, and a reference restricted 3-CNF
-formula whose compiled instance has a fully hand-tabulated 64-stage trace.
+settings with sequences 1221 and 1212, one with sequence 121 on which
+truthful play earns exactly half of the best response, a three-agent
+setting on which the ordinal greedy is provably suboptimal, and a reference
+restricted 3-CNF formula whose compiled instance has a fully hand-tabulated
+64-stage trace.
 
 ``run_golden_checks`` replays all of them as rows of exact expected values;
 the CLI's ``examples`` command reports each row.
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 
 from .engine import Encoded, can_achieve, run_sequential_allocation, run_with_report
-from .model import UtilityFunction, validate_instance
+from .model import UtilityFunction, bundle_utility, validate_instance
 from .oracle import (
     brute_force_best_response,
     enumerate_achievable_bundles,
@@ -138,6 +140,14 @@ def run_golden_checks() -> list[tuple[str, bool, str]]:
              if can_achieve(enc, 0, map(enc.item_index.get, pair))}
     strict = brute_force_best_response(cx, counterexample_utilities(tie=False), "1")
     tied = brute_force_best_response(cx, counterexample_utilities(tie=True), "1")
+    # sequence 121: truthful play gives {a, c}, worth 6, and ranking b
+    # first gives {a, b}, worth 12, so truthful play earns exactly half
+    half = validate_instance(
+        ["a", "b", "c"], ["1", "2"], {"1": ["a", "b", "c"], "2": ["b", "c", "a"]}, ["1", "2", "1"]
+    )
+    half_u = UtilityFunction({"1": {"a": 6, "b": 6, "c": 0}})
+    best = brute_force_best_response(half, half_u, "1")
+    truthful = bundle_utility(half_u, "1", run_sequential_allocation(half).bundles["1"])
     out = build_instance(parse_formula(REFERENCE_FORMULA))
     fwd = verify_forward(out, REFERENCE_ASSIGNMENT)
     trace = zip_longest(expected_reference_trace(), (item for _, _, item in fwd.allocation.trace))
@@ -161,6 +171,8 @@ def run_golden_checks() -> list[tuple[str, bool, str]]:
          (tied.max_utility, tied.optimal_bundles, tied.witness_reports),
          (5, (ad, bc), {ad: ("a", "d", "b", "c"), bc: ("c", "b", "a", "d")})),
         ("counterexample/refuted-greedy", refuted_greedy_best_response(cx, "1"), {"a", "d"}),
+        ("manipulation/truthful-half", (truthful, best.max_utility, best.witness_reports),
+         (6, 12, {frozenset("ab"): ("b", "a", "c")})),
         ("reduction/structure",
          (len(out.instance.agents), len(out.instance.items), len(out.instance.sequence)),
          (13, 66, 64)),

@@ -15,46 +15,20 @@ Each optimum keeps the due turns of its leaf check, from which
 ``node_budget`` bounds the search's achievability checks and the witnesses
 spend none.
 
-``enumerate_achievable_bundles`` is the exhaustive reference. Searching
-the manipulator's pick at each of their turns is outcome-equivalent to
-searching all m! reports, because a report only influences the outcome
-through the item picked at each of the manipulator's turns. The search goes
-turn by turn and keeps the states that some pick order reaches at that
-turn, a state being the pair (items taken, manipulator's picks). Three
-facts make it exact:
-
-- Merging is exact. The other agents pick greedily, so what they pick from
-  a turn on depends only on which items are free then. Pick orders that
-  reach the same pair reach the same bundles, and one state stands for all
-  of them.
-- The others' picks depend only on the items taken, never on which of
-  them the manipulator picked. So a turn's states are grouped by their
-  taken set, and each group is replayed once for all its pick sets: every
-  move found, a next taken set and the manipulator's pick, applies to the
-  whole group.
-- One pass replay serves every candidate outside it. From a taken set, the
-  others play to the manipulator's next turn as if the manipulator passed.
-  If the manipulator instead takes an item x that no other agent takes in
-  that replay, each other agent still finds its replayed pick free and
-  every item it prefers taken, so the others pick exactly as replayed.
-  Only the items the others take in the replay, at most one per other
-  stage before the next turn, need a replay of their own.
-
-  Groups whose pass replays leave the same taken set share those moves,
-  so they are applied once per taken set after the pass, to the union of
-  the groups' pick sets.
-
-At the last turn later stages cannot change the manipulator's bundle, so
-the bundles are the picks plus each free item: each pick set's names as one
-``frozenset``, joined with each free item's. ``node_budget`` counts nodes:
-the root and each (state, candidate pick), the candidates at the last turn
-being the leaf bundles; a group charges its pick sets times its free items
-before its replays. Item sets are ints until the last turn, every replay
-resets one ``PickState`` to a taken set, and a group is dropped as soon as
-it is expanded. Memory grows with the states of one turn, at most one per
-node: about 50 MiB peak RSS at the default budget on the instance that
-``enumerate_achievable_bundles`` describes. ``node_budget`` is each
-search's only limit.
+``enumerate_achievable_bundles`` is the exhaustive reference, a dynamic
+program over the other agents' cursors that runs ``engine.can_achieve``'s
+argument for every target set at once. Let the manipulator pass, and let
+the other agents pick around a reserved set S of items. An item's fate is
+fixed when another agent's scan first reaches it: that agent takes it, or it
+joins S and falls due at t, the manipulator's turns before that stage. An
+item is gone iff some cursor has passed it, so (every cursor, q = |S| so
+far) fixes the future, and states are merged by that key. Due turns arrive
+in non-decreasing order, so Hall's condition is ``q + 1 <= t`` at each
+reservation. Items that no scan reaches before the last turn fall due at
+turn k, the manipulator's turn count, so each final state's bundles are its
+reserved sets, each joined with any k - q of its free items. A reserved set
+fixes its replay, so each bundle comes from one path and one fill, and none
+is produced twice.
 
 The refuted ordinal greedy does not search: it asks ``engine.secures``, a
 polynomial test, from one shared state at the manipulator's first turn,
@@ -63,11 +37,10 @@ whether each extension of its kept set is achievable.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from itertools import compress
-from math import inf
+from itertools import combinations, compress
+from math import comb, inf
 from operator import itemgetter
 
 from .engine import Encoded, PickState, secures, stages_of
@@ -125,85 +98,69 @@ def enumerate_achievable_bundles(
 ) -> set[frozenset[str]]:
     """All bundles the manipulator can end up holding under some report.
 
-    Searches turn by turn over merged (taken, picks) states, grouped by the
-    items taken, with one pass replay per group (see the module docstring).
-    Item sets, taken and picked alike, are ints with bit 0 of byte k
-    standing for item k, so a ``PickState.taken`` converts with one
-    ``int.from_bytes``; the last turn builds the bundles as name sets, so
-    none is decoded from an int. ValidationError if ``node_budget`` is negative.
-    BudgetExceededError once the root and the (state, candidate pick) nodes
-    exceed ``node_budget``; its message names the turn reached (0 being the
-    root) out of the manipulator's turns, and that turn's number of merged
-    states, both independent of the order in which the groups are expanded.
+    Walks the stages before the manipulator's last turn over merged states
+    (see the module docstring). Reserved sets and the items gone are ints,
+    item x being ``1 << x``; each set's names are read once, for its bundles.
+    ValidationError if ``node_budget`` is negative. BudgetExceededError once
+    the nodes exceed ``node_budget``: the root, each (state, reserved set)
+    made at each of the other agents' stages, and each bundle listed. Its
+    message names the manipulator's turns passed (0 at the root, all of
+    them while listing) and the reserved sets held after the last complete
+    stage, both independent of the order in which states are expanded.
 
-    One turn's merged states are held at once, so memory grows with
-    ``node_budget``: three agents with near-identical orders of 30 items,
-    under round robin with 10 turns each, exceed the default budget at
-    turn 6, with 129,456 merged states, at about 50 MiB peak RSS on
-    CPython 3.11.
+    Memory grows with the sets of one stage: three agents with
+    near-identical orders of 30 items, under round robin with 10 turns
+    each, exceed the default budget at turn 9, with 690,690 sets held, at
+    about 63 MiB peak RSS on CPython 3.11.
     """
     check_budget("node_budget", node_budget)
-    turn = held = 0  # the turn reached (0 at the root) and its number of merged states
+    t = held = 0  # the manipulator's turns passed and the sets held
 
     def progress() -> str:
-        return f"at turn {turn} of {inst.turns(manipulator)} with {held} merged states"
+        return f"at turn {t} of {inst.turns(manipulator)} with {held} merged states"
 
-    # the root, charged before the set-up advances to the first turn, so a
-    # zero budget raises before any replay (and before the manipulator is
-    # looked up)
+    # the root, charged before the set-up, so a zero budget raises before
+    # any replay (and before the manipulator is looked up)
     nodes = _spend(0, 1, node_budget, "nodes", progress)
-    enc, turns, root = _setup(inst, manipulator)
+    enc, turns, _ = _setup(inst, manipulator)
     if not turns:
         return {frozenset()}
-    m = enc.m
-    bit = [1 << 8 * k for k in range(m)]
-    every = sum(bit)
-    state = PickState(enc)  # every replay resets this one state
-    fresh = [0] * len(enc.prefs)
-
-    def resume(taken: int, stage: int) -> PickState:
-        """The state at ``stage`` with the items of ``taken`` taken."""
-        state.taken[:] = taken.to_bytes(m, "little")
-        state.cursor[:] = fresh
-        state.stage = stage
-        return state
-
-    # taken -> the manipulator's pick sets
-    states: dict[int, set[int]] = {int.from_bytes(root.taken, "little"): {0}}
-    for turn, (now, stop) in enumerate(zip(turns, turns[1:]), 1):
-        merged: defaultdict[int, set[int]] = defaultdict(set)
-        passed: defaultdict[int, set[int]] = defaultdict(set)  # taken after the pass -> pick sets
-        held = sum(map(len, states.values()))
-        while states:  # a group is dropped as it is expanded, to bound the peak
-            taken, mines = states.popitem()
-            nodes = _spend(
-                nodes, len(mines) * (every ^ taken).bit_count(), node_budget, "nodes", progress
-            )
-            # the others' picks depend only on ``taken``, so each move (next
-            # taken set, pick) applies to all of ``mines`` at once; one pass
-            # replay gives the moves of the candidates that the others would
-            # not take themselves before ``stop``, one replay each the rest
-            lost = resume(taken, now + 1).advance(stop)  # the manipulator passes
-            passed[int.from_bytes(state.taken, "little")].update(mines)
-            for k in lost:
-                resume(taken | bit[k], now + 1).advance(stop)
-                merged[int.from_bytes(state.taken, "little")].update(map(bit[k].__or__, mines))
-        # the moves past the others' pass, once per taken set after it
-        for after, mines in passed.items():
-            for b in compress(bit, (every ^ after).to_bytes(m, "little")):
-                merged[after | b].update(map(b.__or__, mines))
-        states = merged
-    turn, held = len(turns), sum(map(len, states.values()))
-    # later stages cannot change the manipulator's bundle
-    single = [frozenset((o,)) for o in inst.items]
+    me, prefs = enc.agent_index[manipulator], enc.prefs
+    # (cursors, items reserved) -> [items gone, reserved sets]
+    states = {((0,) * len(prefs), 0): [0, [0]]}
+    held = 1
+    for agent in enc.seq[: turns[-1]]:
+        if agent == me:
+            t += 1
+            continue
+        row, after = prefs[agent], {}
+        while states:  # a state is dropped as it is expanded, to bound the peak
+            (cursors, q), (gone, sets) = states.popitem()
+            p = cursors[agent]
+            while True:
+                while gone >> row[p] & 1:
+                    p += 1
+                x = 1 << row[p]
+                nodes = _spend(nodes, len(sets), node_budget, "nodes", progress)
+                key = (cursors[:agent] + (p + 1,) + cursors[agent + 1 :], q)
+                if key in after:  # the agent takes x
+                    after[key][1] += sets
+                else:
+                    after[key] = [gone | x, sets]
+                if q == t:  # reserving x would break Hall's condition, q + 1 <= t
+                    break
+                q, gone, sets = q + 1, gone | x, [s | x for s in sets]  # x is reserved
+        states = after
+        held = sum(len(sets) for _, sets in states.values())
+    t = k = len(turns)
     reached: set[frozenset[str]] = set()
-    while states:
-        taken, mines = states.popitem()
-        free = list(compress(single, (every ^ taken).to_bytes(m, "little")))
-        nodes = _spend(nodes, len(mines) * len(free), node_budget, "nodes", progress)
-        for mine in mines:
-            named = frozenset(compress(inst.items, mine.to_bytes(m, "little")))
-            reached.update(map(named.union, free))
+    for (_, q), (gone, sets) in states.items():
+        free = [o for x, o in enumerate(inst.items) if not gone >> x & 1]
+        nodes = _spend(nodes, len(sets) * comb(len(free), k - q), node_budget, "nodes", progress)
+        fills = list(combinations(free, k - q))
+        for s in sets:  # each set's names, read from its bits, joined with each fill
+            named = frozenset(compress(inst.items, map("1".__eq__, bin(s)[:1:-1])))
+            reached.update(map(named.union, fills))
     return reached
 
 

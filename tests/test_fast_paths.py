@@ -8,24 +8,21 @@ answers, and the same errors with the same messages.
 
 import inspect
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, compress, product, repeat, starmap
+from itertools import accumulate
 from operator import le
 
 import pytest
 
 from seqalloc import oracle, two_agent
-from seqalloc.engine import Encoded, PickState, run_sequential_allocation, secures, stages_of
+from seqalloc.engine import Encoded, run_sequential_allocation, secures, stages_of
 from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
 from seqalloc.model import (
-    DEFAULT_NODE_BUDGET,
     Allocation,
-    BudgetExceededError,
     UtilityFunction,
     ValidationError,
     bundle_utility,
-    check_budget,
     complete_order,
     integer_values,
     order_from_utilities,
@@ -39,7 +36,6 @@ from seqalloc.two_agent import (
 )
 
 from conftest import random_instance
-from test_oracle import _near_identical_small, _round_robin_instance
 
 
 def _outcome(f, *args):
@@ -413,93 +409,3 @@ def test_witness_from_due_turns_matches_the_per_candidate_replay():
         seen["reordered", expected != sorted(bundle)] += 1
     # tied optima came up, and witnesses that do not take the bundle in index order
     assert seen["optima", True] and seen["reordered", True], seen
-
-
-def _enumerate_per_group(inst, manipulator, node_budget):
-    """``enumerate_achievable_bundles`` with a fresh state per replay, the
-    free moves applied once per group and the bundles decoded from ints."""
-    check_budget("node_budget", node_budget)
-    turn = held = 0
-
-    def progress():
-        return f"at turn {turn} of {inst.turns(manipulator)} with {held} merged states"
-
-    nodes = oracle._spend(0, 1, node_budget, "nodes", progress)
-    enc, turns, root = oracle._setup(inst, manipulator)
-    if not turns:
-        return {frozenset()}
-    m = enc.m
-    bit = [1 << 8 * k for k in range(m)]
-    every = sum(bit)
-
-    def singletons(items):
-        return compress(bit, items.to_bytes(m, "little"))
-
-    def resume(taken, stage):
-        state = PickState(enc)
-        state.taken[:] = taken.to_bytes(m, "little")
-        state.stage = stage
-        return state
-
-    states = {int.from_bytes(root.taken, "little"): {0}}
-    for turn, (now, stop) in enumerate(zip(turns, turns[1:]), 1):
-        merged = defaultdict(set)
-        held = sum(map(len, states.values()))
-        while states:
-            taken, mines = states.popitem()
-            nodes = oracle._spend(
-                nodes, len(mines) * (every ^ taken).bit_count(), node_budget, "nodes", progress
-            )
-            passed = resume(taken, now + 1)
-            for k in passed.advance(stop):
-                child = resume(taken | bit[k], now + 1)
-                child.advance(stop)
-                merged[int.from_bytes(child.taken, "little")].update(map(bit[k].__or__, mines))
-            after = int.from_bytes(passed.taken, "little")
-            for b in singletons(every ^ after):
-                merged[after | b].update(map(b.__or__, mines))
-        states = merged
-    turn, held = len(turns), sum(map(len, states.values()))
-    reached = set()
-    while states:
-        taken, mines = states.popitem()
-        free = list(singletons(every ^ taken))
-        nodes = oracle._spend(nodes, len(mines) * len(free), node_budget, "nodes", progress)
-        reached.update(starmap(int.__or__, product(mines, free)))
-    rows = map(int.to_bytes, reached, repeat(m), repeat("little"))
-    return set(map(frozenset, map(compress, repeat(inst.items), rows)))
-
-
-def _enumeration_outcome(search, inst, manip, budget):
-    """The bundles, or the budget error's message and fields."""
-    try:
-        return search(inst, manip, budget)
-    except BudgetExceededError as err:
-        return str(err), err.limit, err.used, err.unit
-
-
-def test_enumeration_moves_per_taken_set_match_the_per_group_form():
-    rng = random.Random(2802)
-    cases = []
-    for _ in range(150):
-        m = rng.randint(1, 9)
-        inst = random_instance(rng, n=rng.randint(2, 4), m=m, L=rng.randint(0, m))
-        cases.append((inst, rng.choice(inst.agents)))
-    cases += [(_near_identical_small(rng, rng.randint(6, 9)), "1") for _ in range(12)]
-    cases += [(_round_robin_instance(rng), "1") for _ in range(2)]
-    errors = 0
-    for inst, manip in cases:
-        lo, hi = 0, DEFAULT_NODE_BUDGET
-        while lo < hi:  # the smallest budget that answers
-            mid = (lo + hi) // 2
-            if isinstance(_enumeration_outcome(_enumerate_per_group, inst, manip, mid), set):
-                hi = mid
-            else:
-                lo = mid + 1
-        for budget in {0, lo // 3, lo // 2, lo - 1, lo, lo + 1} - {-1}:
-            got = _enumeration_outcome(oracle.enumerate_achievable_bundles, inst, manip, budget)
-            assert got == _enumeration_outcome(_enumerate_per_group, inst, manip, budget), (
-                inst, manip, budget,
-            )
-            errors += not isinstance(got, set)
-    assert errors >= len(cases), errors

@@ -103,6 +103,23 @@ def test_two_agent_commands_load_no_search_module(tmp_path, argv):
     assert not loaded & {"oracle", "reduction", "golden"}, loaded
 
 
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["best-response", "profile.instance", "--agent", "1", "--mode", "oracle"],
+         {"reduction", "golden"}),
+        (["reduce", "ref.cnf", "--out", "ref"], {"oracle", "two_agent", "golden"}),
+        (["verify-reduction", "ref.cnf", "--assignment", "x1=T,x2=F,x3=F"],
+         {"oracle", "two_agent", "golden"}),
+    ],
+)
+def test_search_commands_load_no_sibling_search_module(tmp_path, argv, absent):
+    _inputs(tmp_path)
+    code = f"from seqalloc import cli\nstatus = cli.main({argv!r})\nassert status == 0"
+    loaded = _loaded_after(code, tmp_path)
+    assert not loaded & absent, loaded
+
+
 def test_submodules_resolve_after_a_bare_import(tmp_path):
     code = "import seqalloc\n" + "".join(f"seqalloc.{name}\n" for name in SUBMODULES)
     assert _loaded_after(code, tmp_path) >= set(SUBMODULES)

@@ -1,8 +1,10 @@
+import bisect
 import itertools
 import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -191,6 +193,31 @@ def _manipulator_heavy_instance(m: int):
         preferences={"1": items, "2": list(reversed(items))},
         sequence=["1", "2"] * (m // 2),
     )
+
+
+def test_truthful_play_earns_at_least_half_of_the_best_response():
+    """Truthful play (the order by falling value, ties by name) earns at
+    least half of the best response's utility, on seeded instances with
+    integer values 0-100 and rationals. The golden row
+    ``manipulation/truthful-half`` is a case where it earns exactly half."""
+    rng = random.Random(99)
+    gained = 0
+    for _ in range(10_000):
+        m = rng.randint(1, 8)
+        inst = random_instance(rng, n=rng.randint(2, 4), m=m, L=rng.randint(1, m))
+        manip = rng.choice(inst.agents)
+        vals = {
+            o: rng.randint(0, 100) if rng.random() < 0.3
+            else Fraction(rng.randint(0, 100), rng.randint(1, 7))
+            for o in inst.items
+        }
+        u = UtilityFunction({manip: vals})
+        report = sorted(inst.items, key=lambda o: (-vals[o], o))
+        truthful = bundle_utility(u, manip, run_with_report(inst, manip, report).bundles[manip])
+        best = brute_force_best_response(inst, u, manip).max_utility
+        assert 2 * truthful >= best, (inst, manip, vals)
+        gained += truthful < best
+    assert gained >= 100, gained  # manipulation pays on some instances
 
 
 def test_refuted_greedy_has_no_turn_guard():
@@ -399,8 +426,25 @@ def _round_robin_instance(rng, m=15, turns=4):
     return validate_instance(items, list("123"), prefs, list("123") * turns)
 
 
+def _fill_sizes(inst, manip, bundles):
+    """The fill of each reserved set that ``bundles`` hold, as a size.
+
+    A bundle's reserved items are those that fall due before the
+    manipulator's last turn (``engine.secures``); the rest are its fill.
+    """
+    enc, turns, start = oracle._setup(inst, manip)
+    index, k = enc.item_index, len(turns)
+    fills = {}
+    for bundle in bundles:
+        due = engine.secures(start, turns, [index[o] for o in bundle])
+        reserved = frozenset(o for o in bundle if due[index[o]] < k)
+        fills[reserved] = k - len(reserved)
+    return fills.values()
+
+
 def test_merged_search_matches_pick_order_walk():
     rng = random.Random(59)
+    cases = []
     for trial in range(600):
         n, m = rng.randint(2, 4), rng.randint(1, 9)
         inst = random_instance(rng, n=n, m=m, L=rng.randint(0, m))
@@ -409,8 +453,19 @@ def test_merged_search_matches_pick_order_walk():
             manip = absent[0] if absent else rng.choice(inst.agents)
         else:
             manip = rng.choice(inst.agents)
+        cases.append((inst, manip))
+    for _ in range(300):  # many agents, few items
+        m = rng.randint(1, 6)
+        inst = random_instance(rng, n=rng.randint(5, 6), m=m, L=rng.randint(0, m))
+        cases.append((inst, rng.choice(inst.sequence or inst.agents)))
+    fills = Counter()
+    for inst, manip in cases:
         bundles, _ = _pick_order_walk(inst, manip)
         assert enumerate_achievable_bundles(inst, manip) == bundles, (inst, manip)
+        if inst.turns(manip):
+            fills.update(_fill_sizes(inst, manip, bundles))
+    # bundles that join a reserved set with two or more free items came up
+    assert sum(count for size, count in fills.items() if size >= 2) >= 200, fills
 
 
 def test_merged_search_matches_pick_order_walk_on_round_robin():
@@ -433,18 +488,78 @@ def _count_advances(monkeypatch):
     return calls
 
 
-def test_merged_search_replays_a_quarter_of_the_walk(monkeypatch):
-    """One pass replay per distinct taken set, plus one child replay per
-    item the others take in it: 208 ``advance`` calls on this instance.
-
-    The turns' merged states (15 and 102 before the last turn) share 13 and
-    55 taken sets. One replay per state made 355 calls, and the pick-order
-    walk 1,816.
-    """
+def test_enumeration_replays_only_to_the_first_turn(monkeypatch):
+    """The others' picks come from the search's own cursors, so the only
+    ``advance`` is the set-up's, to the manipulator's first turn (stage 1)."""
     inst = _round_robin_instance(random.Random(61))
     calls = _count_advances(monkeypatch)
-    assert len(enumerate_achievable_bundles(inst, "1")) == 1020
-    assert 0 < len(calls) <= 208, len(calls)
+    bundles = enumerate_achievable_bundles(inst, "2")
+    assert calls == [1]
+    assert bundles == _pick_order_walk(inst, "2")[0]
+
+
+def _enumeration_phases(inst, manip, bundles):
+    """The slow reference for the enumeration's node budget: (turn, sets
+    held, nodes) for the root, each other agent's stage before the
+    manipulator's last turn, and the listing of ``bundles``.
+
+    A stage's nodes are, by brute force over the item sets S with |S| < k,
+    those whose reserved replay to that stage reaches every item of S, with
+    no more items of S reached than turns passed at each reach. The sets
+    held during a phase are the last stage's nodes (1 after the root).
+    """
+    enc = Encoded(inst)
+    me = enc.agent_index[manip]
+    turns = stages_of(enc.seq, me)
+    if not turns:
+        return [(0, 0, 1)]
+    made = Counter()  # stage -> sets S made there
+    for size in range(len(turns)):
+        for reserved in map(set, itertools.combinations(range(enc.m), size)):
+            gone, reached = set(), 0
+            for stage, agent in enumerate(enc.seq[: turns[-1]]):
+                if agent == me:
+                    continue
+                for item in enc.prefs[agent]:
+                    if item not in gone:
+                        gone.add(item)
+                        if item not in reserved:
+                            break
+                        reached += 1
+                if reached > bisect.bisect(turns, stage):
+                    break
+                made[stage] += reached == size
+    phases, held = [(0, 0, 1)], 1
+    for stage, agent in enumerate(enc.seq[: turns[-1]]):
+        if agent != me:
+            phases.append((bisect.bisect(turns, stage), held, made[stage]))
+            held = made[stage]
+    return phases + [(len(turns), held, len(bundles))]
+
+
+def _enumeration_outcome(inst, manip, budget):
+    """``enumerate_achievable_bundles``' bundles, or its budget error's
+    message and fields."""
+    try:
+        return enumerate_achievable_bundles(inst, manip, budget)
+    except BudgetExceededError as err:
+        return str(err), err.limit, err.used, err.unit
+
+
+def _expected_enumeration(inst, manip, bundles, budget):
+    """``enumerate_achievable_bundles``' outcome under ``budget`` by
+    ``_enumeration_phases``: the bundles, or the budget error's message and
+    fields."""
+    spent = 0
+    for turn, held, nodes in _enumeration_phases(inst, manip, bundles):
+        spent += nodes
+        if spent > budget:
+            message = (
+                f"search exceeded node budget {budget} after {budget} nodes, "
+                f"at turn {turn} of {inst.turns(manip)} with {held} merged states"
+            )
+            return message, budget, budget, "nodes"
+    return bundles
 
 
 def test_smallest_answering_node_budget_is_exact():
@@ -461,9 +576,9 @@ def test_smallest_answering_node_budget_is_exact():
                 hi = mid
             except BudgetExceededError:
                 lo = mid + 1
-        # the root and each (state, candidate pick) of the merged states
-        _, states = _pick_order_walk(inst, manip)
-        assert lo == 1 + sum(taken.count(0) for _, _, taken in states)
+        # the root, each (state, reserved set) at each other agent's stage
+        # and each bundle
+        assert lo == sum(nodes for *_, nodes in _enumeration_phases(inst, manip, expected))
         assert enumerate_achievable_bundles(inst, manip, node_budget=lo) == expected
         with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
             enumerate_achievable_bundles(inst, manip, node_budget=lo - 1)
@@ -485,10 +600,10 @@ def _near_identical_small(rng, m):
 
 
 def test_heavy_merging_matches_pick_order_walk():
-    """Near-identical orders: many pick orders share a taken set, so the
-    searched groups hold several pick sets. Bundles, the smallest answering
-    node budget and the progress named by each budget error all follow from
-    the walk's states."""
+    """Near-identical orders, on which many pick orders reach the same
+    taken set. Bundles follow from the walk, and the smallest answering
+    node budget and the progress named by each budget error from the
+    brute-force phases."""
     rng = random.Random(64)
     shared = 0
     for _ in range(12):
@@ -498,24 +613,37 @@ def test_heavy_merging_matches_pick_order_walk():
         turns = inst.sequence.count("1")
         held = [[(picks, taken) for c, picks, taken in states if c == t] for t in range(turns)]
         shared += sum(len(h) > len({taken for _, taken in h}) for h in held)
-        # the root, then each (state, candidate pick) turn by turn
-        nodes = [1] + [sum(taken.count(0) for _, taken in h) for h in held]
-        lo = sum(nodes)
-        assert enumerate_achievable_bundles(inst, "1", node_budget=lo) == bundles
         spent = 0
-        for turn, count in enumerate(nodes):
-            spent += count
-            for budget in {spent - count, spent - 1}:  # the first and last that trip here
-                with pytest.raises(BudgetExceededError) as excinfo:
-                    enumerate_achievable_bundles(inst, "1", node_budget=budget)
-                err = excinfo.value
-                assert (err.limit, err.used, err.unit) == (budget, budget, "nodes")
-                merged = len(held[turn - 1]) if turn else 0
-                assert str(err) == (
-                    f"search exceeded node budget {budget} after {budget} nodes, "
-                    f"at turn {turn} of {turns} with {merged} merged states"
-                )
-    assert shared >= 12, shared  # turns whose states share a taken set
+        for *_, nodes in _enumeration_phases(inst, "1", bundles):
+            # the first and last budgets that trip in this phase, and the
+            # first that passes it
+            for budget in (spent, spent + nodes - 1, spent + nodes):
+                expected = _expected_enumeration(inst, "1", bundles, budget)
+                assert _enumeration_outcome(inst, "1", budget) == expected, (inst, budget)
+            spent += nodes
+    assert shared >= 12, shared  # turns whose pick orders share a taken set
+
+
+def test_enumeration_budget_outcomes_match_the_brute_force_phases():
+    """Below, at and above the smallest answering budget: the same bundles,
+    or the same budget error with the same message and fields."""
+    rng = random.Random(2802)
+    cases = []
+    for _ in range(150):
+        m = rng.randint(1, 9)
+        inst = random_instance(rng, n=rng.randint(2, 4), m=m, L=rng.randint(0, m))
+        cases.append((inst, rng.choice(inst.agents)))
+    cases += [(_near_identical_small(rng, rng.randint(6, 9)), "1") for _ in range(12)]
+    cases += [(_round_robin_instance(rng), "1") for _ in range(2)]
+    errors = 0
+    for inst, manip in cases:
+        bundles, _ = _pick_order_walk(inst, manip)
+        lo = sum(nodes for *_, nodes in _enumeration_phases(inst, manip, bundles))
+        for budget in {0, lo // 3, lo // 2, lo - 1, lo, lo + 1}:
+            got = _enumeration_outcome(inst, manip, budget)
+            assert got == _expected_enumeration(inst, manip, bundles, budget), (inst, manip, budget)
+            errors += not isinstance(got, set)
+    assert errors >= len(cases), errors
 
 
 def test_zero_node_budget_raises_before_any_replay(monkeypatch):
@@ -567,10 +695,10 @@ print(json.dumps([fields, peak if sys.platform == "darwin" else peak * 1024]))
 def test_near_identical_round_robin_exceeds_the_default_node_budget():
     """The premise of ``test_oracle_answers_where_the_walk_exceeds_its_budget``.
 
-    Runs in a fresh process, so that the peak RSS is this search's own: one
-    turn's merged states are held at once, grouped by the items taken, within
-    110 MiB. The error names the turn reached and that turn's merged states,
-    whatever order the search takes them in.
+    Runs in a fresh process, so that the peak RSS is this search's own: the
+    reserved sets of about one stage are held at once, within 110 MiB. The
+    error names the turns passed and the sets held after the last complete
+    stage, whatever order the search takes the states in.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_SCRIPT],
@@ -583,7 +711,7 @@ def test_near_identical_round_robin_exceeds_the_default_node_budget():
     message, *err = fields
     assert message == (
         "search exceeded node budget 2000000 after 2000000 nodes, "
-        "at turn 6 of 10 with 129456 merged states"
+        "at turn 9 of 10 with 690690 merged states"
     )
     assert err == [DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET, "nodes"]
     assert peak <= 110 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"
