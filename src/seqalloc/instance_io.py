@@ -188,7 +188,8 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
             else:
                 row = " ".join(render_fraction(Fraction(w, scale)) for w in values)
             lines.append(f"util {a} : {row}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, in the one join rather than a second copy
+    return "\n".join(lines)
 
 
 def render_fraction(x: Fraction) -> str:

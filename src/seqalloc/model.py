@@ -126,10 +126,17 @@ class Instance(Record):
 
     def with_preference(self, agent: str, order: Iterable[str]) -> "Instance":
         """Copy of the instance with one agent's preference replaced;
-        ValidationError for an unknown agent or a non-permutation order."""
+        ValidationError for an unknown agent or a non-permutation order.
+
+        An order equal to the agent's current one replaces nothing: the
+        instance itself is returned, with no copy and no second check of
+        an order that ``validate_instance`` already checked.
+        """
         if agent not in self.agents:
             raise ValidationError([f"unknown agent {agent}"])
         order = tuple(order)
+        if order == self.preferences[agent]:
+            return self
         if not _is_permutation(order, self.items, set(self.items)):
             raise ValidationError(
                 [f"replacement preference for agent {agent} is not a permutation of the item set"]

@@ -65,15 +65,20 @@ class OracleResult(Record):
     checks: int  # the search's achievability checks, the unit of ``node_budget``
 
 
-def _setup(inst: Instance, manipulator: str) -> tuple[Encoded, list[int], PickState]:
-    """The encoded instance, the manipulator's stages and a state advanced to
-    their first turn (none if they have no turn), which ``secures`` leaves as
-    it is, so every check can share it; ValidationError if the manipulator is
-    unknown."""
+def _encode(inst: Instance, manipulator: str) -> tuple[Encoded, list[int]]:
+    """The encoded instance and the manipulator's stages; ValidationError if
+    the manipulator is unknown."""
     enc = Encoded(inst)
     if manipulator not in enc.agent_index:
         raise ValidationError([f"unknown agent {manipulator}"])
-    turns = stages_of(enc.seq, enc.agent_index[manipulator])
+    return enc, stages_of(enc.seq, enc.agent_index[manipulator])
+
+
+def _setup(inst: Instance, manipulator: str) -> tuple[Encoded, list[int], PickState]:
+    """``_encode`` and a state advanced to the manipulator's first turn (none
+    if they have no turn), which ``secures`` leaves as it is, so every check
+    can share it."""
+    enc, turns = _encode(inst, manipulator)
     start = PickState(enc)
     start.advance(turns[0] if turns else 0)
     return enc, turns, start
@@ -119,10 +124,10 @@ def enumerate_achievable_bundles(
     def progress() -> str:
         return f"at turn {t} of {inst.turns(manipulator)} with {held} merged states"
 
-    # the root, charged before the set-up, so a zero budget raises before
-    # any replay (and before the manipulator is looked up)
+    # the root, charged before the manipulator is looked up, so a zero
+    # budget raises first
     nodes = _spend(0, 1, node_budget, "nodes", progress)
-    enc, turns, _ = _setup(inst, manipulator)
+    enc, turns = _encode(inst, manipulator)
     if not turns:
         return {frozenset()}
     me, prefs = enc.agent_index[manipulator], enc.prefs

@@ -26,7 +26,6 @@ from it, and the round's sizes are the table's lengths.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
@@ -224,6 +223,8 @@ class GadgetRegistry(Record):
     rounds: tuple[RoundSpan, ...]
 
     def to_json(self) -> str:
+        import json  # only the registry file needs it; compiling and verifying do not
+
         doc = {
             "literal_agents": {f"{lit},{copy}": a for (lit, copy), a in self.literal_agents.items()},
             "choice_items": {str(k): v for k, v in self.choice_items.items()},

@@ -23,6 +23,12 @@ Each answer is one builtin pass over an order: one pass over the
 opponent's order yields the ranks p_j already sorted and, in the same way,
 the head of the canonical report; the greedy is one ``filter`` of the
 manipulator's order by a per-item test.
+
+A Nash check compares bundles, so it asks the greedy for bundles, not
+reports: for each agent whose utility row induces their reported order,
+``lexicographic_bundle`` runs on the reported instance itself, with no
+canonical report built and no instance copied. Only a row that must be
+ranked afresh goes through ``best_response`` on a copy with its order.
 """
 
 from __future__ import annotations
@@ -164,23 +170,28 @@ def _deadline_test(inst: Instance, manipulator: str) -> Callable[[str], bool]:
     return accepts
 
 
-def lexicographic_best_response(
-    inst: Instance, manipulator: str
-) -> tuple[tuple[str, ...], frozenset[str]]:
+def lexicographic_bundle(inst: Instance, manipulator: str) -> frozenset[str]:
     """Greedy over the manipulator's true order, keeping achievable extensions.
 
-    Returns the canonical report for the selected set and the set itself;
-    replaying the report through the engine yields exactly that set. The
-    greedy schedules kept items by deadline; its result is checked once
-    against ``is_achievable``, and AssertionError (also under ``python
-    -O``) means the two disagree.
+    Returns the selected set, the manipulator's best response bundle under
+    any utilities that induce their order. The greedy schedules kept items
+    by deadline; its result is checked once against ``is_achievable``, and
+    AssertionError (also under ``python -O``) means the two disagree.
     """
     _require_two_agents(inst)
-    opponent = _opponent(inst, manipulator)
     S = frozenset(ordinal_greedy(inst, manipulator, _deadline_test(inst, manipulator)))
     if not is_achievable(S, inst, manipulator):
         raise AssertionError(f"greedy kept an unachievable set {sorted(S)}")
-    return canonical_report(S, inst.preferences[opponent], inst.items), S
+    return S
+
+
+def lexicographic_best_response(
+    inst: Instance, manipulator: str
+) -> tuple[tuple[str, ...], frozenset[str]]:
+    """``lexicographic_bundle`` and the canonical report for it; replaying
+    the report through the engine yields exactly that set."""
+    S = lexicographic_bundle(inst, manipulator)
+    return canonical_report(S, inst.preferences[_opponent(inst, manipulator)], inst.items), S
 
 
 def best_response(
@@ -221,9 +232,11 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     true utilities, whose induced order is that agent's true preference. A
     row with no ``row_problems`` strictly decreases along the reported
     order, so it induces that order and is checked once: that agent's best
-    response is the lexicographic one, valued by ``bundle_utility``. Any
-    other row is ranked afresh and goes through ``best_response``, whose
-    errors name its problems.
+    response bundle is ``lexicographic_bundle`` on ``inst`` itself (which
+    ``with_preference`` returns for the reported order, copying nothing),
+    with no report built, valued by ``bundle_utility``. Any other row is
+    ranked afresh and goes through ``best_response``, whose errors name its
+    problems.
     """
     _require_two_agents(inst)
     consistent = {a for a in inst.agents if not row_problems(u, inst, a)}
@@ -237,7 +250,7 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     for agent in inst.agents:
         deviation_setting = inst.with_preference(agent, true_orders[agent])
         if agent in consistent:
-            _, bundle = lexicographic_best_response(deviation_setting, agent)
+            bundle = lexicographic_bundle(deviation_setting, agent)
             utility = bundle_utility(u, agent, bundle)
         else:
             _, bundle, utility = best_response(deviation_setting, u, agent)

@@ -13,7 +13,7 @@ from itertools import compress, permutations, product
 from seqalloc.engine import Encoded, can_achieve, run_with_report
 from seqalloc.model import make_lexicographic_utilities, validate_instance
 from seqalloc.oracle import brute_force_best_response
-from seqalloc.two_agent import is_achievable, lexicographic_best_response
+from seqalloc.two_agent import is_achievable, lexicographic_best_response, lexicographic_bundle
 
 MANIPULATOR, OPPONENT = "1", "2"
 
@@ -34,6 +34,7 @@ def test_every_small_two_agent_instance():
     seen = Counter()
     for inst, subsets in _family():
         report, bundle = lexicographic_best_response(inst, MANIPULATOR)
+        assert lexicographic_bundle(inst, MANIPULATOR) == bundle, inst
         u = make_lexicographic_utilities(inst.preferences)
         # lexicographic utilities give every bundle its own value
         assert brute_force_best_response(inst, u, MANIPULATOR).optimal_bundles == (bundle,), inst

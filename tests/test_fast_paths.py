@@ -15,7 +15,7 @@ from operator import le
 
 import pytest
 
-from seqalloc import oracle, two_agent
+from seqalloc import engine, model, oracle, two_agent
 from seqalloc.engine import Encoded, run_sequential_allocation, secures, stages_of
 from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
 from seqalloc.model import (
@@ -191,6 +191,41 @@ def test_nash_checks_each_consistent_row_once(monkeypatch):
         checked.clear()
         nash_evidence(inst, u)
         assert sorted(checked) == sorted(inst.agents)
+
+
+def test_nash_with_consistent_rows_builds_no_report_and_copies_no_instance(monkeypatch):
+    """Each consistent row's best response is a greedy bundle on the reported
+    instance itself, so the check's only replay is the truthful allocation."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (two_agent, "canonical_report"),
+        (two_agent, "run_sequential_allocation"),
+        (engine, "run_sequential_allocation"),
+    ]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    with_preference = model.Instance.with_preference
+
+    def copy_counted(inst, agent, order):
+        setting = with_preference(inst, agent, order)
+        calls["instance copies"] += setting is not inst
+        return setting
+
+    monkeypatch.setattr(model.Instance, "with_preference", copy_counted)
+    rng = random.Random(2509)
+    for _ in range(20):
+        inst = random_instance(rng, 2, rng.randint(1, 9))
+        u = UtilityFunction({a: _row(rng, inst, a, "consistent") for a in inst.agents})
+        calls.clear()
+        nash_evidence(inst, u)
+        assert +calls == {"run_sequential_allocation": 1}, calls
 
 
 # --- one pass over the opponent's order -------------------------------------------

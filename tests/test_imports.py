@@ -212,6 +212,21 @@ def test_a_command_loads_no_class_machinery(tmp_path, command):
     assert not _modules_after(code, tmp_path) & CLASS_MACHINERY, command
 
 
+def test_compiling_and_verifying_load_no_json(tmp_path):
+    """Only ``GadgetRegistry.to_json`` needs ``json``; the check reads
+    ``sys.modules`` before the ``import json`` that ``_modules_after`` adds."""
+    code = (
+        "import sys\n"
+        "import seqalloc\n"
+        "from seqalloc.golden import REFERENCE_FORMULA\n"
+        "out = seqalloc.build_instance(seqalloc.parse_formula(REFERENCE_FORMULA))\n"
+        "seqalloc.verify_choice_patterns(out)\n"
+        "seqalloc.verify_forward(out, {1: True, 2: False, 3: False})\n"
+        "assert 'json' not in sys.modules, 'json loaded'\n"
+    )
+    assert "seqalloc.reduction" in _modules_after(code, tmp_path)
+
+
 def test_a_two_agent_query_loads_no_typing(tmp_path):
     """Under ``-S`` no site hook imports ``typing`` first, so this sees the
     package's own imports: every annotation is a string, and the names it

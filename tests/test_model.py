@@ -104,6 +104,8 @@ def test_with_preference_replaces_one_agent():
     assert swapped.preferences["2"] == inst.preferences["2"]
     with pytest.raises(ValidationError):
         inst.with_preference("1", ["a", "b"])
+    # the current order replaces nothing, so nothing is copied
+    assert inst.with_preference("1", list(inst.preferences["1"])) is inst
 
 
 def test_lexicographic_utilities_dominate_suffixes():

@@ -488,13 +488,13 @@ def _count_advances(monkeypatch):
     return calls
 
 
-def test_enumeration_replays_only_to_the_first_turn(monkeypatch):
-    """The others' picks come from the search's own cursors, so the only
-    ``advance`` is the set-up's, to the manipulator's first turn (stage 1)."""
+def test_enumeration_makes_no_replay(monkeypatch):
+    """The others' picks come from the search's own cursors, so it makes no
+    ``advance`` at all, not even to the manipulator's first turn."""
     inst = _round_robin_instance(random.Random(61))
     calls = _count_advances(monkeypatch)
     bundles = enumerate_achievable_bundles(inst, "2")
-    assert calls == [1]
+    assert calls == []
     assert bundles == _pick_order_walk(inst, "2")[0]
 
 

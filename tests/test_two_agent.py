@@ -23,6 +23,7 @@ from seqalloc.two_agent import (
     canonical_report,
     is_achievable,
     lexicographic_best_response,
+    lexicographic_bundle,
     nash_evidence,
     verify_nash_two_agents,
 )
@@ -346,9 +347,9 @@ def test_slack_greedy_matches_per_item_greedy_on_256_items(blocked):
     for _ in range(3):
         inst = _full_sequence_instance(rng, 256, blocked)
         for manip in inst.agents:
-            assert lexicographic_best_response(inst, manip) == _per_item_best_response(
-                inst, manip
-            ), manip
+            expected = _per_item_best_response(inst, manip)
+            assert lexicographic_best_response(inst, manip) == expected, manip
+            assert lexicographic_bundle(inst, manip) == expected[1], manip
 
 
 @pytest.mark.parametrize("blocked", [True, False], ids=["1221", "random"])
