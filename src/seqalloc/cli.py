@@ -234,10 +234,12 @@ def cmd_verify_reduction(args) -> int:
 
     report = Report(["verify-reduction", args.formula], args.formula)
     formula = reduction.parse_formula(report.text)
-    out = reduction.build_instance(formula)
     if args.patterns:
+        max_patterns = _budget_or(args, DEFAULT_PATTERN_BUDGET)
+        # checked before the compile, which is quadratic in the variables
+        reduction._check_pattern_budget(formula.num_vars, max_patterns)
         pattern_report = reduction.verify_choice_patterns(
-            out, max_patterns=_budget_or(args, DEFAULT_PATTERN_BUDGET)
+            reduction.build_instance(formula), max_patterns=max_patterns
         )
         if not pattern_report.sat_enumeration_agrees:
             raise RuntimeError("pattern verdict disagrees with direct SAT enumeration")
@@ -259,6 +261,7 @@ def cmd_verify_reduction(args) -> int:
         )
         return EXIT_OK if pattern_report.satisfiable else EXIT_VERDICT_FALSE
 
+    out = reduction.build_instance(formula)
     assignment = _parse_assignment(args.assignment, formula.num_vars)
     fwd = reduction.verify_forward(out, assignment)
     report.doc["results"] = {

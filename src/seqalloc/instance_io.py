@@ -9,13 +9,10 @@ Grammar (one directive per line, ``#`` starts a comment):
     util <agent> : <decimal> ...       (optional; aligned with that agent's
                                         preference order, parsed exactly)
 
-Utility literals are parsed to exact rationals, so ``3.1`` is 31/10, never a
-binary float; a literal holding ``_`` is rejected on every Python version.
-A ``util`` row of integer literals is read in one ``int`` pass over the
-row, any other row literal by literal. Each row is then converted once, by
-the ``UtilityFunction`` constructor, to the integer worths over one scale
-that validation and every later check read; an all-``int`` row is already
-its own worth.
+Utility literals are exact rationals (``3.1`` is 31/10, not a float); one
+holding ``_``, or an exponent beyond 4300 in magnitude, is rejected. An
+all-integer ``util`` row is read in one ``int`` pass, any other as
+``Fraction``s; ``UtilityFunction`` converts each row once to integer worths.
 """
 
 from __future__ import annotations
@@ -25,6 +22,8 @@ from itertools import repeat
 from operator import itemgetter
 
 from .model import Instance, UtilityFunction, ValidationError, validate_instance, validate_utilities
+
+_MAX_EXPONENT = 4300  # CPython's default int digit limit, which bounds a literal's other parts
 
 
 class InstanceParseError(ValidationError):
@@ -119,32 +118,24 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     return inst, utility
 
 
-def _utility_row(values: list[str]) -> list[int | Fraction]:
-    """``[_utility_literal(v) for v in values]``, with its values and its
-    errors; a row of integer literals holding no ``_`` in one ``int`` pass."""
-    if "_" not in " ".join(values):
-        try:
-            return list(map(int, values))
-        except ValueError:
-            pass
-    return [_utility_literal(v) for v in values]
+def _utility_row(values: list[str]) -> list[int] | list[Fraction]:
+    """The row as ``int``s if every literal is an integer, else as ``Fraction``s
+    (``int`` reads a subset of ``Fraction``'s literals, to the same values).
 
-
-def _utility_literal(v: str) -> int | Fraction:
-    """An integer literal as ``int``, any other as ``Fraction(v)``.
-
-    ValueError for a literal holding ``_``: ``int`` accepts digit
-    separators on every supported version, ``Fraction`` only from 3.11, so
-    rejecting them keeps the grammar the same on all of them. Otherwise
-    ``int`` accepts a subset of ``Fraction``'s literals and gives them the
-    same value.
+    ValueError for a literal holding ``_`` (3.10's ``int`` accepts ``5_000``,
+    ``Fraction`` only from 3.11) or an exponent beyond ``_MAX_EXPONENT`` in
+    magnitude (``Fraction`` computes ``10 ** exponent``).
     """
-    if "_" in v:
-        raise ValueError(v)
+    if "_" in " ".join(values):
+        raise ValueError("digit separator")
     try:
-        return int(v)
+        return list(map(int, values))
     except ValueError:
-        return Fraction(v)
+        pass
+    # a literal's exponent is all after its one 'e'; any other literal reads 0
+    if max(abs(int(v.lower().partition("e")[2] or 0)) for v in values) > _MAX_EXPONENT:
+        raise ValueError("exponent out of range")
+    return list(map(Fraction, values))
 
 
 def _directive(fields: list[str], line_no: int, kind: str) -> tuple[str, list[str]]:

@@ -98,6 +98,13 @@ def validate_formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> Restric
         for lit in clause:
             if lit == 0 or abs(lit) > num_vars:
                 problems.append(f"clause {idx} references unknown variable {lit}")
+    if not problems and 3 * len(clauses) != 4 * num_vars:
+        # 2|X| literals, twice each, fill the 3|C| places; one problem here
+        # rather than a listing as long as the variables
+        problems.append(
+            f"formula has {len(clauses)} clauses for {num_vars} variables,"
+            " expected 3|C| = 4|X| (each literal exactly twice)"
+        )
     if not problems:
         counts: dict[int, int] = {}
         for clause in clauses:
@@ -517,6 +524,24 @@ class PatternReport(Record):
     sat_enumeration_agrees: bool  # cross-check against direct 2^|X| enumeration
 
 
+def _check_pattern_budget(num_vars: int, max_patterns: int) -> None:
+    """ValidationError for a negative budget; BudgetExceededError if the
+    4^|X| choice patterns of a formula over ``num_vars`` variables exceed it.
+    The CLI calls this before compiling the formula, so that the quadratic
+    compile of a formula too large to sweep is never made."""
+    check_budget("max_patterns", max_patterns)
+    total = 4 ** num_vars
+    if total > max_patterns:
+        try:
+            count = str(total)
+        except ValueError:  # more digits than the interpreter converts
+            count = f"4^{num_vars}"
+        raise BudgetExceededError(
+            f"{count} patterns exceed the budget {max_patterns}",
+            limit=max_patterns, used=total, unit="patterns",
+        )
+
+
 def verify_choice_patterns(
     out: ReductionOutput, max_patterns: int = DEFAULT_PATTERN_BUDGET
 ) -> PatternReport:
@@ -543,14 +568,8 @@ def verify_choice_patterns(
     taken before its turn. The rounds from there on are replayed once, each
     saving the next round's start state.
     """
-    check_budget("max_patterns", max_patterns)
     f = out.formula
-    total = 4 ** f.num_vars
-    if total > max_patterns:
-        raise BudgetExceededError(
-            f"{total} patterns exceed the budget {max_patterns}",
-            limit=max_patterns, used=total, unit="patterns",
-        )
+    _check_pattern_budget(f.num_vars, max_patterns)
     items = out.instance.items
     worth, scale = integer_values(out.utility, MANIPULATOR, items)
     need = math.ceil(out.target * scale)  # an integer worth meets T iff it reaches this

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from seqalloc import cli, golden, oracle
+from seqalloc import cli, golden, oracle, reduction
 from seqalloc.golden import REFERENCE_FORMULA
 
 from conftest import package_env
@@ -294,6 +294,21 @@ def test_verify_reduction_pattern_budget(capsys, formula_file):
         ["verify-reduction", formula_file, "--patterns", "--budget", "5"]
     )
     assert code == cli.EXIT_BUDGET
+
+
+def test_verify_reduction_checks_the_pattern_budget_before_compiling(
+    capsys, monkeypatch, formula_file
+):
+    """The compile is quadratic in the variables, so a formula whose
+    patterns exceed the budget is refused before it is compiled."""
+
+    def no_compile(formula):
+        raise AssertionError("compiled a formula whose patterns exceed the budget")
+
+    monkeypatch.setattr(reduction, "build_instance", no_compile)
+    code = cli.main(["verify-reduction", formula_file, "--patterns", "--budget", "5"])
+    assert code == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == "error: 64 patterns exceed the budget 5\n"
 
 
 BUDGET_HELP = {

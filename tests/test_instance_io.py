@@ -5,7 +5,6 @@ import pytest
 
 from seqalloc.instance_io import (
     InstanceParseError,
-    _utility_literal,
     parse_instance,
     render_fraction,
     serialize_instance,
@@ -77,6 +76,28 @@ def test_utilities_optional():
     text = "\n".join(l for l in EXAMPLE.splitlines() if not l.startswith("util"))
     _, utility = parse_instance(text)
     assert utility is None
+
+
+@pytest.mark.parametrize("literal", ["1e4301", "1E+4301", "1e-4301", "2.5e-04301"])
+def test_utility_exponents_beyond_4300_are_rejected(literal):
+    """``Fraction`` computes ``10 ** exponent``, so an exponent beyond 4300,
+    CPython's default int digit limit, is a parse error on its line."""
+    text = EXAMPLE.replace("util 1 : 3.1 3 2 1", f"util 1 : {literal} 3 2 1")
+    with pytest.raises(InstanceParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line_no == 10
+    assert str(exc.value) == "line 10: utilities must be decimal or rational literals"
+
+
+@pytest.mark.parametrize(
+    "literal, exponent",
+    [("1e3", 3), ("1e-3", -3), ("1e300", 300), ("1e4300", 4300), ("1E-4300", -4300)],
+)
+def test_utility_exponents_within_the_bound_keep_their_exact_value(literal, exponent):
+    value = Fraction(10) ** exponent
+    row, item = (f"{literal} 3 2 1", "o1") if value > 3 else (f"3 2 1 {literal}", "o4")
+    _, utility = parse_instance(EXAMPLE.replace("util 1 : 3.1 3 2 1", f"util 1 : {row}"))
+    assert utility.of("1", item) == value
 
 
 @pytest.mark.parametrize(
@@ -208,6 +229,14 @@ def test_utility_row_errors_carry_their_line_number(mutation, message):
 _ODD_LITERALS = ["+5", "3.1", "7/3", "1e3", "1_000", "x"]
 
 
+def _literal_value(v: str) -> Fraction:
+    """The grammar's value of one utility literal: ``Fraction(v)``, and a
+    ValueError for a literal holding the digit separator ``_``."""
+    if "_" in v:
+        raise ValueError(v)
+    return Fraction(v)
+
+
 def _util_row_case(rng: random.Random):
     """An instance text with one seeded ``util`` row, that row's literals, and
     the line it is on. The row holds distinct integers, now and then with odd
@@ -219,7 +248,7 @@ def _util_row_case(rng: random.Random):
     for _ in range(rng.choice([0, 0, 1, 2])):
         literals[rng.randrange(m)] = rng.choice(_ODD_LITERALS)
     try:
-        values = [_utility_literal(v) for v in literals]
+        values = [_literal_value(v) for v in literals]
     except (ValueError, ZeroDivisionError):
         pass
     else:
@@ -232,13 +261,13 @@ def _util_row_case(rng: random.Random):
 
 def test_util_rows_parse_as_the_per_value_reference():
     """Every seeded ``util`` row gives the rows, or the parse error with its
-    message and line, of ``_utility_literal`` applied value by value."""
+    message and line, of ``_literal_value`` applied value by value."""
     rng = random.Random(29)
     seen = dict.fromkeys(["integer", "mixed", "rejected", "separator", "inconsistent"], 0)
     for _ in range(400):
         inst, agent, literals, text, line_no = _util_row_case(rng)
         try:
-            values = [_utility_literal(v) for v in literals]
+            values = [_literal_value(v) for v in literals]
         except (ValueError, ZeroDivisionError):
             with pytest.raises(InstanceParseError) as exc:
                 parse_instance(text)

@@ -92,6 +92,20 @@ def test_validate_formula_enforces_restrictions():
         )
 
 
+@pytest.mark.parametrize(
+    "check", [lambda: validate_formula(10**9, []), lambda: parse_formula("p cnf 1000000000 0\n")]
+)
+def test_clause_count_off_the_literal_count_is_one_problem(check):
+    """Each literal in exactly two 3-literal clauses forces 3|C| = 4|X|; a
+    formula breaking that is one problem, not one line per literal."""
+    with pytest.raises(FormulaError) as exc:
+        check()
+    assert exc.value.problems == [
+        "formula has 0 clauses for 1000000000 variables, expected 3|C| = 4|X|"
+        " (each literal exactly twice)"
+    ]
+
+
 def test_reference_dimensions(reference):
     f = reference.formula
     assert len(reference.instance.agents) == 1 + 4 * f.num_vars == 13
@@ -819,6 +833,24 @@ def test_pattern_budget_guard():
     with pytest.raises(BudgetExceededError, match="patterns exceed the budget") as excinfo:
         verify_choice_patterns(out, max_patterns=5)
     assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (5, 4**6, "patterns")
+
+
+def test_pattern_budget_names_a_count_too_long_to_print_as_a_power():
+    """Under CPython's default int digit limit, 4,300, the 4,335 digits of
+    4^7200 cannot be written; the error names the count as a power."""
+    from seqalloc.model import BudgetExceededError
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter writes integers of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            reduction._check_pattern_budget(7200, 5)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(excinfo.value) == "4^7200 patterns exceed the budget 5"
+    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (5, 4**7200, "patterns")
 
 
 def test_compiled_instance_roundtrips_through_text_format(reference):
