@@ -5,7 +5,8 @@ error, 3 search budget exceeded. Every command can emit a machine-readable
 JSON document with ``--json``; utilities are always rendered as exact
 decimal or rational strings, never binary floats. Each command imports
 the modules it uses when it runs, so ``allocate`` and the two-agent
-commands never load the search modules.
+commands never load the search modules, and ``best-response`` with
+``--mode oracle`` or ``--mode refuted-greedy`` loads no two-agent code.
 """
 
 from __future__ import annotations

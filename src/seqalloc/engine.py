@@ -12,13 +12,16 @@ condition on the stages at which they reach those items gives the
 verdict. ``secures`` also returns those stages as due turns, which
 settle every pick order that secures the set. The oracle's enumeration
 runs the same rule for every target set at once, over the other agents'
-cursors, with no replay of its own.
+cursors, with no replay of its own. ``ordinal_greedy`` is the one ordinal
+greedy, over any per-item ``accepts`` test: ``two_agent`` runs it with its
+deadline schedule and ``oracle``'s refuted greedy with ``secures``, so
+neither imports the other.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
-from itertools import compress, count, repeat
+from collections.abc import Callable, Collection, Iterable, Sequence
+from itertools import compress, count, islice, repeat
 from operator import eq
 
 from .model import Allocation, Instance
@@ -168,6 +171,22 @@ def secures(state: PickState, turns: list[int], needed: Collection[int]) -> dict
             return due
         stage = turn + 1  # the manipulator passes
     return dict.fromkeys(needed, goal) | due
+
+
+def ordinal_greedy(
+    inst: Instance, manipulator: str, accepts: Callable[[str], bool]
+) -> list[str]:
+    """Bouveret and Lang's greedy over the manipulator's true order.
+
+    One ``filter`` of that order: keeps each item that ``accepts`` accepts
+    until the manipulator's turns are used up, and tests no item after
+    that. A best response for two agents, not for three or more.
+    ``accepts(o)`` answers whether the items accepted so far plus o are
+    achievable; the greedy keeps exactly the accepted items, so the test
+    itself records an accepted item as kept.
+    """
+    order = inst.preferences[manipulator]
+    return list(islice(filter(accepts, order), inst.turns(manipulator)))
 
 
 def run_sequential_allocation(inst: Instance) -> Allocation:

@@ -17,6 +17,8 @@ all-integer ``util`` row is read in one ``int`` pass, any other as
 
 from __future__ import annotations
 
+import sys
+from decimal import Decimal  # ``fractions`` has already loaded it
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
@@ -148,11 +150,14 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
     """Render an instance (and optional utilities) in the text format.
 
     Utilities are written from the integer rows: a scale-1 row as its
-    worths, any other value as ``render_fraction(worth / scale)``.
+    worths, any other value as ``str(Fraction(worth, scale))``, which is
+    ``render_fraction``'s text.
     ValidationError naming each item or agent id that ``parse_instance``
     could not read back: one that is empty or holds whitespace or ``#``;
     then, as ``parse_instance`` would name them, every problem of the
-    utilities (``validate_utilities``).
+    utilities (``validate_utilities``); then the first agent whose row holds
+    a value of more digits than ``str`` writes, which ``int`` and
+    ``Fraction`` would not read back either (``sys.get_int_max_str_digits``).
     """
     ids = [*inst.items, *inst.agents]
     joined = " ".join(ids)
@@ -174,15 +179,26 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
         for a in utility.agents():
             worth, scale = utility.rows[a]
             values = map(worth.__getitem__, inst.preferences[a])
-            if scale == 1:
-                row = " ".join(map(str, values))
-            else:
-                row = " ".join(render_fraction(Fraction(w, scale)) for w in values)
+            try:
+                if scale == 1:
+                    row = " ".join(map(str, values))
+                else:
+                    row = " ".join(str(Fraction(w, scale)) for w in values)
+            except ValueError:  # ``str`` refuses an int past the digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ValidationError(
+                    [f"agent {a}: a utility of more than {limit} digits cannot be written"]
+                ) from None
             lines.append(f"util {a} : {row}")
     lines.append("")  # the final newline, in the one join rather than a second copy
     return "\n".join(lines)
 
 
 def render_fraction(x: Fraction) -> str:
-    """Exact text of a rational: ``7`` or ``7/3``, never a binary float."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """Exact text of a rational: ``7`` or ``7/3``, never a binary float.
+
+    Written through ``Decimal``, which has no int digit limit and writes the
+    same digits as ``str``, so also past the limit where ``str`` raises.
+    """
+    n, d = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+    return n if d == "1" else f"{n}/{d}"

@@ -30,9 +30,11 @@ reserved sets, each joined with any k - q of its free items. A reserved set
 fixes its replay, so each bundle comes from one path and one fill, and none
 is produced twice.
 
-The refuted ordinal greedy does not search: it asks ``engine.secures``, a
-polynomial test, from one shared state at the manipulator's first turn,
-whether each extension of its kept set is achievable.
+The refuted ordinal greedy does not search: it runs
+``engine.ordinal_greedy`` and asks ``engine.secures``, a polynomial test,
+from one shared state at the manipulator's first turn, whether each
+extension of its kept set is achievable. Nothing here imports
+``two_agent``, so no oracle query loads the two-agent code.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from itertools import combinations, compress
 from math import comb, inf
 from operator import itemgetter
 
-from .engine import Encoded, PickState, secures, stages_of
+from .engine import Encoded, PickState, ordinal_greedy, secures, stages_of
 from .model import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -55,7 +57,6 @@ from .model import (
     complete_order,
     integer_values,
 )
-from .two_agent import ordinal_greedy
 
 
 class OracleResult(Record):

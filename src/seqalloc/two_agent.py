@@ -21,8 +21,8 @@ item.
 
 Each answer is one builtin pass over an order: one pass over the
 opponent's order yields the ranks p_j already sorted and, in the same way,
-the head of the canonical report; the greedy is one ``filter`` of the
-manipulator's order by a per-item test.
+the head of the canonical report; the greedy is ``engine.ordinal_greedy``, one
+``filter`` of the manipulator's order by a per-item test.
 
 A Nash check compares bundles, so it asks the greedy for bundles, not
 reports: for each agent whose utility row induces their reported order,
@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import eq, le
 
-from .engine import run_sequential_allocation, stages_of
+from .engine import ordinal_greedy, run_sequential_allocation, stages_of
 from .model import (
     Instance,
     Record,
@@ -119,22 +119,6 @@ def is_achievable(S: Iterable[str], inst: Instance, manipulator: str) -> bool:
         _known_items(S, opp_pref)  # raises: the order lists every item once
     stages = stages_of(inst.sequence, manipulator)
     return len(ranks) <= len(stages) and all(map(le, stages, ranks))
-
-
-def ordinal_greedy(
-    inst: Instance, manipulator: str, accepts: Callable[[str], bool]
-) -> list[str]:
-    """Bouveret and Lang's greedy over the manipulator's true order.
-
-    One ``filter`` of that order: keeps each item that ``accepts`` accepts
-    until the manipulator's turns are used up, and tests no item after
-    that. A best response for two agents, not for three or more.
-    ``accepts(o)`` answers whether the items accepted so far plus o are
-    achievable; the greedy keeps exactly the accepted items, so the test
-    itself records an accepted item as kept.
-    """
-    order = inst.preferences[manipulator]
-    return list(islice(filter(accepts, order), inst.turns(manipulator)))
 
 
 def _deadline_test(inst: Instance, manipulator: str) -> Callable[[str], bool]:

@@ -2,7 +2,10 @@
 
 import os
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 import seqalloc
 from seqalloc.model import UtilityFunction, validate_instance
@@ -15,6 +18,18 @@ def package_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit of 4,300 digits on ``int``-``str`` conversion,
+    restored afterwards; the test is skipped where there is no limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
 
 
 def random_instance(rng: random.Random, n: int, m: int, L: int | None = None):

@@ -68,6 +68,48 @@ def _run_json(capsys, argv):
     return code, doc
 
 
+# 1e4300 is a legal literal, and its 4,301 digits are one more than ``str``
+# writes by default
+HUGE_PROFILE = """\
+agents 2 items 2 seq 2
+item a
+item b
+pref 1 : a b
+pref 2 : a b
+seq : 1 2
+util 1 : 1e4300 1
+util 2 : 2 1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["best-response", "huge.instance", "--agent", "1"], "utility"),
+        (["best-response", "huge.instance", "--agent", "1", "--mode", "oracle"], "max_utility"),
+        (["best-response", "huge.instance", "--agent", "1", "--mode", "refuted-greedy"], "utility"),
+        (["nash-verify", "huge.instance"], None),
+    ],
+    ids=["two-agent", "oracle", "refuted-greedy", "nash-verify"],
+)
+def test_a_utility_past_the_int_digit_limit_prints_exactly(
+    capsys, tmp_path, monkeypatch, default_digit_limit, argv, field
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.instance").write_text(HUGE_PROFILE)
+    digits = "1" + "0" * default_digit_limit
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f" {digits}\n" in capsys.readouterr().out
+    code, doc = _run_json(capsys, argv)
+    results = doc["results"]
+    assert code == cli.EXIT_OK
+    if field is None:
+        assert results["agents"]["1"]["current_utility"] == digits
+        assert results["agents"]["1"]["best_response_utility"] == digits
+    else:
+        assert results[field] == digits
+
+
 def test_allocate(capsys, instance_file):
     code, doc = _run_json(capsys, ["allocate", instance_file])
     assert code == cli.EXIT_OK

@@ -6,15 +6,22 @@ items relabelled; agents 2 and 3 have every order; the sequence is every
 word over {1, 2, 3} of length 0..m. That is 1,440 instances at m = 3 and
 69,696 at m = 4. The manipulator values i_k at m - k, so at m = 4 bundles
 of equal worth, and with them tied optima, occur (i0 + i3 = i1 + i2).
+``engine.secures`` is also checked from every node of the manipulator's
+pick-order walk, on the whole family at m = 3 and every 10th instance at
+m = 4 (the whole m = 4 family takes seconds).
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
-from seqalloc.engine import Encoded, PickState, can_achieve, stages_of
+from seqalloc.engine import Encoded, PickState, can_achieve, secures, stages_of
 from seqalloc.model import UtilityFunction, validate_instance
-from seqalloc.oracle import brute_force_best_response, enumerate_achievable_bundles
+from seqalloc.oracle import (
+    brute_force_best_response,
+    enumerate_achievable_bundles,
+    first_pick_order,
+)
 
 AGENTS = ("1", "2", "3")
 MANIPULATOR = "1"
@@ -94,3 +101,59 @@ def test_every_three_agent_instance_with_three_items():
 def test_every_three_agent_instance_with_four_items():
     seen = _check(4, walk=False)
     assert seen["instances"] == 69696 and seen["tied"], seen
+
+
+def _check_mid_run(instances):
+    """``secures`` from every node of every manipulator pick-order walk.
+
+    A node is the state at the manipulator's j-th turn, after its picks so
+    far. For every set S of free items, ``secures(state, turns[j:], S)`` is
+    not None iff some completion from the node picks every item of S, that
+    is, reaches a bundle that contains the picks and S; and then
+    ``first_pick_order(S, due)`` can be played from the node.
+    """
+    seen = Counter()
+    for inst in instances:
+        enc = Encoded(inst)
+        turns = stages_of(enc.seq, enc.agent_index[MANIPULATOR])
+
+        def walk(state, j):
+            """The item sets that the manipulator can pick from turn j on."""
+            if j == len(turns):
+                return {frozenset()}
+            state.advance(turns[j])
+            free = [k for k in range(enc.m) if not state.taken[k]]
+            completions = set()
+            for item in free:
+                child = state.copy()
+                child.take(item)
+                completions.update(c | {item} for c in walk(child, j + 1))
+            for size in range(len(free) + 1):
+                for S in combinations(free, size):
+                    due = secures(state, turns[j:], S)
+                    reached = any(c.issuperset(S) for c in completions)
+                    assert (due is not None) == reached, (inst, turns[j], S)
+                    if reached:
+                        play = state.copy()
+                        for turn, item in zip(turns[j:], first_pick_order(list(S), due)):
+                            play.advance(turn)
+                            assert not play.taken[item], (inst, turns[j], S, item)
+                            play.take(item)
+                    seen["checks"] += 1
+            seen["nodes"] += 1
+            return completions
+
+        if turns:
+            walk(PickState(enc), 0)
+        seen["instances"] += 1
+    return seen
+
+
+def test_secures_from_every_mid_run_state_with_three_items():
+    seen = _check_mid_run(_family(3))
+    assert seen == {"instances": 1440, "nodes": 1908, "checks": 8064}, seen
+
+
+def test_secures_from_every_mid_run_state_of_every_tenth_four_item_instance():
+    seen = _check_mid_run(islice(_family(4), 0, None, 10))
+    assert seen == {"instances": 6970, "nodes": 20612, "checks": 114174}, seen

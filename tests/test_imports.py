@@ -81,7 +81,7 @@ def test_bare_import_loads_no_submodule(tmp_path):
     "name, absent",
     [
         ("best_response", {"oracle", "reduction", "golden"}),
-        ("brute_force_best_response", {"reduction", "golden"}),
+        ("brute_force_best_response", {"two_agent", "reduction", "golden"}),
     ],
 )
 def test_a_name_loads_only_its_submodule_and_imports(tmp_path, name, absent):
@@ -107,10 +107,12 @@ def test_two_agent_commands_load_no_search_module(tmp_path, argv):
     "argv, absent",
     [
         (["best-response", "profile.instance", "--agent", "1", "--mode", "oracle"],
-         {"reduction", "golden"}),
+         {"two_agent", "reduction", "golden"}),
         (["reduce", "ref.cnf", "--out", "ref"], {"oracle", "two_agent", "golden"}),
         (["verify-reduction", "ref.cnf", "--assignment", "x1=T,x2=F,x3=F"],
          {"oracle", "two_agent", "golden"}),
+        (["best-response", "profile.instance", "--agent", "1", "--mode", "refuted-greedy"],
+         {"two_agent", "reduction", "golden"}),
     ],
 )
 def test_search_commands_load_no_sibling_search_module(tmp_path, argv, absent):
@@ -118,6 +120,20 @@ def test_search_commands_load_no_sibling_search_module(tmp_path, argv, absent):
     code = f"from seqalloc import cli\nstatus = cli.main({argv!r})\nassert status == 0"
     loaded = _loaded_after(code, tmp_path)
     assert not loaded & absent, loaded
+
+
+def test_oracle_calls_load_no_two_agent_module(tmp_path):
+    """The oracle's refuted greedy is ``engine.ordinal_greedy``, the one that
+    ``two_agent`` also runs, so answering loads no two-agent code."""
+    _inputs(tmp_path)
+    code = _PARSED + (
+        "seqalloc.brute_force_best_response(inst, u, '1')\n"
+        "seqalloc.enumerate_achievable_bundles(inst, '1')\n"
+        "seqalloc.refuted_greedy_best_response(inst, '1')\n"
+    )
+    loaded = _loaded_after("import seqalloc\n" + code, tmp_path)
+    assert "oracle" in loaded and "two_agent" not in loaded, loaded
+    assert two_agent.ordinal_greedy is engine.ordinal_greedy
 
 
 def test_submodules_resolve_after_a_bare_import(tmp_path):

@@ -204,6 +204,29 @@ def test_serialize_rejects_utilities_that_do_not_read_back(rows, problems):
     assert exc.value.problems == problems
 
 
+@pytest.mark.parametrize("scale", [1, 3])
+def test_serialize_rejects_utilities_past_the_int_digit_limit(default_digit_limit, scale):
+    """A value that ``str`` cannot write, ``parse_instance`` could not read
+    back, whether its row is written as worths or as fractions."""
+    inst, _ = parse_instance(EXAMPLE)
+    big = 10**default_digit_limit
+    rows = {
+        "1": {"o1": Fraction(big, scale), "o2": 3, "o3": 2, "o4": 1},
+        "2": {"o1": 4, "o3": 3, "o2": 2, "o4": 1},
+    }
+    with pytest.raises(ValidationError) as exc:
+        serialize_instance(inst, UtilityFunction(rows))
+    assert exc.value.problems == [
+        f"agent 1: a utility of more than {default_digit_limit} digits cannot be written"
+    ]
+
+
+def test_render_fraction_writes_past_the_int_digit_limit(default_digit_limit):
+    big = 10**default_digit_limit + 1
+    assert render_fraction(Fraction(big)) == "1" + "0" * (default_digit_limit - 1) + "1"
+    assert render_fraction(Fraction(1, big)) == "1/1" + "0" * (default_digit_limit - 1) + "1"
+
+
 def test_serialize_keeps_ids_that_read_back():
     items = [":", "item", "agents", "oé"]
     inst = validate_instance(items, ["seq", "pref"], {"seq": items, "pref": items[::-1]}, ["pref"])
