@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from .engine import run_sequential_allocation
-from .instance_io import parse_instance, render_fraction, serialize_instance
+from .instance_io import parse_instance, serialize_instance
 from .model import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_PATTERN_BUDGET,
@@ -27,6 +27,7 @@ from .model import (
     ValidationError,
     bundle_utility,
     make_lexicographic_utilities,
+    render_fraction,
 )
 
 EXIT_OK = 0
@@ -218,7 +219,10 @@ def _parse_assignment(text: str, num_vars: int) -> dict[int, bool]:
         digits = name[1:]
         if not (name.startswith("x") and digits.isdecimal()) or value.upper() not in ("T", "F"):
             raise ValidationError([f"bad assignment entry {part!r}, expected e.g. x1=T"])
-        var = int(digits)
+        try:
+            var = int(digits)
+        except ValueError:  # more digits than ``int`` converts: past every variable
+            var = 0
         if not 1 <= var <= num_vars:
             raise ValidationError([f"variable {name} outside x1..x{num_vars}"])
         if var in assignment:
@@ -304,7 +308,13 @@ def _budget(text: str) -> int:
     """A search budget: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than ``int`` converts
+        limit = sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer of at most {limit} digits, got {len(text)} digits"
+        ) from None
 
 
 def _budget_or(args, default: int) -> int:

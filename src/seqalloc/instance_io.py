@@ -18,7 +18,6 @@ all-integer ``util`` row is read in one ``int`` pass, any other as
 from __future__ import annotations
 
 import sys
-from decimal import Decimal  # ``fractions`` has already loaded it
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
@@ -40,8 +39,7 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     """Parse the text format; returns the instance and utilities if present."""
     header = None
     items: list[str] = []
-    prefs: dict[str, tuple[str, ...]] = {}
-    agents: list[str] = []
+    prefs: dict[str, tuple[str, ...]] = {}  # in agent order
     sequence: list[str] | None = None
     utils: dict[str, tuple[int, list[int | Fraction]]] = {}  # agent: (line, row)
 
@@ -71,7 +69,6 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
             if agent in prefs:
                 raise InstanceParseError(line_no, f"duplicate preference for agent {agent}")
             prefs[agent] = tuple(values)
-            agents.append(agent)
         elif kind == "seq":
             if len(fields) < 2 or fields[1] != ":":
                 raise InstanceParseError(line_no, "expected 'seq : <agents>'")
@@ -96,12 +93,12 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
     n, m, L = header
     if len(items) != m:
         raise InstanceParseError(0, f"header declares {m} items, found {len(items)}")
-    if len(agents) != n:
-        raise InstanceParseError(0, f"header declares {n} agents, found {len(agents)}")
+    if len(prefs) != n:
+        raise InstanceParseError(0, f"header declares {n} agents, found {len(prefs)}")
     if len(sequence) != L:
         raise InstanceParseError(0, f"header declares sequence length {L}, found {len(sequence)}")
 
-    inst = validate_instance(items, agents, prefs, sequence)
+    inst = validate_instance(items, list(prefs), prefs, sequence)
 
     utility = None
     if utils:
@@ -151,7 +148,7 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
 
     Utilities are written from the integer rows: a scale-1 row as its
     worths, any other value as ``str(Fraction(worth, scale))``, which is
-    ``render_fraction``'s text.
+    ``model.render_fraction``'s text.
     ValidationError naming each item or agent id that ``parse_instance``
     could not read back: one that is empty or holds whitespace or ``#``;
     then, as ``parse_instance`` would name them, every problem of the
@@ -192,13 +189,3 @@ def serialize_instance(inst: Instance, utility: UtilityFunction | None = None) -
             lines.append(f"util {a} : {row}")
     lines.append("")  # the final newline, in the one join rather than a second copy
     return "\n".join(lines)
-
-
-def render_fraction(x: Fraction) -> str:
-    """Exact text of a rational: ``7`` or ``7/3``, never a binary float.
-
-    Written through ``Decimal``, which has no int digit limit and writes the
-    same digits as ``str``, so also past the limit where ``str`` raises.
-    """
-    n, d = str(Decimal(x.numerator)), str(Decimal(x.denominator))
-    return n if d == "1" else f"{n}/{d}"

@@ -13,6 +13,7 @@ exact integer arithmetic and tie detection is deterministic.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from decimal import Decimal  # ``fractions`` has already loaded it
 from fractions import Fraction
 from itertools import filterfalse
 from math import lcm
@@ -354,6 +355,16 @@ def bundle_utility(u: UtilityFunction, agent: str, bundle: Iterable[str]) -> Fra
     """
     worth, scale = u.rows[agent]
     return Fraction(sum(map(worth.__getitem__, bundle)), scale)
+
+
+def render_fraction(x: Fraction) -> str:
+    """Exact text of a rational: ``7`` or ``7/3``, never a binary float.
+
+    Written through ``Decimal``, which has no int digit limit and writes the
+    same digits as ``str``, so also past the limit where ``str`` raises.
+    """
+    n, d = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+    return n if d == "1" else f"{n}/{d}"
 
 
 def complete_order(prefix: list[str], items: Iterable[str]) -> tuple[str, ...]:

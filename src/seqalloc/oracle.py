@@ -56,6 +56,7 @@ from .model import (
     check_budget,
     complete_order,
     integer_values,
+    render_fraction,
 )
 
 
@@ -123,7 +124,7 @@ def enumerate_achievable_bundles(
     t = held = 0  # the manipulator's turns passed and the sets held
 
     def progress() -> str:
-        return f"at turn {t} of {inst.turns(manipulator)} with {held} merged states"
+        return f"at turn {t} of {inst.turns(manipulator)} with {held} reserved sets"
 
     # the root, charged before the manipulator is looked up, so a zero
     # budget raises first
@@ -192,7 +193,7 @@ def brute_force_best_response(
     checks = 0
 
     def held() -> str:
-        found = Fraction(best, scale) if optima else "none"
+        found = render_fraction(Fraction(best, scale)) if optima else "none"
         return f"best utility so far {found}, {len(optima)} optimal bundles held"
 
     # items by falling value

@@ -19,8 +19,9 @@ collection round of |C| manipulator turns for the top clause items.
 A choice round is defined once, by the table of slots below: its items'
 names and layout, its four literal agents and their heads, its stages, the
 weights of its ten valued items, and the four picks of each kind of round.
-The compiler, the ledger, the audit and the pattern sweep read positions
-from it, and the round's sizes are the table's lengths.
+The compiler, the ledger, the audit, the forward report and the pattern
+sweep read positions from it, and the round's sizes are the table's
+lengths.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .model import (
     ValidationError,
     bundle_utility,
     check_budget,
-    complete_order,
     integer_values,
     validate_instance,
 )
@@ -133,9 +133,13 @@ def parse_formula(text: str) -> RestrictedFormula:
             if num_vars is not None:
                 raise FormulaError([f"line {line_no}: duplicate problem line"])
             fields = line.split()
+            malformed = FormulaError([f"line {line_no}: malformed problem line"])
             if len(fields) != 4 or fields[1] != "cnf" or not all(map(str.isdecimal, fields[2:])):
-                raise FormulaError([f"line {line_no}: malformed problem line"])
-            num_vars, declared_clauses = int(fields[2]), int(fields[3])
+                raise malformed
+            try:
+                num_vars, declared_clauses = int(fields[2]), int(fields[3])
+            except ValueError:  # a count of more digits than ``int`` converts
+                raise malformed from None
             continue
         try:
             tokens.extend(int(t) for t in line.split())
@@ -460,21 +464,21 @@ def audit_utilities(out: ReductionOutput) -> None:
 # --- report construction and verification ----------------------------------
 
 
-def _round_quadruple(v: int, kind: str) -> list[str]:
-    """The four items the manipulator picks in round v of ``kind``, in pick
+def _quadruple_indices(num_vars: int) -> list[dict[str, list[int]]]:
+    """Per choice round, each kind's four picks as item indices, in pick
     order (see ``_QUADRUPLES``)."""
-    if kind not in _QUADRUPLES:
-        raise ValueError(f"unknown round kind {kind!r}")
-    return _named([_ROUND_ITEMS[k] for k in _QUADRUPLES[kind]], v)
+    size = len(_ROUND_ITEMS)
+    return [
+        {kind: [base + k for k in quad] for kind, quad in _QUADRUPLES.items()}
+        for base in range(0, size * num_vars, size)
+    ]
 
 
 def _pattern_report(out: ReductionOutput, kinds: Sequence[str]) -> tuple[str, ...]:
-    f, items = out.formula, out.instance.items
-    body: list[str] = []
-    for v, kind in zip(f.variables(), kinds):
-        body += _round_quadruple(v, kind)
-    body += items[len(_ROUND_ITEMS) * f.num_vars :: 3]  # the top clause items
-    return complete_order(body, items)
+    n_vars, items = out.formula.num_vars, out.instance.items
+    head = [o for quad, kind in zip(_quadruple_indices(n_vars), kinds) for o in quad[kind]]
+    head += range(len(_ROUND_ITEMS) * n_vars, len(items), 3)  # the top clause items
+    return _complete(head, items)
 
 
 def assignment_to_report(
@@ -587,9 +591,8 @@ def verify_choice_patterns(
     # the middle pair that an inconsistent choice must leave the manipulator with
     six = [k for k, name in enumerate(_ROUND_ITEMS) if name.startswith("h_")]
     pair = [_ROUND_ITEMS.index(name) for name in ("h_{n}^2", "h_{p}^2")]
-    quads, consistency = [], {}
+    quads, consistency = _quadruple_indices(f.num_vars), {}
     for v, base in zip(f.variables(), range(0, size * f.num_vars, size)):
-        quads.append({kind: [base + k for k in quad] for kind, quad in _QUADRUPLES.items()})
         consistency[v] = (frozenset(base + k for k in six), {base + k for k in pair})
     last = f.num_vars - 1
     # the state at each choice round's start; the first pattern sets rounds 1 on

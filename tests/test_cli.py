@@ -110,6 +110,32 @@ def test_a_utility_past_the_int_digit_limit_prints_exactly(
         assert results[field] == digits
 
 
+def test_the_oracle_budget_error_prints_a_utility_past_the_int_digit_limit(
+    capsys, tmp_path, monkeypatch, default_digit_limit
+):
+    """The budget-exceeded message names the best utility held, 10^4300 + 14,
+    in full: an exit 3 with one line, not a traceback from ``str``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.instance").write_text(
+        "agents 3 items 6 seq 6\n"
+        + "".join(f"item o{k}\n" for k in range(6))
+        + "pref 1 : o5 o4 o0 o2 o3 o1\n"
+        "pref 2 : o2 o4 o0 o5 o3 o1\n"
+        "pref 3 : o2 o0 o4 o3 o1 o5\n"
+        "seq : 2 1 2 3 1 1\n"
+        "util 1 : 1e4300 9 8 7 6 5\n"
+    )
+    argv = ["best-response", "huge.instance", "--agent", "1", "--mode", "oracle", "--budget", "8"]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    digits = "1" + "0" * (default_digit_limit - 2) + "14"
+    assert captured.out == ""
+    assert captured.err == (
+        "error: search exceeded node budget 8 after 8 achievability checks,"
+        f" best utility so far {digits}, 1 optimal bundles held\n"
+    )
+
+
 def test_allocate(capsys, instance_file):
     code, doc = _run_json(capsys, ["allocate", instance_file])
     assert code == cli.EXIT_OK
@@ -492,6 +518,10 @@ def test_module_entry_point_exit_codes(tmp_path):
     good_instance.write_text(INSTANCE)
     good_formula = tmp_path / "reference.cnf"
     good_formula.write_text(REFERENCE_FORMULA)
+    # 4,301 digits: one more than ``int`` converts by default
+    long_count = "1" * 4301
+    long_header = tmp_path / "long_header.cnf"
+    long_header.write_text(f"p cnf {long_count} 0\n")
     for argv, expected, message in [
         (["examples"], cli.EXIT_OK, ""),
         (["verify-reduction", str(formula), "--patterns"], cli.EXIT_USAGE, "malformed"),
@@ -517,6 +547,14 @@ def test_module_entry_point_exit_codes(tmp_path):
           "--budget", "0"], cli.EXIT_USAGE, "--budget"),
         (["verify-reduction", str(good_formula), "--assignment", "x1=T,x2=T,x3=T",
           "--budget", "0"], cli.EXIT_USAGE, "--budget"),
+        # numbers too long for ``int`` are input errors, not tracebacks
+        (["verify-reduction", str(long_header), "--patterns"], cli.EXIT_USAGE,
+         "error: line 1: malformed problem line"),
+        (["verify-reduction", str(good_formula), "--assignment", f"x{long_count}=T"],
+         cli.EXIT_USAGE, f"error: variable x{long_count} outside x1..x3"),
+        (["best-response", str(good_instance), "--agent", "1", "--mode", "oracle",
+          "--budget", long_count], cli.EXIT_USAGE,
+         "--budget: expected a non-negative integer of at most 4300 digits, got 4301 digits"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "seqalloc.cli", *argv],

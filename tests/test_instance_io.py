@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from seqalloc.instance_io import (
-    InstanceParseError,
-    parse_instance,
+from seqalloc.instance_io import InstanceParseError, parse_instance, serialize_instance
+from seqalloc.model import (
+    UtilityFunction,
+    ValidationError,
     render_fraction,
-    serialize_instance,
+    validate_instance,
+    validate_utilities,
 )
-from seqalloc.model import UtilityFunction, ValidationError, validate_instance, validate_utilities
 from seqalloc.reduction import build_instance
 
 from conftest import random_consistent_utilities, random_instance, random_restricted_formula

@@ -556,7 +556,7 @@ def _expected_enumeration(inst, manip, bundles, budget):
         if spent > budget:
             message = (
                 f"search exceeded node budget {budget} after {budget} nodes, "
-                f"at turn {turn} of {inst.turns(manip)} with {held} merged states"
+                f"at turn {turn} of {inst.turns(manip)} with {held} reserved sets"
             )
             return message, budget, budget, "nodes"
     return bundles
@@ -711,7 +711,7 @@ def test_near_identical_round_robin_exceeds_the_default_node_budget():
     message, *err = fields
     assert message == (
         "search exceeded node budget 2000000 after 2000000 nodes, "
-        "at turn 9 of 10 with 690690 merged states"
+        "at turn 9 of 10 with 690690 reserved sets"
     )
     assert err == [DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET, "nodes"]
     assert peak <= 110 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"

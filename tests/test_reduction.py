@@ -728,6 +728,12 @@ def test_index_sweep_equals_name_based_sweep(name):
     assert len(report.outcomes) == 4 ** formula.num_vars
 
 
+def _table_quadruple(out, v, kind):
+    """The names of the index table's picks of ``kind`` in round v of ``out``."""
+    quads = reduction._quadruple_indices(out.formula.num_vars)
+    return [out.instance.items[o] for o in quads[v - 1][kind]]
+
+
 def test_inconsistent_round_error_names_items(reference, monkeypatch):
     """An I1 quadruple that picks h_~x^3 for h_~x^2 fails the first
     inconsistent pattern, with the same message from both sweeps."""
@@ -738,7 +744,7 @@ def test_inconsistent_round_error_names_items(reference, monkeypatch):
         quad = _round_quadruple(v, kind)
         return quad[:2] + [consistency_item(-v, 3), quad[3]] if kind == "I1" else quad
 
-    assert reduction._round_quadruple(3, "I1") == broken_quadruple(3, "I1")
+    assert _table_quadruple(reference, 3, "I1") == broken_quadruple(3, "I1")
     expected = (
         "pattern ('T', 'T', 'I1'): round x3 consistency items ['h_x3^2', 'h_~x3^3'],"
         " expected exactly ['h_x3^2', 'h_~x3^2']"
@@ -769,7 +775,7 @@ def test_resumed_sweep_falls_back_exactly(reference, monkeypatch):
         quad = _round_quadruple(v, kind)
         return [dummy_item(-v, "21")] + quad[1:] if kind == "I1" else quad
 
-    assert reduction._round_quadruple(2, "I1") == broken_quadruple(2, "I1")
+    assert _table_quadruple(reference, 2, "I1") == broken_quadruple(2, "I1")
     resumed = _record_resumes(monkeypatch)
     report = verify_choice_patterns(reference)
     steps = _steps_back(resumed, 3)
@@ -787,7 +793,7 @@ def test_resumed_sweep_falls_back_before_the_same_error(reference, monkeypatch):
         quad = _round_quadruple(v, kind)
         return [choice_item(v, 1)] + quad[1:] if kind == "T" else quad
 
-    assert reduction._round_quadruple(2, "T") == broken_quadruple(2, "T")
+    assert _table_quadruple(reference, 2, "T") == broken_quadruple(2, "T")
     resumed = _record_resumes(monkeypatch)
     with pytest.raises(RuntimeError) as swept:
         verify_choice_patterns(reference)
@@ -880,8 +886,7 @@ def test_consistent_branches_realize_their_quadruples():
 
 
 def test_round_quadruples_match_the_name_based_ones():
+    out = build_instance(COMPILE_FORMULAS["random9"])
     for v in (1, 2, 7):
         for kind in ("T", "F", "I1", "I2"):
-            assert reduction._round_quadruple(v, kind) == _round_quadruple(v, kind)
-    with pytest.raises(ValueError, match="unknown round kind 'X'"):
-        reduction._round_quadruple(1, "X")
+            assert _table_quadruple(out, v, kind) == _round_quadruple(v, kind)
