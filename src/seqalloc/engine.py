@@ -1,10 +1,13 @@
 """Sequential allocation engine.
 
 At each stage the agent named by the sequence receives their most-preferred
-remaining item. ``Encoded`` is the one integer view of an instance and
-``PickState`` the one picking loop; the reduction's pattern sweep keeps a
-``PickState.copy`` of the state at each choice round's start, so each
-pattern resumes from the rounds it shares with the one before.
+remaining item. ``Encoded`` (defined in ``model``) is the one integer view
+of an instance, which the instance builds on its first replay and then
+holds, and ``PickState`` the one picking loop. A report replays the held
+view with one row re-encoded (``Instance.with_preference``). The
+reduction's pattern sweep keeps a ``PickState.copy`` of the state at each
+choice round's start, so each pattern resumes from the rounds it shares
+with the one before.
 ``can_achieve`` (or ``secures``, from a given state) decides in one replay
 which item sets the manipulator can secure: the other agents pick around
 the reserved target items while the manipulator passes, and Hall's
@@ -24,26 +27,7 @@ from collections.abc import Callable, Collection, Iterable, Sequence
 from itertools import compress, count, islice, repeat
 from operator import eq
 
-from .model import Allocation, Instance
-
-
-class Encoded:
-    """Integer view of an instance: items and agents replaced by indices.
-
-    ``prefs[i][k]`` is the index of the item that the agent with index ``i``
-    ranks k-th; ``seq[t]`` is the agent index of stage ``t``.
-    """
-
-    __slots__ = ("item_index", "agent_index", "prefs", "seq", "m")
-
-    def __init__(self, inst: Instance):
-        item_index = dict(zip(inst.items, count()))
-        agent_index = dict(zip(inst.agents, count()))
-        self.item_index = item_index
-        self.agent_index = agent_index
-        self.prefs = [list(map(item_index.__getitem__, inst.preferences[a])) for a in inst.agents]
-        self.seq = list(map(agent_index.__getitem__, inst.sequence))
-        self.m = len(inst.items)
+from .model import Allocation, Encoded, Instance  # ``Encoded`` is re-exported
 
 
 class PickState:
@@ -191,7 +175,7 @@ def ordinal_greedy(
 
 def run_sequential_allocation(inst: Instance) -> Allocation:
     """Execute the picking sequence and return bundles plus the full trace."""
-    picks = PickState(Encoded(inst)).advance(len(inst.sequence))
+    picks = PickState(inst.encoded).advance(len(inst.sequence))
     names = list(map(inst.items.__getitem__, picks))
     trace = tuple(zip(range(1, len(names) + 1), inst.sequence, names))
     bundles = {a: set() for a in inst.agents}
@@ -202,5 +186,5 @@ def run_sequential_allocation(inst: Instance) -> Allocation:
 
 def run_with_report(inst: Instance, agent: str, report: Iterable[str]) -> Allocation:
     """Allocate with one agent's preference replaced by ``report``; errors as
-    in ``Instance.with_preference``."""
+    in ``Instance.with_preference``, whose copy re-encodes only that row."""
     return run_sequential_allocation(inst.with_preference(agent, report))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, zip_longest
 
-from .engine import Encoded, can_achieve, run_sequential_allocation, run_with_report
+from .engine import can_achieve, run_sequential_allocation, run_with_report
 from .model import UtilityFunction, bundle_utility, validate_instance
 from .oracle import (
     brute_force_best_response,
@@ -135,7 +135,7 @@ def run_golden_checks() -> list[tuple[str, bool, str]]:
     """
     two, alt = two_agent_example(), alternating_manipulation_example()
     cx, ad, bc = three_agent_counterexample(), frozenset("ad"), frozenset("bc")
-    enc = Encoded(cx)
+    enc = cx.encoded
     pairs = {"".join(pair) for pair in combinations("abcd", 2)
              if can_achieve(enc, 0, map(enc.item_index.get, pair))}
     strict = brute_force_best_response(cx, counterexample_utilities(tie=False), "1")

@@ -8,6 +8,10 @@ Utilities are exact rationals (``fractions.Fraction``) at the API only:
 ``UtilityFunction`` holds each agent's row once, as integer worths over one
 positive scale (``UtilityFunction.rows``), so every comparison and sum is
 exact integer arithmetic and tie detection is deterministic.
+
+An ``Instance`` holds its one integer encoding (``Encoded``), built on its
+first replay and reused by every later one; a report on it (a
+``with_preference`` copy) re-encodes only the replaced row.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal  # ``fractions`` has already loaded it
 from fractions import Fraction
-from itertools import filterfalse
+from itertools import count, filterfalse
 from math import lcm
 from operator import gt
 
@@ -26,8 +30,9 @@ class Record:
     Fields are given by position or keyword; a class attribute of a field's
     name is its default. Records are equal, and hash alike, when they are of
     the same class with equal field values. Assigning or deleting an
-    attribute raises AttributeError. Values live in ``__dict__``, so copy,
-    deepcopy and pickle need no support here.
+    attribute raises AttributeError. Values live in ``__dict__``; equality,
+    copy, deepcopy and pickle take the fields alone (``__getstate__``), so
+    what an instance holds beside them, its encoding, is not copied.
     """
 
     _fields: tuple[str, ...] = ()
@@ -57,10 +62,13 @@ class Record:
         shown = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
+    def __getstate__(self) -> dict:
+        return {key: self.__dict__[key] for key in self._fields}
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.__dict__ == other.__dict__
+        return self.__getstate__() == other.__getstate__()
 
     def __hash__(self) -> int:
         return hash((self.__class__, *map(self.__dict__.__getitem__, self._fields)))
@@ -110,6 +118,37 @@ def check_budget(name: str, budget: int) -> None:
         raise ValidationError([f"{name} must be non-negative, got {budget}"])
 
 
+class Encoded:
+    """Integer view of an instance: items and agents replaced by indices.
+
+    ``prefs[i][k]`` is the index of the item that the agent with index ``i``
+    ranks k-th; ``seq[t]`` is the agent index of stage ``t``. An instance's
+    held view is shared by every replay of it, so no caller changes it.
+    """
+
+    __slots__ = ("item_index", "agent_index", "prefs", "seq", "m")
+
+    def __init__(self, inst: Instance):
+        item_index = dict(zip(inst.items, count()))
+        agent_index = dict(zip(inst.agents, count()))
+        self.item_index = item_index
+        self.agent_index = agent_index
+        self.prefs = [list(map(item_index.__getitem__, inst.preferences[a])) for a in inst.agents]
+        self.seq = list(map(agent_index.__getitem__, inst.sequence))
+        self.m = len(inst.items)
+
+    def with_row(self, agent: int, row: list[int]) -> "Encoded":
+        """A view whose row of agent index ``agent`` is ``row``: a new list of
+        rows, sharing the indices, the sequence and every other row."""
+        twin = Encoded.__new__(Encoded)
+        twin.item_index, twin.agent_index, twin.seq, twin.m = (
+            self.item_index, self.agent_index, self.seq, self.m
+        )
+        twin.prefs = self.prefs[:]
+        twin.prefs[agent] = row
+        return twin
+
+
 class Instance(Record):
     """A complete allocation setting: items, agents, preferences, sequence.
 
@@ -125,13 +164,24 @@ class Instance(Record):
     def turns(self, agent: str) -> int:
         return self.sequence.count(agent)
 
+    @property
+    def encoded(self) -> Encoded:
+        """The instance's integer view, built on first use and then held.
+        Not a field: equality, copy and pickle ignore it."""
+        enc = self.__dict__.get("_encoded")
+        if enc is None:
+            enc = self.__dict__["_encoded"] = Encoded(self)
+        return enc
+
     def with_preference(self, agent: str, order: Iterable[str]) -> "Instance":
         """Copy of the instance with one agent's preference replaced;
         ValidationError for an unknown agent or a non-permutation order.
 
         An order equal to the agent's current one replaces nothing: the
         instance itself is returned, with no copy and no second check of
-        an order that ``validate_instance`` already checked.
+        an order that ``validate_instance`` already checked. Once the
+        instance holds its encoding (after a replay), the copy holds it
+        too, with only the replaced row encoded afresh.
         """
         if agent not in self.agents:
             raise ValidationError([f"unknown agent {agent}"])
@@ -144,7 +194,12 @@ class Instance(Record):
             )
         prefs = dict(self.preferences)
         prefs[agent] = order
-        return Instance(self.items, self.agents, prefs, self.sequence)
+        twin = Instance(self.items, self.agents, prefs, self.sequence)
+        enc = self.__dict__.get("_encoded")
+        if enc is not None:
+            row = list(map(enc.item_index.__getitem__, order))
+            twin.__dict__["_encoded"] = enc.with_row(enc.agent_index[agent], row)
+        return twin
 
 
 def _is_permutation(order: tuple, items: tuple, item_set: set) -> bool:

@@ -68,9 +68,9 @@ class OracleResult(Record):
 
 
 def _encode(inst: Instance, manipulator: str) -> tuple[Encoded, list[int]]:
-    """The encoded instance and the manipulator's stages; ValidationError if
-    the manipulator is unknown."""
-    enc = Encoded(inst)
+    """The instance's held encoding and the manipulator's stages;
+    ValidationError if the manipulator is unknown."""
+    enc = inst.encoded
     if manipulator not in enc.agent_index:
         raise ValidationError([f"unknown agent {manipulator}"])
     return enc, stages_of(enc.seq, enc.agent_index[manipulator])

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import gt, itemgetter
 
-from .engine import Encoded, PickState, run_with_report, stages_of
+from .engine import PickState, run_with_report, stages_of
 from .model import (
     DEFAULT_PATTERN_BUDGET,
     Allocation,
@@ -490,10 +490,15 @@ def assignment_to_report(
     consistent branch, then all top clause items in clause order, then the
     remaining items canonically.
     """
-    missing = [v for v in out.formula.variables() if v not in assignment]
-    if missing:
-        raise ValidationError([f"assignment is not total, missing variables {missing}"])
-    kinds = ["T" if assignment[v] else "F" for v in out.formula.variables()]
+    variables = out.formula.variables()
+    missing = [v for v in variables if v not in assignment]
+    extra = [v for v in assignment if v not in variables]
+    problems = [f"assignment is not total, missing variables {missing}"] if missing else []
+    if extra:
+        problems.append(f"assignment is not over x1..x{len(variables)}, extra variables {extra}")
+    if problems:
+        raise ValidationError(problems)
+    kinds = ["T" if assignment[v] else "F" for v in variables]
     return _pattern_report(out, kinds)
 
 
@@ -562,50 +567,58 @@ def verify_choice_patterns(
     choice rounds are the first blocks of ``len(_ROUND_STAGES)`` stages, and
     the sweep keeps the state at each one's start. The manipulator's row is
     the rounds' quadruples in order, then the top clause items, then every
-    item, so a pattern whose first changed round is r has the previous
-    pattern's row below position 4r. ``advance`` reads the row only below
-    the cursor, and every item there is already taken. So a saved state
-    whose manipulator cursor is at most 4r is the state that a replay from
-    stage 0 reaches, and the pattern resumes from the latest such state,
-    stepping r down otherwise. On the gadget the cursor at round r's start
-    is exactly 4r; it is greater only if one of the manipulator's picks was
-    taken before its turn. The rounds from there on are replayed once, each
-    saving the next round's start state.
+    item. The sweep replays a private copy of the instance's held encoding
+    whose manipulator row it rewrites in place: patterns come in base-4
+    order, round 1 the most significant digit, so the first round whose kind
+    changed from the previous pattern is fixed by the pattern's index (its
+    count of trailing zero digits), and only the quadruples from that round
+    r on are rewritten. The row below position 4r is the previous pattern's.
+    ``advance`` reads the row only below the cursor, and every item there is
+    already taken. So a saved state whose manipulator cursor is at most 4r
+    is the state that a replay from stage 0 reaches, and the pattern
+    resumes from the latest such state, stepping r down otherwise. On the
+    gadget the cursor at round r's start is exactly 4r; it is greater only
+    if one of the manipulator's picks was taken before its turn. The rounds
+    from there on are replayed once, each saving the next round's start
+    state. Only the inconsistent rounds' consistency checks are visited.
     """
     f = out.formula
     _check_pattern_budget(f.num_vars, max_patterns)
     items = out.instance.items
     worth, scale = integer_values(out.utility, MANIPULATOR, items)
     need = math.ceil(out.target * scale)  # an integer worth meets T iff it reaches this
-    # one encoding for the whole sweep; each pattern replaces only the
-    # manipulator's row, which is safe as the encoding never leaves this call
-    enc = Encoded(out.instance)
-    manip = enc.agent_index[MANIPULATOR]
-    mine_of = itemgetter(*stages_of(enc.seq, manip))
+    shared = out.instance.encoded
+    manip = shared.agent_index[MANIPULATOR]
+    mine_of = itemgetter(*stages_of(shared.seq, manip))
     size, span, width = len(_ROUND_ITEMS), len(_ROUND_STAGES), len(_QUADRUPLES["T"])
-    tops = list(range(size * f.num_vars, len(items), 3))
-    # the row after the quadruples: the top clause items, then every item; an
-    # item listed twice is taken before the scan reaches its second place
-    tail = tops + list(range(len(items)))
-    # per round: its quadruple of each kind, its six consistency items and
-    # the middle pair that an inconsistent choice must leave the manipulator with
+    quads = _quadruple_indices(f.num_vars)
+    # the quadruples (rewritten for each pattern), the top clause items, then
+    # every item; an item listed twice is taken before the scan reaches its
+    # second place
+    row = [o for quad in quads for o in quad["T"]]
+    row += range(size * f.num_vars, len(items), 3)
+    row += range(len(items))
+    enc = shared.with_row(manip, row)
+    # per round: its six consistency items and the middle pair that an
+    # inconsistent choice must leave the manipulator with
     six = [k for k, name in enumerate(_ROUND_ITEMS) if name.startswith("h_")]
     pair = [_ROUND_ITEMS.index(name) for name in ("h_{n}^2", "h_{p}^2")]
-    quads, consistency = _quadruple_indices(f.num_vars), {}
-    for v, base in zip(f.variables(), range(0, size * f.num_vars, size)):
-        consistency[v] = (frozenset(base + k for k in six), {base + k for k in pair})
+    checks = [
+        (v, frozenset(base + k for k in six), {base + k for k in pair})
+        for v, base in zip(f.variables(), range(0, size * f.num_vars, size))
+    ]
     last = f.num_vars - 1
     # the state at each choice round's start; the first pattern sets rounds 1 on
     snaps = [PickState(enc)] * f.num_vars
     picks = [0] * len(enc.seq)  # the item taken at each stage
     outcomes = []
     pattern_sat = False
-    previous = ()
-    for kinds in itertools.product(*quads):  # each round's kinds, in table order
+    # each round's kinds in table order, the last round's digit changing fastest
+    for index, kinds in enumerate(itertools.product(_QUADRUPLES, repeat=f.num_vars)):
         # the first round whose kind changed (0 for the first pattern)
-        r = next((k for k, (now, was) in enumerate(zip(kinds, previous)) if now != was), 0)
-        previous = kinds
-        enc.prefs[manip] = [o for quad, k in zip(quads, kinds) for o in quad[k]] + tail
+        r = last - ((index & -index).bit_length() - 1) // 2 if index else 0
+        for k in range(r, f.num_vars):
+            row[width * k : width * (k + 1)] = quads[k][kinds[k]]
         while snaps[r].cursor[manip] > width * r:
             r -= 1
         state = snaps[r]
@@ -618,9 +631,9 @@ def verify_choice_patterns(
         mine = mine_of(picks)
         worth_sum = sum(map(worth.__getitem__, mine))
         utility, meets = Fraction(worth_sum, scale), worth_sum >= need
-        consistent = all(k in ("T", "F") for k in kinds)
+        inconsistent = [check for check, k in zip(checks, kinds) if k not in ("T", "F")]
         assignment = satisfies = None
-        if consistent:
+        if not inconsistent:
             assignment = {v: k == "T" for v, k in zip(f.variables(), kinds)}
             satisfies = f.is_satisfied_by(assignment)
             if meets != satisfies:
@@ -629,10 +642,7 @@ def verify_choice_patterns(
                 )
             pattern_sat = pattern_sat or meets
         else:
-            for v, k in zip(f.variables(), kinds):
-                if k in ("T", "F"):
-                    continue
-                six, pair = consistency[v]
+            for v, six, pair in inconsistent:
                 got = six.intersection(mine)
                 if got != pair:
                     got, pair = (sorted(items[o] for o in s) for s in (got, pair))
@@ -643,7 +653,7 @@ def verify_choice_patterns(
             if meets:
                 raise RuntimeError(f"inconsistent pattern {kinds} meets the target")
         outcomes.append(
-            PatternOutcome(kinds, utility, meets, consistent, assignment, satisfies)
+            PatternOutcome(kinds, utility, meets, not inconsistent, assignment, satisfies)
         )
     direct_sat = bool(f.satisfying_assignments())
     return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == direct_sat)

@@ -32,6 +32,11 @@ def default_digit_limit():
     sys.set_int_max_str_digits(before)
 
 
+def encoded_view(enc) -> tuple:
+    """Everything an ``Encoded`` holds, so that two encodings compare."""
+    return enc.item_index, enc.agent_index, enc.prefs, enc.seq, enc.m
+
+
 def random_instance(rng: random.Random, n: int, m: int, L: int | None = None):
     items = [f"o{k}" for k in range(m)]
     agents = [str(i + 1) for i in range(n)]

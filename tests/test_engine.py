@@ -14,8 +14,9 @@ from seqalloc.engine import (
 )
 from seqalloc.model import ValidationError, validate_instance
 from seqalloc.oracle import enumerate_achievable_bundles
+from seqalloc.reduction import build_instance, verify_choice_patterns, verify_forward
 
-from conftest import random_instance
+from conftest import encoded_view, random_instance, random_restricted_formula
 
 
 def test_each_stage_takes_most_preferred_remaining():
@@ -304,3 +305,20 @@ def test_report_tail_is_irrelevant_once_turns_are_used():
         # manipulator actually receives the whole head, outcomes must agree
         if set(head) <= base.bundles[manip]:
             assert shuffled.bundles == base.bundles
+
+
+@pytest.mark.parametrize("seed, num_vars", [(1, 3), (2, 3), (3, 6)])
+def test_the_pattern_sweep_leaves_the_shared_encoding_as_built(seed, num_vars):
+    """The sweep rewrites a private manipulator row: the compiled instance's
+    held encoding stays a fresh encoding's, and replays from it after a
+    sweep answer as on a fresh compile."""
+    rng = random.Random(seed)
+    f = random_restricted_formula(rng, num_vars)
+    out, fresh = build_instance(f), build_instance(f)
+    verify_choice_patterns(out)
+    assert encoded_view(out.instance.encoded) == encoded_view(Encoded(out.instance))
+    assert run_sequential_allocation(out.instance) == run_sequential_allocation(fresh.instance)
+    assignments = f.satisfying_assignments()[:3]
+    assignments += [{v: rng.random() < 0.5 for v in f.variables()} for _ in range(3)]
+    for assignment in assignments:
+        assert verify_forward(out, assignment) == verify_forward(fresh, assignment)

@@ -7,9 +7,12 @@ from math import lcm
 
 import pytest
 
+from seqalloc.engine import run_sequential_allocation, run_with_report
 from seqalloc.golden import REFERENCE_FORMULA
+from seqalloc.instance_io import parse_instance, serialize_instance
 from seqalloc.model import (
     Allocation,
+    Encoded,
     Instance,
     Record,
     UtilityFunction,
@@ -31,10 +34,12 @@ from seqalloc.reduction import (
     RoundSpan,
     build_instance,
     parse_formula,
+    verify_choice_patterns,
+    verify_forward,
 )
 from seqalloc.two_agent import NashEvidence
 
-from conftest import random_consistent_utilities, random_instance
+from conftest import encoded_view, random_consistent_utilities, random_instance
 
 
 def small():
@@ -106,6 +111,73 @@ def test_with_preference_replaces_one_agent():
         inst.with_preference("1", ["a", "b"])
     # the current order replaces nothing, so nothing is copied
     assert inst.with_preference("1", list(inst.preferences["1"])) is inst
+
+
+def test_a_report_re_encodes_one_row():
+    """Once an instance holds its encoding, each ``with_preference`` copy
+    holds the encoding that a fresh ``Encoded`` of the copy gives, for every
+    agent, and the instance's own stays as it was."""
+    rng = random.Random(36)
+    for _ in range(60):
+        inst = random_instance(rng, n=rng.randint(1, 4), m=rng.randint(1, 9))
+        held = inst.encoded
+        before = copy.deepcopy(encoded_view(held))
+        for agent in inst.agents:
+            twin = inst.with_preference(agent, rng.sample(inst.items, len(inst.items)))
+            assert encoded_view(twin.encoded) == encoded_view(Encoded(twin))
+        assert inst.encoded is held and encoded_view(held) == before
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """The instances that an ``Encoded`` is built from, in order."""
+    built = []
+    init = Encoded.__init__
+
+    def counted(self, inst):
+        built.append(inst)
+        init(self, inst)
+
+    monkeypatch.setattr(Encoded, "__init__", counted)
+    return built
+
+
+def test_only_a_replay_encodes(encodings):
+    """Parsing, validating, compiling and copying build no encoding; the
+    first replay builds the one the instance then holds, and a report on it
+    builds no second one."""
+    inst = small()
+    text = serialize_instance(inst, make_lexicographic_utilities(inst.preferences))
+    parse_instance(text)
+    out = build_instance(parse_formula(REFERENCE_FORMULA))
+    twin = inst.with_preference("1", ["c", "a", "b"])
+    assert encodings == []
+    first = run_sequential_allocation(inst)
+    assert run_sequential_allocation(inst) == first and encodings == [inst]
+    run_with_report(inst, "2", ["a", "b", "c"])
+    verify_choice_patterns(out)
+    verify_forward(out, {1: True, 2: False, 3: False})
+    run_sequential_allocation(twin)
+    assert encodings == [inst, out.instance, twin]
+    assert encoded_view(inst.encoded) == encoded_view(Encoded(inst))
+
+
+def test_a_replayed_instance_is_like_one_never_replayed(encodings):
+    """The held encoding is no field: equality, repr, copy, deepcopy and
+    pickle see only the fields."""
+    replayed, fresh = small(), small()
+    run_sequential_allocation(replayed)
+    assert replayed == fresh and fresh == replayed
+    assert repr(replayed) == repr(fresh)
+    for make_copy in (copy.copy, copy.deepcopy):
+        twin = make_copy(replayed)
+        assert twin == fresh and twin.encoded is not replayed.encoded
+    assert pickle.dumps(replayed) == pickle.dumps(fresh)
+    swept, compiled = (build_instance(parse_formula(REFERENCE_FORMULA)) for _ in range(2))
+    verify_choice_patterns(swept)
+    assert encodings[-1] is swept.instance
+    assert swept == compiled and repr(swept) == repr(compiled)
+    assert pickle.dumps(swept.instance) == pickle.dumps(compiled.instance)
 
 
 def test_lexicographic_utilities_dominate_suffixes():

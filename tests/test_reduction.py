@@ -328,6 +328,29 @@ def test_assignment_to_report_requires_total_assignment(reference):
         assignment_to_report(reference, {1: True})
 
 
+@pytest.mark.parametrize(
+    "assignment, problems",
+    [
+        (
+            {1: True, 2: False, 3: False, 7: True, 0: False},
+            ["assignment is not over x1..x3, extra variables [7, 0]"],
+        ),
+        (
+            {1: True, 4: False},
+            [
+                "assignment is not total, missing variables [2, 3]",
+                "assignment is not over x1..x3, extra variables [4]",
+            ],
+        ),
+    ],
+)
+def test_assignment_outside_the_variables_is_rejected(reference, assignment, problems):
+    for call in (assignment_to_report, verify_forward):
+        with pytest.raises(ValidationError) as exc:
+            call(reference, assignment)
+        assert exc.value.problems == problems
+
+
 def test_forward_soundness_on_reference(reference):
     for assignment in reference.formula.satisfying_assignments():
         fwd = verify_forward(reference, assignment)
