@@ -13,6 +13,9 @@ Utility literals are exact rationals (``3.1`` is 31/10, not a float); one
 holding ``_``, or an exponent beyond 4300 in magnitude, is rejected. An
 all-integer ``util`` row is read in one ``int`` pass, any other as
 ``Fraction``s; ``UtilityFunction`` converts each row once to integer worths.
+Each row is checked on the values read, which are aligned with the agent's
+order, and the utility function holds the verdict, so that no later query
+checks that row against that order again.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
+from operator import gt, itemgetter
 
-from .model import Instance, UtilityFunction, ValidationError, validate_instance, validate_utilities
+from .model import (
+    Instance,
+    UtilityFunction,
+    ValidationError,
+    _hold_fit,
+    validate_instance,
+    validate_utilities,
+)
 
 _MAX_EXPONENT = 4300  # CPython's default int digit limit, which bounds a literal's other parts
 
@@ -113,7 +123,13 @@ def parse_instance(text: str) -> tuple[Instance, UtilityFunction | None]:
                 )
             rows[agent] = dict(zip(order, row))
         utility = UtilityFunction(rows)
-        validate_utilities(utility, inst)
+        # a row read along its agent's order is consistent with that order
+        # iff it is positive and strictly decreasing; a row that is not goes
+        # through validate_utilities, which names every row's problems
+        for agent, (_, row) in utils.items():
+            if not (row[-1] > 0 and all(map(gt, row, row[1:]))):
+                validate_utilities(utility, inst)
+            _hold_fit(utility, agent, inst.preferences[agent])
     return inst, utility
 
 

@@ -11,7 +11,12 @@ exact integer arithmetic and tie detection is deterministic.
 
 An ``Instance`` holds its one integer encoding (``Encoded``), built on its
 first replay and reused by every later one; a report on it (a
-``with_preference`` copy) re-encodes only the replaced row.
+``with_preference`` copy) re-encodes only the replaced row. In the same
+way a ``UtilityFunction`` holds, per agent, the order tuple its row was
+last found consistent with, so a row is checked once per order: by
+``instance_io.parse_instance`` on the values it read, or by the first
+``row_problems`` on it. Neither is a field, so equality, hash, ``repr``,
+copy and pickle ignore both.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ class Record:
     the same class with equal field values. Assigning or deleting an
     attribute raises AttributeError. Values live in ``__dict__``; equality,
     copy, deepcopy and pickle take the fields alone (``__getstate__``), so
-    what an instance holds beside them, its encoding, is not copied.
+    what a record holds beside them (an instance's encoding, the orders a
+    utility function's rows were checked against) is not copied.
     """
 
     _fields: tuple[str, ...] = ()
@@ -276,8 +282,8 @@ class UtilityFunction(Record):
     value of item o, over one positive scale for the whole row. The
     constructor takes rows of exact ``int`` or ``Fraction`` values and
     converts each row once; TypeError for any other value. Positivity and
-    order are not checked (``validate_utilities`` does). A row of plain
-    ``int`` values is its own worth at scale 1 and is only copied; a row
+    order are not checked here (``row_problems`` does, once per order). A
+    row of plain ``int`` values is its own worth at scale 1 and is only copied; a row
     with any ``bool`` or ``Fraction`` is converted over the lcm of its
     denominators. May cover a subset of the agents (e.g. only the
     manipulator).
@@ -357,23 +363,26 @@ def row_problems(u: UtilityFunction, inst: Instance, agent: str) -> list[str]:
     non-positive value, or a value not strictly below the one before it in
     the agent's order.
 
-    One pass over the integer row along that order settles a consistent
-    row; only a row that fails it is scanned again to name its problems.
+    Checked once per order: a row that ``u`` holds as consistent with this
+    very order tuple (identity, not equality) has none. Otherwise one pass
+    over the integer row along the order (``_row_fits``) settles a consistent
+    row, which ``u`` then holds; only a row that fails it is scanned again
+    to name its problems. The verdict depends on the row and the order
+    alone, and neither changes, so holding it is exact.
     """
     if agent not in u.rows:
         return [f"no utilities for agent {agent}"]
     if agent not in inst.agents:
         return [f"utilities given for unknown agent {agent}"]
     order = inst.preferences[agent]
-    row, _ = u.rows[agent]
-    worth = list(map(row.get, order))
-    if (
-        len(row) == len(worth)
-        and None not in worth
-        and (not worth or worth[-1] > 0)
-        and all(map(gt, worth, worth[1:]))
-    ):
+    held = u.__dict__.get("_fit_orders")
+    if held is not None and agent in held and held[agent] is order:
         return []
+    row, _ = u.rows[agent]
+    if _row_fits(row, order):
+        _hold_fit(u, agent, order)
+        return []
+    worth = list(map(row.get, order))
     if set(row) != set(inst.items):
         return [f"utilities of agent {agent} do not cover the item set"]
     problems = [
@@ -385,6 +394,25 @@ def row_problems(u: UtilityFunction, inst: Instance, agent: str) -> list[str]:
         if not w > v
     ]
     return problems
+
+
+def _row_fits(row: Mapping[str, int], order: tuple[str, ...]) -> bool:
+    """True iff ``row`` values exactly the items of ``order`` (distinct ids),
+    each positive and each strictly below the one before it: one pass."""
+    worth = list(map(row.get, order))
+    return (
+        len(row) == len(worth)
+        and None not in worth
+        and (not worth or worth[-1] > 0)
+        and all(map(gt, worth, worth[1:]))
+    )
+
+
+def _hold_fit(u: UtilityFunction, agent: str, order: tuple[str, ...]) -> None:
+    """Record that ``u``'s row of ``agent`` is consistent with ``order``, the
+    very tuple an instance holds; ``row_problems`` then passes it unscanned.
+    Only this helper and ``row_problems`` know where the record is kept."""
+    u.__dict__.setdefault("_fit_orders", {})[agent] = order
 
 
 def make_lexicographic_utilities(

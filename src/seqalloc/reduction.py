@@ -510,8 +510,12 @@ class ForwardResult(Record):
 
 
 def verify_forward(out: ReductionOutput, assignment: Mapping[int, bool]) -> ForwardResult:
-    """Replay an assignment's report and compare the utility against T."""
+    """Replay an assignment's report and compare the utility against T.
+
+    The compile's own encoding is read first, so that it is built once and
+    held, and each report copy re-encodes only the manipulator's row."""
     report = assignment_to_report(out, assignment)
+    out.instance.encoded  # builds and holds it on the first call
     alloc = run_with_report(out.instance, MANIPULATOR, report)
     bundle = alloc.bundles[MANIPULATOR]
     utility = bundle_utility(out.utility, MANIPULATOR, bundle)

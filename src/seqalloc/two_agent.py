@@ -185,9 +185,10 @@ def best_response(
 
     The resulting bundle does not depend on which consistent utilities are
     supplied; they are only used to report the achieved utility. The
-    manipulator's row is checked against their order in one pass over its
-    integer row; ValidationError lists its problems as ``row_problems``
-    names them.
+    manipulator's row is checked against their order by ``row_problems``,
+    checked once per order: a row that parse or an earlier query found
+    consistent with this order is not scanned again. ValidationError lists
+    its problems as ``row_problems`` names them.
     """
     _require_two_agents(inst)
     problems = row_problems(u, inst, manipulator)
@@ -215,7 +216,8 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     ``inst`` carries the reported preferences; ``u`` carries each agent's
     true utilities, whose induced order is that agent's true preference. A
     row with no ``row_problems`` strictly decreases along the reported
-    order, so it induces that order and is checked once: that agent's best
+    order, so it induces that order; checked once per order, it is not
+    scanned here at all when parse already checked it. That agent's best
     response bundle is ``lexicographic_bundle`` on ``inst`` itself (which
     ``with_preference`` returns for the reported order, copying nothing),
     with no report built, valued by ``bundle_utility``. Any other row is

@@ -444,3 +444,152 @@ def test_witness_from_due_turns_matches_the_per_candidate_replay():
         seen["reordered", expected != sorted(bundle)] += 1
     # tied optima came up, and witnesses that do not take the bundle in index order
     assert seen["optima", True] and seen["reordered", True], seen
+
+
+# --- util rows checked once per order -------------------------------------------
+
+_DEFECTS = ("none", "tie", "zero", "negative", "inversion")
+
+
+def _literal(rng, v: Fraction) -> str:
+    """One spelling of ``v``: an integer as such now and then, else a
+    fraction over a random multiple of its denominator."""
+    if v.denominator == 1 and rng.random() < 0.5:
+        return str(v.numerator)
+    k = rng.randint(1, 3)
+    return f"{v.numerator * k}/{v.denominator * k}"
+
+
+def _util_line(rng, inst, agent, style, defect):
+    """A ``util`` line for ``agent`` along their order: integer literals or
+    fractions over mixed denominators, with one seeded defect, and the
+    values it holds."""
+    m = len(inst.items)
+    if style == "int":
+        values = [Fraction(v) for v in sorted(rng.sample(range(1, 10 * m + 1), m), reverse=True)]
+    else:
+        steps = [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5))) for _ in range(m)]
+        values = list(accumulate(steps))[::-1]
+    k = rng.randrange(m)
+    if defect == "tie" and m > 1:
+        k = min(k, m - 2)
+        values[k] = values[k + 1]  # as fractions, often spelled two ways below
+    elif defect == "zero":
+        values[-1] = Fraction(0)
+    elif defect == "negative":
+        values[k] = -values[k]
+    elif defect == "inversion" and m > 1:
+        k = min(k, m - 2)
+        values[k], values[k + 1] = values[k + 1], values[k]
+    if style == "int":
+        literals = [str(v.numerator) for v in values]
+    else:
+        literals = [_literal(rng, v) for v in values]
+    return f"util {agent} : {' '.join(literals)}\n", values
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The orders that a utility row is scanned along, in order."""
+    scanned = []
+    real = model._row_fits
+
+    def counted(row, order):
+        scanned.append(order)
+        return real(row, order)
+
+    monkeypatch.setattr(model, "_row_fits", counted)
+    return scanned
+
+
+def test_parse_checks_util_rows_as_row_problems_does(scans):
+    """Parse's check on the values it read gives each seeded row the verdict,
+    problem list and line number that ``validate_utilities`` gives the
+    same rows built afresh, and every row it passes is held: no later
+    ``row_problems`` scans it."""
+    rng = random.Random(3701)
+    seen = Counter()
+    for _ in range(500):
+        inst = random_instance(rng, 2, rng.randint(1, 9))
+        text = serialize_instance(inst)
+        rows = {}
+        for agent in rng.sample(inst.agents, rng.randint(1, 2)):
+            style, defect = rng.choice(("int", "fraction")), rng.choice(_DEFECTS)
+            line, values = _util_line(rng, inst, agent, style, defect)
+            text += line
+            rows[agent] = dict(zip(inst.preferences[agent], values))
+            seen[style, defect] += 1
+        fresh = UtilityFunction(rows)
+        got = _outcome(parse_instance, text)
+        expected = _outcome(model.validate_utilities, fresh, inst)
+        if expected is None:
+            parsed, u = got
+            assert parsed == inst and u == fresh
+            scans.clear()
+            assert all(model.row_problems(u, parsed, a) == [] for a in rows)
+            assert scans == []
+            seen["passed"] += 1
+        else:
+            assert got == expected, text
+            seen["rejected"] += 1
+    assert seen["passed"] and seen["rejected"]
+    assert all(seen[s, d] for s in ("int", "fraction") for d in _DEFECTS), seen
+
+
+def test_parse_sees_a_tie_in_any_spelling():
+    text = serialize_instance(random_instance(random.Random(3702), 1, 3))
+    _, b, c = parse_instance(text)[0].preferences["1"]
+    for row in ("5/6 1/2 2/4", "5/6 0.5 2/4", "1 1/2 0.50"):
+        with pytest.raises(ValidationError) as exc:
+            parse_instance(text + f"util 1 : {row}\n")
+        assert exc.value.problems == [f"utilities of agent 1 not strictly decreasing at {b} vs {c}"]
+
+
+def _consistent_text(rng, m):
+    """An instance text whose two agents have rows consistent with their
+    orders."""
+    inst = random_instance(rng, 2, m)
+    rows = {a: {o: 2 * m - k for k, o in enumerate(inst.preferences[a])} for a in inst.agents}
+    return serialize_instance(inst, UtilityFunction(rows))
+
+
+def test_queries_on_a_parsed_instance_scan_no_row_again(scans):
+    """A best response or Nash check on what parse returned scans no row; on
+    a copy with one agent's order changed, a best response scans that
+    agent's row once, and no other row."""
+    rng = random.Random(3703)
+    for _ in range(30):
+        inst, u = parse_instance(_consistent_text(rng, rng.randint(2, 9)))
+        scans.clear()
+        for agent in inst.agents:
+            best_response(inst, u, agent)
+        nash_evidence(inst, u)
+        assert scans == []
+        changed = rng.choice(inst.agents)
+        order = list(inst.preferences[changed])
+        order.reverse()
+        twin = inst.with_preference(changed, order)
+        for agent in inst.agents:
+            scans.clear()
+            _outcome(best_response, twin, u, agent)
+            assert scans == ([twin.preferences[changed]] if agent == changed else [])
+
+
+def test_a_reordered_copy_is_checked_again():
+    """A ``with_preference`` copy that reorders an agent's order gets, from a
+    utility function that holds the old order, the answers or problems
+    that a fresh utility function gives; and the original instance still
+    passes afterwards."""
+    rng = random.Random(3704)
+    seen = Counter()
+    for _ in range(200):
+        inst, u = parse_instance(_consistent_text(rng, rng.randint(1, 9)))
+        agent = rng.choice(inst.agents)
+        twin = inst.with_preference(agent, rng.sample(inst.items, len(inst.items)))
+        for query, args in ((best_response, (agent,)), (nash_evidence, ())):
+            got = _outcome(query, twin, u, *args)
+            assert got == _outcome(query, twin, UtilityFunction(u.values), *args)
+            seen[query.__name__, isinstance(got, tuple) and got[0] is ValidationError] += 1
+        assert best_response(inst, u, agent) == best_response(inst, UtilityFunction(u.values), agent)
+    # a reordered row was rejected, and a row in the same order passed again
+    assert seen["best_response", True] and seen["best_response", False], seen

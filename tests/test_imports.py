@@ -111,6 +111,7 @@ def test_two_agent_commands_load_no_search_module(tmp_path, argv):
         (["reduce", "ref.cnf", "--out", "ref"], {"oracle", "two_agent", "golden"}),
         (["verify-reduction", "ref.cnf", "--assignment", "x1=T,x2=F,x3=F"],
          {"oracle", "two_agent", "golden"}),
+        (["verify-reduction", "ref.cnf", "--patterns"], {"oracle", "two_agent", "golden"}),
         (["best-response", "profile.instance", "--agent", "1", "--mode", "refuted-greedy"],
          {"two_agent", "reduction", "golden"}),
     ],

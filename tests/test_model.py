@@ -180,6 +180,37 @@ def test_a_replayed_instance_is_like_one_never_replayed(encodings):
     assert pickle.dumps(swept.instance) == pickle.dumps(compiled.instance)
 
 
+def test_forward_checks_encode_the_compile_once(encodings):
+    """On a compile that no sweep has encoded, the first forward check
+    builds the compile's own encoding, and every report re-encodes only the
+    manipulator's row from it."""
+    out = build_instance(parse_formula(REFERENCE_FORMULA))
+    first = verify_forward(out, {1: True, 2: False, 3: False})
+    second = verify_forward(out, {1: False, 2: False, 3: True})
+    assert encodings == [out.instance]
+    assert first.meets_target and second.meets_target
+
+
+def test_a_checked_utility_function_is_like_an_unchecked_one():
+    """The orders a utility function's rows were checked against are no
+    field: equality, hash, repr, copy, deepcopy and pickle see only the
+    rows, and a copy checks its rows afresh."""
+    inst = small()
+    rows = {a: {o: 3 - k for k, o in enumerate(inst.preferences[a])} for a in inst.agents}
+    _, checked = parse_instance(serialize_instance(inst, UtilityFunction(rows)))
+    validate_utilities(checked, inst)
+    unchecked = UtilityFunction(rows)
+    assert checked == unchecked and unchecked == checked
+    assert repr(checked) == repr(unchecked)
+    for u in (checked, unchecked):  # a row is a dict, so neither hashes
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(u)
+    for make_copy in (copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u))):
+        twin = make_copy(checked)
+        assert twin == unchecked and vars(twin) == vars(unchecked)
+    assert pickle.dumps(checked) == pickle.dumps(unchecked)
+
+
 def test_lexicographic_utilities_dominate_suffixes():
     rng = random.Random(7)
     for _ in range(20):
