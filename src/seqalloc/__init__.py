@@ -30,6 +30,7 @@ _EXPORTS = {
     "oracle": (
         "OracleResult",
         "brute_force_best_response",
+        "count_achievable_bundles",
         "enumerate_achievable_bundles",
         "refuted_greedy_best_response",
     ),

@@ -459,18 +459,21 @@ def order_from_utilities(u: UtilityFunction, agent: str, items: Iterable[str]) -
     """The strict preference order induced by an agent's utilities.
 
     Raises ValidationError if the utilities miss one of ``items`` or value
-    two of them equally (the induced order would not be strict).
+    two of them equally (the induced order would not be strict). A positive
+    row of exactly ``items`` is held as consistent with the returned order.
     """
     items = tuple(items)
     value = dict(zip(items, integer_values(u, agent, items)[0]))
-    ranked = sorted(items, key=value.__getitem__, reverse=True)  # stable: ties keep item order
+    ranked = tuple(sorted(items, key=value.__getitem__, reverse=True))  # ties keep item order
     worth = list(map(value.__getitem__, ranked))
     if not all(map(gt, worth, worth[1:])):
         a, b = next((a, b) for a, b, w, v in zip(ranked, ranked[1:], worth, worth[1:]) if w == v)
         raise ValidationError(
             [f"agent {agent} values {a} and {b} equally; induced order is not strict"]
         )
-    return tuple(ranked)
+    if len(u.rows[agent][0]) == len(items) and (not worth or worth[-1] > 0):
+        _hold_fit(u, agent, ranked)
+    return ranked
 
 
 class Allocation(Record):

@@ -15,20 +15,22 @@ Each optimum keeps the due turns of its leaf check, from which
 ``node_budget`` bounds the search's achievability checks and the witnesses
 spend none.
 
-``enumerate_achievable_bundles`` is the exhaustive reference, a dynamic
-program over the other agents' cursors that runs ``engine.can_achieve``'s
-argument for every target set at once. Let the manipulator pass, and let
-the other agents pick around a reserved set S of items. An item's fate is
-fixed when another agent's scan first reaches it: that agent takes it, or it
-joins S and falls due at t, the manipulator's turns before that stage. An
-item is gone iff some cursor has passed it, so (every cursor, q = |S| so
-far) fixes the future, and states are merged by that key. Due turns arrive
-in non-decreasing order, so Hall's condition is ``q + 1 <= t`` at each
-reservation. Items that no scan reaches before the last turn fall due at
-turn k, the manipulator's turn count, so each final state's bundles are its
-reserved sets, each joined with any k - q of its free items. A reserved set
-fixes its replay, so each bundle comes from one path and one fill, and none
-is produced twice.
+``_walk`` is a dynamic program over the other agents' cursors that runs
+``engine.can_achieve``'s argument for every target set at once. Let the
+manipulator pass, and let the other agents pick around a reserved set S of
+items. An item's fate is fixed when another agent's scan first reaches it:
+that agent takes it, or it joins S and falls due at t, the manipulator's
+turns before that stage. An item is gone iff some cursor has passed it, so
+(every cursor, q = |S| so far) fixes the future, and states are merged by
+that key. Due turns arrive in non-decreasing order, so Hall's condition is
+``q + 1 <= t`` at each reservation. Items that no scan reaches before the
+last turn fall due at turn k, the manipulator's turn count, so each final
+state's bundles are its reserved sets, each joined with any k - q of its
+free items. A reserved set fixes its replay, so each bundle comes from one
+path and one fill, and none is produced twice. Two folds share the walk:
+``enumerate_achievable_bundles``, the exhaustive reference, lists each
+state's reserved sets with their fills; ``count_achievable_bundles``
+carries only their number, so its budget counts states.
 
 The refuted ordinal greedy does not search: it runs
 ``engine.ordinal_greedy`` and asks ``engine.secures``, a polynomial test,
@@ -100,75 +102,110 @@ def _spend(used: int, count: int, budget: int, unit: str, progress: Callable[[],
     return used + count
 
 
+def _walk(
+    inst: Instance, manipulator: str, root, reserve: Callable, weight: Callable, held_as: str,
+    budget: int,
+) -> tuple[dict, int, Callable[[int], None]]:
+    """The cursor walk of the module docstring, carrying a payload per state.
+
+    Returns the final states ``{(cursors, q): [gone, payload]}``, the
+    manipulator's turn count k and ``spend(count)``, which charges more
+    nodes. ``reserve(payload, x)`` is the payload after reserving item bit
+    x; payloads reaching one state merge with ``+=``. Nodes: the root,
+    before the manipulator is looked up, then ``weight(payload)`` per state
+    made. ValidationError if ``budget`` is negative. A BudgetExceededError
+    names the turns passed (all once the walk is done) and the weight held,
+    as ``held_as``, after the last complete stage.
+    """
+    check_budget("node_budget", budget)
+    t = held = 0  # the manipulator's turns passed and the weight held
+
+    def progress() -> str:
+        return f"at turn {t} of {inst.turns(manipulator)} with {held} {held_as}"
+
+    def spend(count: int) -> None:
+        nonlocal nodes
+        nodes = _spend(nodes, count, budget, "nodes", progress)
+
+    nodes = _spend(0, 1, budget, "nodes", progress)
+    enc, turns = _encode(inst, manipulator)
+    me, prefs = enc.agent_index[manipulator], enc.prefs
+    # (cursors, items reserved) -> [items gone, payload]
+    states = {((0,) * len(prefs), 0): [0, root]}
+    held = weight(root)
+    for agent in enc.seq[: turns[-1] if turns else 0]:
+        if agent == me:
+            t += 1
+            continue
+        row, after = prefs[agent], {}
+        while states:  # a state is dropped as it is expanded, to bound the peak
+            (cursors, q), (gone, payload) = states.popitem()
+            p = cursors[agent]
+            while True:
+                while gone >> row[p] & 1:
+                    p += 1
+                x = 1 << row[p]
+                nodes = _spend(nodes, weight(payload), budget, "nodes", progress)
+                key = (cursors[:agent] + (p + 1,) + cursors[agent + 1 :], q)
+                if key in after:  # the agent takes x
+                    after[key][1] += payload
+                else:
+                    after[key] = [gone | x, payload]
+                if q == t:  # reserving x would break Hall's condition, q + 1 <= t
+                    break
+                q, gone, payload = q + 1, gone | x, reserve(payload, x)  # x is reserved
+        states = after
+        held = sum(weight(payload) for _, payload in states.values())
+    t = len(turns)
+    return states, t, spend
+
+
 def enumerate_achievable_bundles(
     inst: Instance, manipulator: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> set[frozenset[str]]:
     """All bundles the manipulator can end up holding under some report.
 
-    Walks the stages before the manipulator's last turn over merged states
-    (see the module docstring). Reserved sets and the items gone are ints,
-    item x being ``1 << x``; each set's names are read once, for its bundles.
-    ValidationError if ``node_budget`` is negative. BudgetExceededError once
-    the nodes exceed ``node_budget``: the root, each (state, reserved set)
-    made at each of the other agents' stages, and each bundle listed. Its
-    message names the manipulator's turns passed (0 at the root, all of
-    them while listing) and the reserved sets held after the last complete
-    stage, both independent of the order in which states are expanded.
+    ``_walk`` carrying each state's reserved sets, as ints (item x is
+    ``1 << x``); each set's names are read once, for its bundles. Nodes:
+    the root, each (state, reserved set) made and each bundle listed; the
+    budget error names the reserved sets held. ValidationError if
+    ``node_budget`` is negative.
 
     Memory grows with the sets of one stage: three agents with
     near-identical orders of 30 items, under round robin with 10 turns
     each, exceed the default budget at turn 9, with 690,690 sets held, at
     about 63 MiB peak RSS on CPython 3.11.
     """
-    check_budget("node_budget", node_budget)
-    t = held = 0  # the manipulator's turns passed and the sets held
-
-    def progress() -> str:
-        return f"at turn {t} of {inst.turns(manipulator)} with {held} reserved sets"
-
-    # the root, charged before the manipulator is looked up, so a zero
-    # budget raises first
-    nodes = _spend(0, 1, node_budget, "nodes", progress)
-    enc, turns = _encode(inst, manipulator)
-    if not turns:
+    states, k, spend = _walk(
+        inst, manipulator, [0], lambda sets, x: [s | x for s in sets], len, "reserved sets",
+        node_budget,
+    )
+    if not k:  # the root, already charged, is the one bundle
         return {frozenset()}
-    me, prefs = enc.agent_index[manipulator], enc.prefs
-    # (cursors, items reserved) -> [items gone, reserved sets]
-    states = {((0,) * len(prefs), 0): [0, [0]]}
-    held = 1
-    for agent in enc.seq[: turns[-1]]:
-        if agent == me:
-            t += 1
-            continue
-        row, after = prefs[agent], {}
-        while states:  # a state is dropped as it is expanded, to bound the peak
-            (cursors, q), (gone, sets) = states.popitem()
-            p = cursors[agent]
-            while True:
-                while gone >> row[p] & 1:
-                    p += 1
-                x = 1 << row[p]
-                nodes = _spend(nodes, len(sets), node_budget, "nodes", progress)
-                key = (cursors[:agent] + (p + 1,) + cursors[agent + 1 :], q)
-                if key in after:  # the agent takes x
-                    after[key][1] += sets
-                else:
-                    after[key] = [gone | x, sets]
-                if q == t:  # reserving x would break Hall's condition, q + 1 <= t
-                    break
-                q, gone, sets = q + 1, gone | x, [s | x for s in sets]  # x is reserved
-        states = after
-        held = sum(len(sets) for _, sets in states.values())
-    t = k = len(turns)
     reached: set[frozenset[str]] = set()
     for (_, q), (gone, sets) in states.items():
         free = [o for x, o in enumerate(inst.items) if not gone >> x & 1]
-        nodes = _spend(nodes, len(sets) * comb(len(free), k - q), node_budget, "nodes", progress)
+        spend(len(sets) * comb(len(free), k - q))
         fills = list(combinations(free, k - q))
         for s in sets:  # each set's names, read from its bits, joined with each fill
             named = frozenset(compress(inst.items, map("1".__eq__, bin(s)[:1:-1])))
             reached.update(map(named.union, fills))
     return reached
+
+
+def count_achievable_bundles(
+    inst: Instance, manipulator: str, node_budget: int = DEFAULT_NODE_BUDGET
+) -> int:
+    """How many bundles ``enumerate_achievable_bundles`` returns, none built.
+
+    ``_walk`` carrying how many reserved sets reach each state; a final
+    state adds that number times the ways to fill its k - q free turns.
+    Nodes: the root and each state made; the budget error names the states
+    held. ValidationError if ``node_budget`` is negative.
+    """
+    states, k, _ = _walk(inst, manipulator, 1, lambda n, x: n, lambda n: 1, "states", node_budget)
+    m = len(inst.items)
+    return sum(n * comb(m - gone.bit_count(), k - q) for (_, q), (gone, n) in states.items())
 
 
 def brute_force_best_response(

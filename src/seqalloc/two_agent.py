@@ -25,10 +25,10 @@ the head of the canonical report; the greedy is ``engine.ordinal_greedy``, one
 ``filter`` of the manipulator's order by a per-item test.
 
 A Nash check compares bundles, so it asks the greedy for bundles, not
-reports: for each agent whose utility row induces their reported order,
-``lexicographic_bundle`` runs on the reported instance itself, with no
-canonical report built and no instance copied. Only a row that must be
-ranked afresh goes through ``best_response`` on a copy with its order.
+reports: for every agent, ``lexicographic_bundle`` runs on the instance
+with that agent's true order, and no canonical report is built. When their
+utility row induces their reported order, that is the reported instance
+itself, and no instance is copied.
 """
 
 from __future__ import annotations
@@ -214,15 +214,15 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     """Per-agent best-response comparison against the reported profile.
 
     ``inst`` carries the reported preferences; ``u`` carries each agent's
-    true utilities, whose induced order is that agent's true preference. A
-    row with no ``row_problems`` strictly decreases along the reported
-    order, so it induces that order; checked once per order, it is not
-    scanned here at all when parse already checked it. That agent's best
-    response bundle is ``lexicographic_bundle`` on ``inst`` itself (which
-    ``with_preference`` returns for the reported order, copying nothing),
-    with no report built, valued by ``bundle_utility``. Any other row is
-    ranked afresh and goes through ``best_response``, whose errors name its
-    problems.
+    true utilities, whose induced order is that agent's true preference: the
+    reported order if the row has no ``row_problems``, else the order
+    ``order_from_utilities`` ranks. Each agent's best response bundle is
+    ``lexicographic_bundle`` on ``with_preference`` of their true order
+    (``inst`` itself for the reported order), valued by ``bundle_utility``,
+    with no report built. Rows are checked once per order: a row that parse
+    checked, or that the ranking proved consistent, is not scanned again.
+    ValidationError names the problems of a row that induces no order, or
+    that ``row_problems`` finds on the copy with the order it induces.
     """
     _require_two_agents(inst)
     consistent = {a for a in inst.agents if not row_problems(u, inst, a)}
@@ -235,18 +235,17 @@ def nash_evidence(inst: Instance, u: UtilityFunction) -> list[NashEvidence]:
     out = []
     for agent in inst.agents:
         deviation_setting = inst.with_preference(agent, true_orders[agent])
-        if agent in consistent:
-            bundle = lexicographic_bundle(deviation_setting, agent)
-            utility = bundle_utility(u, agent, bundle)
-        else:
-            _, bundle, utility = best_response(deviation_setting, u, agent)
+        problems = [] if agent in consistent else row_problems(u, deviation_setting, agent)
+        if problems:
+            raise ValidationError(problems)
+        bundle = lexicographic_bundle(deviation_setting, agent)
         out.append(
             NashEvidence(
                 agent=agent,
                 current_bundle=current.bundles[agent],
                 current_utility=bundle_utility(u, agent, current.bundles[agent]),
                 best_response_bundle=bundle,
-                best_response_utility=utility,
+                best_response_utility=bundle_utility(u, agent, bundle),
             )
         )
     return out

@@ -19,6 +19,7 @@ from seqalloc.engine import Encoded, PickState, can_achieve, secures, stages_of
 from seqalloc.model import UtilityFunction, validate_instance
 from seqalloc.oracle import (
     brute_force_best_response,
+    count_achievable_bundles,
     enumerate_achievable_bundles,
     first_pick_order,
 )
@@ -67,6 +68,7 @@ def _check(m, walk):
     for inst in _family(m):
         res = brute_force_best_response(inst, u, MANIPULATOR)
         bundles = enumerate_achievable_bundles(inst, MANIPULATOR)
+        assert count_achievable_bundles(inst, MANIPULATOR) == len(bundles), inst
         value = {b: sum(map(worth.__getitem__, b)) for b in bundles}
         best = max(value.values())
         assert res.max_utility == best, inst

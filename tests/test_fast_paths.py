@@ -575,6 +575,28 @@ def test_queries_on_a_parsed_instance_scan_no_row_again(scans):
             assert scans == ([twin.preferences[changed]] if agent == changed else [])
 
 
+def test_nash_scans_a_row_that_misfits_its_order_once(scans, monkeypatch):
+    """Agent 1's row no longer fits their reversed order: the Nash check
+    scans it once, along that order, and the order its ranking induces is
+    not scanned again; no canonical report is built."""
+    inst, u = parse_instance(
+        "agents 2 items 4 seq 4\nitem a\nitem b\nitem c\nitem d\n"
+        "pref 1 : a b c d\npref 2 : c d a b\nseq : 1 2 1 2\n"
+        "util 1 : 4 3 2 1\nutil 2 : 4 3 2 1\n"
+    )
+    twin = inst.with_preference("1", "dcba")
+    reports = []
+    real = two_agent.canonical_report
+    monkeypatch.setattr(
+        two_agent, "canonical_report", lambda *args: reports.append(args) or real(*args)
+    )
+    scans.clear()
+    evidence = nash_evidence(twin, u)
+    assert scans == [("d", "c", "b", "a")]
+    assert reports == []
+    assert evidence == nash_evidence(twin, UtilityFunction(u.values))
+
+
 def test_a_reordered_copy_is_checked_again():
     """A ``with_preference`` copy that reorders an agent's order gets, from a
     utility function that holds the old order, the answers or problems

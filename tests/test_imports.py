@@ -28,8 +28,8 @@ EXPORTS = {
         "validate_instance",
     ),
     oracle: (
-        "OracleResult", "brute_force_best_response", "enumerate_achievable_bundles",
-        "refuted_greedy_best_response",
+        "OracleResult", "brute_force_best_response", "count_achievable_bundles",
+        "enumerate_achievable_bundles", "refuted_greedy_best_response",
     ),
     reduction: (
         "ReductionOutput", "RestrictedFormula", "assignment_to_report", "build_instance",
@@ -130,6 +130,7 @@ def test_oracle_calls_load_no_two_agent_module(tmp_path):
     code = _PARSED + (
         "seqalloc.brute_force_best_response(inst, u, '1')\n"
         "seqalloc.enumerate_achievable_bundles(inst, '1')\n"
+        "seqalloc.count_achievable_bundles(inst, '1')\n"
         "seqalloc.refuted_greedy_best_response(inst, '1')\n"
     )
     loaded = _loaded_after("import seqalloc\n" + code, tmp_path)

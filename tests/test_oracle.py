@@ -24,6 +24,7 @@ from seqalloc.oracle import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     brute_force_best_response,
+    count_achievable_bundles,
     enumerate_achievable_bundles,
     refuted_greedy_best_response,
 )
@@ -257,6 +258,8 @@ def test_oracle_answers_where_the_walk_exceeds_its_budget():
     greedy = refuted_greedy_best_response(inst, "1")
     assert res.optimal_bundles == (greedy,)
     assert res.max_utility == bundle_utility(u, "1", greedy)
+    # the count builds no bundle, so it answers under the same default budget
+    assert count_achievable_bundles(inst, "1") == 8_414_640
 
 
 def test_oracle_has_no_turn_guard():
@@ -462,8 +465,12 @@ def test_merged_search_matches_pick_order_walk():
     for inst, manip in cases:
         bundles, _ = _pick_order_walk(inst, manip)
         assert enumerate_achievable_bundles(inst, manip) == bundles, (inst, manip)
+        n = count_achievable_bundles(inst, manip)
+        assert n == len(bundles), (inst, manip)
         if inst.turns(manip):
             fills.update(_fill_sizes(inst, manip, bundles))
+        else:  # the empty bundle alone
+            assert n == 1, (inst, manip)
     # bundles that join a reserved set with two or more free items came up
     assert sum(count for size, count in fills.items() if size >= 2) >= 200, fills
 
@@ -474,6 +481,7 @@ def test_merged_search_matches_pick_order_walk_on_round_robin():
         inst = _round_robin_instance(rng)
         bundles, _ = _pick_order_walk(inst, "1")
         assert enumerate_achievable_bundles(inst, "1") == bundles
+        assert count_achievable_bundles(inst, "1") == len(bundles)
 
 
 def _count_advances(monkeypatch):
@@ -610,6 +618,7 @@ def test_heavy_merging_matches_pick_order_walk():
         inst = _near_identical_small(rng, rng.randint(6, 9))
         bundles, states = _pick_order_walk(inst, "1")
         assert enumerate_achievable_bundles(inst, "1") == bundles, inst
+        assert count_achievable_bundles(inst, "1") == len(bundles), inst
         turns = inst.sequence.count("1")
         held = [[(picks, taken) for c, picks, taken in states if c == t] for t in range(turns)]
         shared += sum(len(h) > len({taken for _, taken in h}) for h in held)
@@ -652,11 +661,33 @@ def test_zero_node_budget_raises_before_any_replay(monkeypatch):
     with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
         enumerate_achievable_bundles(inst, "1", node_budget=0)
     assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (0, 0, "nodes")
+    # the root is charged before the manipulator is looked up
+    with pytest.raises(BudgetExceededError, match="node budget") as excinfo:
+        count_achievable_bundles(inst, "9", node_budget=0)
+    assert (excinfo.value.limit, excinfo.value.used, excinfo.value.unit) == (0, 0, "nodes")
     assert calls == []
 
 
+def test_count_budget_counts_states():
+    """The root and each state made: the counterexample's count of 3 needs
+    6 nodes, and a budget of 5 trips with agent 2's states held."""
+    inst = three_agent_counterexample()
+    assert count_achievable_bundles(inst, "1", node_budget=6) == 3
+    with pytest.raises(BudgetExceededError) as excinfo:
+        count_achievable_bundles(inst, "1", node_budget=5)
+    err = excinfo.value
+    assert str(err) == (
+        "search exceeded node budget 5 after 5 nodes, at turn 1 of 2 with 2 states"
+    )
+    assert (err.limit, err.used, err.unit) == (5, 5, "nodes")
+
+
 @pytest.mark.parametrize(
-    "search", ["brute_force_best_response", "enumerate_achievable_bundles", "verify_choice_patterns"]
+    "search",
+    [
+        "brute_force_best_response", "enumerate_achievable_bundles", "count_achievable_bundles",
+        "verify_choice_patterns",
+    ],
 )
 def test_negative_budget_is_validation_error(monkeypatch, search):
     """A negative budget is rejected before any replay, not read as no bound."""
@@ -665,6 +696,7 @@ def test_negative_budget_is_validation_error(monkeypatch, search):
     run = {
         "brute_force_best_response": lambda: brute_force_best_response(inst, u, "1", node_budget=-1),
         "enumerate_achievable_bundles": lambda: enumerate_achievable_bundles(inst, "1", node_budget=-1),
+        "count_achievable_bundles": lambda: count_achievable_bundles(inst, "1", node_budget=-1),
         "verify_choice_patterns": lambda: verify_choice_patterns(out, max_patterns=-1),
     }[search]
     calls = _count_advances(monkeypatch)
