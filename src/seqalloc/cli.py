@@ -97,19 +97,7 @@ def cmd_best_response(args) -> int:
         report.doc["results"]["utilities"] = "lexicographic (none supplied)"
 
     lines: list[str] = []
-    if args.mode == "two-agent":
-        from . import two_agent
-
-        rep, bundle, value = two_agent.best_response(inst, utility, agent)
-        report.doc["results"].update(
-            {"report": list(rep), "bundle": sorted(bundle), "utility": render_fraction(value)}
-        )
-        lines += [
-            "report : " + " ".join(rep),
-            "bundle : {" + ", ".join(sorted(bundle)) + "}",
-            "utility: " + render_fraction(value),
-        ]
-    elif args.mode == "oracle":
+    if args.mode == "oracle":
         from . import oracle
 
         budget = _budget_or(args, DEFAULT_NODE_BUDGET)
@@ -132,11 +120,18 @@ def cmd_best_response(args) -> int:
                 + " ".join(res.witness_reports[b])
             ]
         lines += [f"achievability checks: {res.checks} of budget {budget}"]
-    else:  # refuted-greedy
-        from . import oracle
+    else:
+        if args.mode == "two-agent":
+            from . import two_agent
 
-        bundle = oracle.refuted_greedy_best_response(inst, agent)
-        value = bundle_utility(utility, agent, bundle)
+            rep, bundle, value = two_agent.best_response(inst, utility, agent)
+            report.doc["results"]["report"] = list(rep)
+            lines += ["report : " + " ".join(rep)]
+        else:  # refuted-greedy
+            from . import oracle
+
+            bundle = oracle.refuted_greedy_best_response(inst, agent)
+            value = bundle_utility(utility, agent, bundle)
         report.doc["results"].update(bundle=sorted(bundle), utility=render_fraction(value))
         lines += [
             "bundle : {" + ", ".join(sorted(bundle)) + "}",
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="run sequential allocation on an instance file")
     p.add_argument("instance")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_allocate)
 
     p = sub.add_parser("best-response", help="compute a best response for one agent")
@@ -348,18 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"most achievability checks that --mode oracle may make"
         f" (default {DEFAULT_NODE_BUDGET})",
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_best_response)
 
     p = sub.add_parser("nash-verify", help="verify a two-agent pure Nash equilibrium")
     p.add_argument("instance")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nash_verify)
 
     p = sub.add_parser("reduce", help="compile a restricted 3-CNF formula to an instance")
     p.add_argument("formula")
     p.add_argument("--out", required=True, help="output prefix for .instance and .registry.json")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("verify-reduction", help="replay assignments through a compiled formula")
@@ -372,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"most choice patterns that --patterns may check"
         f" (default {DEFAULT_PATTERN_BUDGET})",
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_reduction)
 
     p = sub.add_parser("examples", help="run all built-in golden checks")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_examples)
 
+    for p in sub.choices.values():  # last in each command's help
+        p.add_argument("--json", action="store_true")
     return parser
 
 

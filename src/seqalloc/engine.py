@@ -3,11 +3,11 @@
 At each stage the agent named by the sequence receives their most-preferred
 remaining item. ``Encoded`` (defined in ``model``) is the one integer view
 of an instance, which the instance builds on its first replay and then
-holds, and ``PickState`` the one picking loop. A report replays the held
-view with one row re-encoded (``Instance.with_preference``). The
-reduction's pattern sweep keeps a ``PickState.copy`` of the state at each
-choice round's start, so each pattern resumes from the rounds it shares
-with the one before.
+holds, and ``PickState`` the one picking loop. ``run_with_report``
+encodes its instance first, so a report replays the held view with one
+row re-encoded. The reduction's pattern sweep keeps a ``PickState.copy``
+of the state at each choice round's start, so each pattern resumes from
+the rounds it shares with the one before.
 ``can_achieve`` (or ``secures``, from a given state) decides in one replay
 which item sets the manipulator can secure: the other agents pick around
 the reserved target items while the manipulator passes, and Hall's
@@ -61,11 +61,6 @@ class PickState:
             picks.append(item)
         self.stage = max(self.stage, until)
         return picks
-
-    def take(self, item: int) -> None:
-        """The agent of the current stage takes ``item``, which must be free."""
-        self.taken[item] = 1
-        self.stage += 1
 
     def copy(self) -> "PickState":
         twin = type(self).__new__(type(self))
@@ -135,7 +130,8 @@ def secures(state: PickState, turns: list[int], needed: Collection[int]) -> dict
     prefs, seq, cursor = state.enc.prefs, state.enc.seq, state.cursor[:]
     stage = state.stage
     due: dict[int, int] = {}
-    # from the goal-th turn on, at least goal stages precede every due event
+    # from the goal-th turn on, at least goal stages precede every due event,
+    # and before turn ``before`` at most ``before`` < goal items fall due
     for before, turn in enumerate(turns[:goal]):
         for agent in seq[stage:turn]:
             row = prefs[agent]
@@ -151,8 +147,6 @@ def secures(state: PickState, turns: list[int], needed: Collection[int]) -> dict
                 item = row[p]
             taken[item] = 1
             cursor[agent] = p + 1
-        if len(due) == goal:
-            return due
         stage = turn + 1  # the manipulator passes
     return dict.fromkeys(needed, goal) | due
 
@@ -185,6 +179,7 @@ def run_sequential_allocation(inst: Instance) -> Allocation:
 
 
 def run_with_report(inst: Instance, agent: str, report: Iterable[str]) -> Allocation:
-    """Allocate with one agent's preference replaced by ``report``; errors as
-    in ``Instance.with_preference``, whose copy re-encodes only that row."""
+    """Allocate with one agent's preference replaced by ``report``; errors as in
+    ``Instance.with_preference``. ``inst`` is encoded first, so the copy re-encodes one row."""
+    inst.encoded
     return run_sequential_allocation(inst.with_preference(agent, report))

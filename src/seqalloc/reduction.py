@@ -85,6 +85,14 @@ class RestrictedFormula(Record):
         return out
 
 
+def _occurrences(clauses: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    occ: dict[int, list[int]] = {}
+    for c, clause in enumerate(clauses, start=1):
+        for lit in clause:
+            occ.setdefault(lit, []).append(c)
+    return {lit: tuple(rounds) for lit, rounds in occ.items()}
+
+
 def validate_formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> RestrictedFormula:
     problems = []
     if num_vars < 1:
@@ -106,13 +114,10 @@ def validate_formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> Restric
             " expected 3|C| = 4|X| (each literal exactly twice)"
         )
     if not problems:
-        counts: dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                counts[lit] = counts.get(lit, 0) + 1
+        occ = _occurrences(clauses)
         for v in range(1, num_vars + 1):
             for lit in (v, -v):
-                c = counts.get(lit, 0)
+                c = len(occ.get(lit, ()))
                 if c != 2:
                     problems.append(f"literal {lit} occurs {c} times, expected exactly 2")
     if problems:
@@ -257,14 +262,6 @@ class ReductionOutput(Record):
     registry: GadgetRegistry
 
 
-def _occurrences(f: RestrictedFormula) -> dict[int, tuple[int, int]]:
-    occ: dict[int, list[int]] = {}
-    for c, clause in enumerate(f.clauses, start=1):
-        for lit in clause:
-            occ.setdefault(lit, []).append(c)
-    return {lit: (rounds[0], rounds[1]) for lit, rounds in occ.items()}
-
-
 def build_instance(f: RestrictedFormula) -> ReductionOutput:
     """Compile the formula on item indices; the instance is validated and the
     utility ledger audited before returning.
@@ -279,7 +276,7 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     ``validate_instance`` still checks the named instance and
     ``audit_utilities`` the ledger.
     """
-    occ = _occurrences(f)
+    occ = _occurrences(f.clauses)
     n_vars, n_clauses = f.num_vars, len(f.clauses)
     size, valued = len(_ROUND_ITEMS), len(_ROUND_WEIGHTS)
     first_clause = size * n_vars  # position of the first clause item
@@ -510,13 +507,8 @@ class ForwardResult(Record):
 
 
 def verify_forward(out: ReductionOutput, assignment: Mapping[int, bool]) -> ForwardResult:
-    """Replay an assignment's report and compare the utility against T.
-
-    The compile's own encoding is read first, so that it is built once and
-    held, and each report copy re-encodes only the manipulator's row."""
-    report = assignment_to_report(out, assignment)
-    out.instance.encoded  # builds and holds it on the first call
-    alloc = run_with_report(out.instance, MANIPULATOR, report)
+    """Replay an assignment's report and compare the utility against T."""
+    alloc = run_with_report(out.instance, MANIPULATOR, assignment_to_report(out, assignment))
     bundle = alloc.bundles[MANIPULATOR]
     utility = bundle_utility(out.utility, MANIPULATOR, bundle)
     return ForwardResult(utility, utility >= out.target, alloc, bundle)

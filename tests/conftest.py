@@ -37,6 +37,13 @@ def encoded_view(enc) -> tuple:
     return enc.item_index, enc.agent_index, enc.prefs, enc.seq, enc.m
 
 
+def take(state, item: int) -> None:
+    """The agent of a ``PickState``'s current stage takes ``item``, which must
+    be free."""
+    state.taken[item] = 1
+    state.stage += 1
+
+
 def random_instance(rng: random.Random, n: int, m: int, L: int | None = None):
     items = [f"o{k}" for k in range(m)]
     agents = [str(i + 1) for i in range(n)]

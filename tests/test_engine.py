@@ -16,7 +16,7 @@ from seqalloc.model import ValidationError, validate_instance
 from seqalloc.oracle import enumerate_achievable_bundles
 from seqalloc.reduction import build_instance, verify_choice_patterns, verify_forward
 
-from conftest import encoded_view, random_instance, random_restricted_formula
+from conftest import encoded_view, random_instance, random_restricted_formula, take
 
 
 def test_each_stage_takes_most_preferred_remaining():
@@ -59,7 +59,7 @@ def test_pick_state_copies_branch_independently():
         snapshot = (state.stage, bytes(state.taken), list(state.cursor))
         for item in rng.sample(free, 2):
             branch = state.copy()
-            branch.take(item)
+            take(branch, item)
             picks = before + [item] + branch.advance(L)
             # the agent's earlier picks, then the chosen item, lead the report;
             # the rest keeps the true order, which the later greedy stages follow
@@ -131,7 +131,7 @@ def _edf_secures(state, turns, needed):
         if any(state.taken[k] for k in needed):
             return False
         item = _edf_first_lost(state, turns[c + 1 :], needed)
-        state.take(item)
+        take(state, item)
         needed.remove(item)
     return True
 
@@ -209,7 +209,7 @@ def test_one_pass_rule_matches_earliest_deadline_reference():
         state = PickState(enc)
         for t in turns[: rng.randint(0, len(turns))]:
             state.advance(t)
-            state.take(rng.choice([k for k in range(m) if not state.taken[k]]))
+            take(state, rng.choice([k for k in range(m) if not state.taken[k]]))
         state.advance(rng.randint(state.stage, len(enc.seq)))
         later = [t for t in turns if t >= state.stage]
         free = [k for k in range(m) if not state.taken[k]]

@@ -24,6 +24,8 @@ from seqalloc.oracle import (
     first_pick_order,
 )
 
+from conftest import take
+
 AGENTS = ("1", "2", "3")
 MANIPULATOR = "1"
 
@@ -53,7 +55,7 @@ def _first_pick_orders(inst):
         for item in range(enc.m):
             if not state.taken[item]:
                 child = state.copy()
-                child.take(item)
+                take(child, item)
                 walk(child, picks + [item])
 
     walk(PickState(enc), [])
@@ -128,7 +130,7 @@ def _check_mid_run(instances):
             completions = set()
             for item in free:
                 child = state.copy()
-                child.take(item)
+                take(child, item)
                 completions.update(c | {item} for c in walk(child, j + 1))
             for size in range(len(free) + 1):
                 for S in combinations(free, size):
@@ -140,7 +142,7 @@ def _check_mid_run(instances):
                         for turn, item in zip(turns[j:], first_pick_order(list(S), due)):
                             play.advance(turn)
                             assert not play.taken[item], (inst, turns[j], S, item)
-                            play.take(item)
+                            take(play, item)
                     seen["checks"] += 1
             seen["nodes"] += 1
             return completions

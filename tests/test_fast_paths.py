@@ -35,7 +35,7 @@ from seqalloc.two_agent import (
     nash_evidence,
 )
 
-from conftest import random_instance
+from conftest import random_instance, take
 
 
 def _outcome(f, *args):
@@ -403,12 +403,12 @@ def _first_pick_order_by_replay(start, turns, bundle):
         state.advance(t)
         for item in sorted(needed)[:-1]:
             trial = state.copy()
-            trial.take(item)
+            take(trial, item)
             if secures(trial, turns[c + 1 :], needed - {item}) is not None:
                 break
         else:  # the last candidate: some item must work
             item = max(needed)
-        state.take(item)
+        take(state, item)
         needed.remove(item)
         picks.append(item)
     return picks
@@ -437,7 +437,7 @@ def test_witness_from_due_turns_matches_the_per_candidate_replay():
         for t in turns:
             state.advance(t)
             bundle.append(rng.choice([k for k in range(m) if not state.taken[k]]))
-            state.take(bundle[-1])
+            take(state, bundle[-1])
         due = secures(start, turns, bundle)
         expected = _first_pick_order_by_replay(start, turns, bundle)
         assert oracle.first_pick_order(bundle, due) == expected, (inst, manip, bundle)

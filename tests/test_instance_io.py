@@ -116,6 +116,7 @@ def test_utility_exponents_within_the_bound_keep_their_exact_value(literal, expo
             ("util 1 : 3.1 3 2 1", "util 1 : 3.1 3 2 1\nutil 1 : 4 3 2 1"),
             "line 11: duplicate utilities for agent 1",
         ),
+        (("seq : 1 2 2 1", "seq : 1 2 2 1\nseq : 1 2 2 1"), "line 10: duplicate sequence"),
     ],
 )
 def test_parse_errors(mutation, message):

@@ -70,6 +70,9 @@ def test_validate_collects_all_problems():
     assert any("agent 2 has no preference" in p for p in problems)
     assert any("unknown agent 3" in p for p in problems)
     assert any("sequence exceeds item count" in p for p in problems)
+    with pytest.raises(ValidationError) as exc:
+        validate_instance([], [], {}, [])
+    assert exc.value.problems == ["no agents", "no items"]
 
 
 def test_validate_flags_incomplete_preference():
@@ -160,6 +163,16 @@ def test_only_a_replay_encodes(encodings):
     run_sequential_allocation(twin)
     assert encodings == [inst, out.instance, twin]
     assert encoded_view(inst.encoded) == encoded_view(Encoded(inst))
+
+
+def test_a_report_encodes_its_source(encodings):
+    """A report on a never-replayed instance builds the source's encoding,
+    which the copy derives its own from, and a later replay of the source
+    builds none."""
+    inst = small()
+    run_with_report(inst, "2", ["a", "b", "c"])
+    run_sequential_allocation(inst)
+    assert encodings == [inst]
 
 
 def test_a_replayed_instance_is_like_one_never_replayed(encodings):

@@ -37,6 +37,7 @@ from conftest import (
     random_consistent_utilities,
     random_instance,
     random_restricted_formula,
+    take,
 )
 from test_engine import _due_by_replay
 
@@ -415,7 +416,7 @@ def _pick_order_walk(inst, manip):
         for item in range(enc.m):
             if not state.taken[item]:
                 child = state.copy()
-                child.take(item)
+                take(child, item)
                 walk(child, picks + [item])
 
     walk(PickState(enc), [])

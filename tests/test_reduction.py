@@ -54,11 +54,16 @@ def test_parse_formula_reference():
     f = parse_formula(REFERENCE_FORMULA)
     assert f.num_vars == 3
     assert f.clauses == ((1, 2, 3), (-1, -2, -3), (1, -2, 3), (-1, 2, -3))
+    # the last clause needs no closing 0
+    assert parse_formula(REFERENCE_FORMULA.removesuffix(" 0\n")) == f
 
 
 def test_parse_formula_rejects_garbage():
     with pytest.raises(FormulaError, match="problem line"):
         parse_formula("1 2 3 0\n")
+    for text in ("", "c a comment only\n"):
+        with pytest.raises(FormulaError, match="missing 'p cnf' problem line"):
+            parse_formula(text)
     with pytest.raises(FormulaError, match="unknown token"):
         parse_formula("p cnf 3 1\n1 two 3 0\n")
     with pytest.raises(FormulaError, match="declares 2 clauses"):
@@ -592,7 +597,7 @@ def _name_based_build(f: RestrictedFormula) -> ReductionOutput:
     explicit head completed with that order; the manipulator's head is the
     relevant blocks, then the top clause items.
     """
-    occ = _occurrences(f)
+    occ = _occurrences(f.clauses)
     items: list[str] = []
     agents = [MANIPULATOR]
     sequence: list[str] = []
