@@ -22,6 +22,10 @@ weights of its ten valued items, and the four picks of each kind of round.
 The compiler, the ledger, the audit, the forward report and the pattern
 sweep read positions from it, and the round's sizes are the table's
 lengths.
+
+A compile completes each preference row from one copy of the canonical
+item order, lists the manipulator's utilities along its preference, and
+reads the occurrence table that the formula holds from its validation.
 """
 
 from __future__ import annotations
@@ -60,11 +64,22 @@ class RestrictedFormula(Record):
     """3-CNF with every literal occurring exactly twice.
 
     Clauses are ordered triples of nonzero DIMACS-style integers; variable
-    v appears as v (positive) or -v (negative).
+    v appears as v (positive) or -v (negative). The formula holds its
+    occurrence table the way an ``Instance`` holds its encoding: the one
+    that ``validate_formula`` built, or else one built on first use.
     """
 
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
+
+    @property
+    def _occurrence_table(self) -> dict[int, tuple[int, ...]]:
+        """Literal -> the indices of the clauses it occurs in, held once
+        built. Not a field: equality, hash, repr, copy and pickle ignore it."""
+        occ = self.__dict__.get("_occurrence_table")
+        if occ is None:
+            occ = self.__dict__["_occurrence_table"] = _occurrences(self.clauses)
+        return occ
 
     def variables(self) -> range:
         return range(1, self.num_vars + 1)
@@ -122,7 +137,9 @@ def validate_formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> Restric
                     problems.append(f"literal {lit} occurs {c} times, expected exactly 2")
     if problems:
         raise FormulaError(problems)
-    return RestrictedFormula(num_vars, tuple(tuple(c) for c in clauses))
+    f = RestrictedFormula(num_vars, tuple(tuple(c) for c in clauses))
+    f.__dict__["_occurrence_table"] = occ  # a compile reads it instead of counting again
+    return f
 
 
 def parse_formula(text: str) -> RestrictedFormula:
@@ -213,10 +230,16 @@ _QUADRUPLES = {
 }
 
 
-def _named(templates: Sequence[str], v: int) -> list[str]:
-    """The table's names filled in for variable v, by one ``format`` call
-    (no name holds a NUL)."""
-    return "\0".join(templates).format(p=f"x{v}", n=f"~x{v}").split("\0")
+# the item, agent and stage templates, each joined by NUL once (no name holds
+# a NUL), so that ``_named`` fills in a whole list by one ``format`` call
+_ITEM_NAMES, _AGENT_NAMES, _STAGE_NAMES = (
+    "\0".join(table) for table in (_ROUND_ITEMS, _ROUND_AGENTS, _ROUND_STAGES)
+)
+
+
+def _named(joined: str, v: int) -> list[str]:
+    """A NUL-joined template list's names filled in for variable v."""
+    return joined.format(p=f"x{v}", n=f"~x{v}").split("\0")
 
 
 class RoundSpan(Record):
@@ -270,19 +293,22 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     round's items in slot order, then three items per clause. That layout is
     the canonical item order. Every agent's preference is a head of item
     indices (each a table slot plus its round's first position) completed
-    with the canonical order; the manipulator's head is the valued slots of
-    every round, then the top clause items, and their worth row is built by
-    index and becomes the utilities' integer row (scale 1).
-    ``validate_instance`` still checks the named instance and
+    with the canonical order by ``_complete``, one copy per row; the
+    manipulator's head is the valued slots of every round, then the top
+    clause items. Its utility row is read along its preference: the
+    ledger's worths round by round, the top clause items' values, then the
+    tail t..1, at scale 1. The occurrence table is the one the formula
+    holds, so a formula that ``validate_formula`` returned is not counted
+    again. ``validate_instance`` still checks the named instance and
     ``audit_utilities`` the ledger.
     """
-    occ = _occurrences(f.clauses)
+    occ = f._occurrence_table
     n_vars, n_clauses = f.num_vars, len(f.clauses)
     size, valued = len(_ROUND_ITEMS), len(_ROUND_WEIGHTS)
     first_clause = size * n_vars  # position of the first clause item
     m = first_clause + 3 * n_clauses
-    explicit = valued * n_vars + n_clauses  # the manipulator's head
-    round_worths, tops, target = _ledger(n_vars, n_clauses, m - explicit)
+    t = m - valued * n_vars - n_clauses  # the items below the manipulator's head
+    round_worths, tops, target = _ledger(n_vars, n_clauses, t)
     bases = range(0, first_clause, size)  # each round's first position
 
     items: list[str] = []
@@ -296,14 +322,14 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
     dummies: dict[int, tuple[str, str, str, str]] = {}
 
     for v, base in zip(f.variables(), bases):
-        block = _named(_ROUND_ITEMS, v)
+        block = _named(_ITEM_NAMES, v)
         items += block
-        for a, (sign, copy, head) in zip(_named(_ROUND_AGENTS, v), _ROUND_AGENTS.values()):
+        for a, (sign, copy, head) in zip(_named(_AGENT_NAMES, v), _ROUND_AGENTS.values()):
             agents.append(a)
             literal_agents[(sign * v, copy)] = a
             heads[a] = [base + k for k in head], occ[-sign * v][copy - 1]
         start = len(sequence) + 1
-        sequence += _named(_ROUND_STAGES, v)
+        sequence += _named(_STAGE_NAMES, v)
         rounds.append(RoundSpan("choice", f"x{v}", start, len(sequence)))
         choice[-v], choice[v] = (block[1], block[3]), (block[0], block[2])
         consistency[-v], consistency[v] = tuple(block[4:7]), tuple(block[7:valued])
@@ -334,16 +360,10 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
         prefs[a] = _complete(head + [top + 2, top + 1, top], items)
     instance = validate_instance(items, agents, prefs, sequence)
 
-    # the manipulator's worth by index: the tail t..1 along their order, each
-    # round's valued slots their ledger worths, then the top clause items
-    worth = [0] * m
-    tail = _complete(manip_head, range(m))[explicit:]
-    for k, pos in enumerate(tail):
-        worth[pos] = len(tail) - k
-    for base, values in zip(bases, round_worths):
-        worth[base : base + valued] = values
-    worth[first_clause::3] = tops
-    utility = UtilityFunction({MANIPULATOR: dict(zip(items, worth))})
+    # along the manipulator's order: each round's valued slots at their ledger
+    # worths, then the top clause items, then the tail t..1
+    worth = [*itertools.chain.from_iterable(round_worths), *tops, *range(t, 0, -1)]
+    utility = UtilityFunction({MANIPULATOR: dict(zip(prefs[MANIPULATOR], worth))})
     registry = GadgetRegistry(
         literal_agents=literal_agents, choice_items=choice, consistency_items=consistency,
         dummy_items=dummies, clause_items=clause_items, clause_agents=clause_agents,
@@ -356,13 +376,13 @@ def build_instance(f: RestrictedFormula) -> ReductionOutput:
 
 def _complete(head: list[int], order: Sequence) -> tuple:
     """``order`` at the positions of ``head``, then the rest of ``order`` in
-    order: the gaps between the sorted head positions, taken as slices."""
-    row = [order[k] for k in head]
-    start = 0
-    for k in sorted(head):
-        row += order[start:k]
-        start = k + 1
-    row += order[start:]
+    order. One copy of ``order`` loses the head positions, deleted last
+    first so that each deletion leaves the positions before it in place,
+    and takes the head's entries in front."""
+    row = list(order)
+    for k in sorted(head, reverse=True):
+        del row[k]
+    row[:0] = [order[k] for k in head]
     return tuple(row)
 
 

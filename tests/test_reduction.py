@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import re
 import subprocess
@@ -918,3 +920,55 @@ def test_round_quadruples_match_the_name_based_ones():
     for v in (1, 2, 7):
         for kind in ("T", "F", "I1", "I2"):
             assert _table_quadruple(out, v, kind) == _round_quadruple(v, kind)
+
+
+def _completion_heads(rng: random.Random, m: int) -> list[list[int]]:
+    """Heads over positions 0..m-1: empty, every position in a shuffled
+    order, each single position, and unsorted heads long and short."""
+    every = list(range(m))
+    rng.shuffle(every)
+    heads = [[], list(range(m)), list(range(m - 1, -1, -1)), every]
+    heads += [[k] for k in range(m)]
+    heads += [rng.sample(range(m), min(m, rng.randint(2, 5))) for _ in range(20)]
+    heads += [rng.sample(range(m), rng.randint(m // 2, m - 1)) for _ in range(20)]
+    return heads
+
+
+@pytest.mark.parametrize("m", [1, 2, 18, 75])
+def test_completion_equals_the_name_based_one(m):
+    rng = random.Random(4100 + m)
+    order = tuple(f"o{k}" for k in rng.sample(range(10 * m), m))
+    for head in _completion_heads(rng, m):
+        want = complete_order([order[k] for k in head], order)
+        assert reduction._complete(head, order) == want
+        assert reduction._complete(head, list(order)) == want
+
+
+def test_a_compile_counts_occurrences_once(monkeypatch):
+    calls = []
+
+    def counted(clauses):
+        calls.append(clauses)
+        return _occurrences(clauses)
+
+    monkeypatch.setattr(reduction, "_occurrences", counted)
+    out = build_instance(parse_formula(REFERENCE_FORMULA))
+    assert len(calls) == 1
+    build_instance(out.formula)  # the formula holds the table it was validated with
+    assert len(calls) == 1
+    direct = RestrictedFormula(out.formula.num_vars, out.formula.clauses)
+    assert build_instance(direct) == out  # a formula built directly counts on first use
+    assert len(calls) == 2
+
+
+def test_the_held_occurrence_table_is_not_a_field():
+    validated = parse_formula(REFERENCE_FORMULA)  # holds the table validation built
+    direct = RestrictedFormula(validated.num_vars, validated.clauses)
+    assert validated == direct and hash(validated) == hash(direct)
+    assert repr(validated) == repr(direct)
+    assert pickle.dumps(validated) == pickle.dumps(direct)
+    registry = build_instance(validated).registry
+    for f in (validated, direct):
+        for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert twin == validated and hash(twin) == hash(validated)
+            assert build_instance(twin).registry == registry
