@@ -26,6 +26,10 @@ lengths.
 A compile completes each preference row from one copy of the canonical
 item order, lists the manipulator's utilities along its preference, and
 reads the occurrence table that the formula holds from its validation.
+A verification costs little beyond its replays: the satisfying assignments
+are found with one pair of bit masks per clause, a sweep enumerates them
+once, before its first replay, and evaluates no clause per pattern, and a
+report is built from the picks of the kinds it is given alone.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import gt, itemgetter
@@ -91,13 +95,34 @@ class RestrictedFormula(Record):
         )
 
     def satisfying_assignments(self) -> list[dict[int, bool]]:
-        """All satisfying assignments, by direct enumeration over 2^|X|."""
-        out = []
-        for bits in itertools.product([True, False], repeat=self.num_vars):
-            assignment = {v: bits[v - 1] for v in self.variables()}
-            if self.is_satisfied_by(assignment):
-                out.append(assignment)
-        return out
+        """All satisfying assignments, by direct enumeration over 2^|X|, in
+        ``itertools.product([True, False], repeat=|X|)`` order.
+
+        Assignment i sets x_v false iff bit |X| - v of i is set, so the
+        enumeration runs over ``range(2^|X|)``. A clause is a pair of masks,
+        its positive and its negative literals' bits, and i satisfies it iff
+        ``~i & pos or i & neg``; a dict is built only for an assignment that
+        satisfies every clause. A literal outside +-1..|X| raises KeyError,
+        as a lookup in an assignment over x1..x|X| would.
+        """
+        n = self.num_vars
+        masks = []
+        for clause in self.clauses:
+            pos = neg = 0
+            for lit in clause:
+                if not 0 < abs(lit) <= n:
+                    raise KeyError(abs(lit))
+                if lit > 0:
+                    pos |= 1 << (n - lit)
+                else:
+                    neg |= 1 << (n + lit)
+            masks.append((pos, neg))
+        shifts = range(n - 1, -1, -1)
+        return [
+            {v: not i >> s & 1 for v, s in zip(self.variables(), shifts)}
+            for i in range(1 << n)
+            if all(~i & pos or i & neg for pos, neg in masks)
+        ]
 
 
 def _occurrences(clauses: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
@@ -228,6 +253,10 @@ _QUADRUPLES = {
     "I1": (0, 3, 5, 8),
     "I2": (1, 2, 5, 8),
 }
+# the six consistency slots, and the middle pair that an inconsistent choice
+# must leave the manipulator with
+_CONSISTENCY_SLOTS = tuple(k for k, name in enumerate(_ROUND_ITEMS) if name.startswith("h_"))
+_MIDDLE_PAIR = tuple(_ROUND_ITEMS.index(name) for name in ("h_{n}^2", "h_{p}^2"))
 
 
 # the item, agent and stage templates, each joined by NUL once (no name holds
@@ -481,20 +510,30 @@ def audit_utilities(out: ReductionOutput) -> None:
 # --- report construction and verification ----------------------------------
 
 
-def _quadruple_indices(num_vars: int) -> list[dict[str, list[int]]]:
-    """Per choice round, each kind's four picks as item indices, in pick
-    order (see ``_QUADRUPLES``)."""
+def _picks(kinds: Iterable[str], first: int = 0) -> list[int]:
+    """The manipulator's picks of one kind per choice round, from round
+    ``first`` (0-based) on, as item indices in pick order: the one place
+    that turns ``_QUADRUPLES`` into items."""
     size = len(_ROUND_ITEMS)
     return [
-        {kind: [base + k for k in quad] for kind, quad in _QUADRUPLES.items()}
-        for base in range(0, size * num_vars, size)
+        base + k
+        for base, kind in zip(itertools.count(size * first, size), kinds)
+        for k in _QUADRUPLES[kind]
     ]
 
 
+def _quadruple_indices(num_vars: int) -> list[dict[str, list[int]]]:
+    """Per choice round, each kind's four picks as item indices, in pick
+    order (see ``_QUADRUPLES``)."""
+    return [{kind: _picks((kind,), r) for kind in _QUADRUPLES} for r in range(num_vars)]
+
+
 def _pattern_report(out: ReductionOutput, kinds: Sequence[str]) -> tuple[str, ...]:
-    n_vars, items = out.formula.num_vars, out.instance.items
-    head = [o for quad, kind in zip(_quadruple_indices(n_vars), kinds) for o in quad[kind]]
-    head += range(len(_ROUND_ITEMS) * n_vars, len(items), 3)  # the top clause items
+    """The report of one kind per choice round: those rounds' picks, then
+    the top clause items, then the rest canonically."""
+    items = out.instance.items
+    head = _picks(kinds)
+    head += range(len(_ROUND_ITEMS) * out.formula.num_vars, len(items), 3)  # the top clause items
     return _complete(head, items)
 
 
@@ -577,7 +616,12 @@ def verify_choice_patterns(
     exactly by consistent patterns whose induced assignment satisfies the
     formula. Raises RuntimeError on any violation. The sweep runs on item
     indices: the rounds' quadruples, the top clause items and the consistency
-    sets are built once per call, and names only for an error message.
+    sets are built once per call, and names only for an error message. The
+    satisfying assignments are enumerated once, before the first replay: a
+    consistent pattern's ``satisfies`` is whether its T/F kinds are one of
+    them, so no clause is evaluated per pattern, and the same enumeration
+    gives ``sat_enumeration_agrees``. At scale 1 a utility is the integer
+    worth as a ``Fraction``, with nothing to normalise.
 
     Each pattern resumes from a saved ``PickState`` instead of stage 0. The
     choice rounds are the first blocks of ``len(_ROUND_STAGES)`` stages, and
@@ -600,6 +644,13 @@ def verify_choice_patterns(
     """
     f = out.formula
     _check_pattern_budget(f.num_vars, max_patterns)
+    # every consistent pattern's verdict, from one enumeration: its T/F kinds
+    # map to whether its assignment satisfies the formula
+    satisfying = f.satisfying_assignments()
+    verdicts = dict.fromkeys(itertools.product("TF", repeat=f.num_vars), False)
+    for assignment in satisfying:
+        verdicts[tuple("T" if b else "F" for b in assignment.values())] = True
+    variables = f.variables()
     items = out.instance.items
     worth, scale = integer_values(out.utility, MANIPULATOR, items)
     need = math.ceil(out.target * scale)  # an integer worth meets T iff it reaches this
@@ -617,11 +668,9 @@ def verify_choice_patterns(
     enc = shared.with_row(manip, row)
     # per round: its six consistency items and the middle pair that an
     # inconsistent choice must leave the manipulator with
-    six = [k for k, name in enumerate(_ROUND_ITEMS) if name.startswith("h_")]
-    pair = [_ROUND_ITEMS.index(name) for name in ("h_{n}^2", "h_{p}^2")]
     checks = [
-        (v, frozenset(base + k for k in six), {base + k for k in pair})
-        for v, base in zip(f.variables(), range(0, size * f.num_vars, size))
+        (v, frozenset(base + k for k in _CONSISTENCY_SLOTS), {base + k for k in _MIDDLE_PAIR})
+        for v, base in zip(variables, range(0, size * f.num_vars, size))
     ]
     last = f.num_vars - 1
     # the state at each choice round's start; the first pattern sets rounds 1 on
@@ -646,19 +695,21 @@ def verify_choice_patterns(
         picks[span * last :] = state.advance(len(picks))
         mine = mine_of(picks)
         worth_sum = sum(map(worth.__getitem__, mine))
-        utility, meets = Fraction(worth_sum, scale), worth_sum >= need
-        inconsistent = [check for check, k in zip(checks, kinds) if k not in ("T", "F")]
-        assignment = satisfies = None
-        if not inconsistent:
-            assignment = {v: k == "T" for v, k in zip(f.variables(), kinds)}
-            satisfies = f.is_satisfied_by(assignment)
+        utility = Fraction(worth_sum) if scale == 1 else Fraction(worth_sum, scale)
+        meets = worth_sum >= need
+        satisfies = verdicts.get(kinds)  # None for an inconsistent pattern
+        assignment = None
+        if satisfies is not None:
+            assignment = {v: k == "T" for v, k in zip(variables, kinds)}
             if meets != satisfies:
                 raise RuntimeError(
                     f"pattern {kinds}: meets_target={meets} but satisfies={satisfies}"
                 )
             pattern_sat = pattern_sat or meets
         else:
-            for v, six, pair in inconsistent:
+            for (v, six, pair), kind in zip(checks, kinds):
+                if kind == "T" or kind == "F":
+                    continue
                 got = six.intersection(mine)
                 if got != pair:
                     got, pair = (sorted(items[o] for o in s) for s in (got, pair))
@@ -669,7 +720,6 @@ def verify_choice_patterns(
             if meets:
                 raise RuntimeError(f"inconsistent pattern {kinds} meets the target")
         outcomes.append(
-            PatternOutcome(kinds, utility, meets, not inconsistent, assignment, satisfies)
+            PatternOutcome(kinds, utility, meets, satisfies is not None, assignment, satisfies)
         )
-    direct_sat = bool(f.satisfying_assignments())
-    return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == direct_sat)
+    return PatternReport(tuple(outcomes), pattern_sat, pattern_sat == bool(satisfying))

@@ -861,6 +861,118 @@ def test_every_three_variable_sign_pattern():
     assert len(seen) == 216
 
 
+def _product_satisfying(f):
+    """Reference enumeration: every assignment of ``itertools.product`` over
+    True, False, kept if ``is_satisfied_by`` accepts it."""
+    out = []
+    for bits in itertools.product([True, False], repeat=f.num_vars):
+        assignment = {v: bits[v - 1] for v in f.variables()}
+        if f.is_satisfied_by(assignment):
+            out.append(assignment)
+    return out
+
+
+def _loose_formulas():
+    """Formulas built directly, past the restriction: 1-10 variables with
+    clauses of 1-3 literals, no clauses at all, and every sign pattern of one
+    triple, which no assignment satisfies."""
+    rng = random.Random(4101)
+    for num_vars in range(1, 11):
+        for _ in range(6):
+            clauses = tuple(
+                tuple(
+                    rng.choice((1, -1)) * v
+                    for v in rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
+                )
+                for _ in range(rng.randint(1, 2 * num_vars))
+            )
+            yield RestrictedFormula(num_vars, clauses)
+        yield RestrictedFormula(num_vars, ())
+    triple = itertools.product(*[(v, -v) for v in (1, 2, 3)])
+    yield RestrictedFormula(3, tuple(triple))
+
+
+def test_satisfying_assignments_equal_the_product_enumeration():
+    formulas = list(_loose_formulas()) + list(_sign_pattern_formulas())
+    assert len(formulas) == 10 * 7 + 1 + 216
+    unsatisfiable = 0
+    for f in formulas:
+        want = _product_satisfying(f)
+        got = f.satisfying_assignments()
+        assert got == want, f
+        assert [list(a.items()) for a in got] == [list(a.items()) for a in want], f
+        assert all(type(b) is bool for a in got for b in a.values()), f
+        unsatisfiable += not got
+    assert formulas[-217].satisfying_assignments() == []  # the eight sign patterns
+    assert unsatisfiable >= 2
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses",
+    [
+        (3, ((0, 1, 2),)),  # 0 names no variable; as a bit it would never be true
+        (3, ((4, 1, 2),)),
+        (3, ((1, 2, 3), (-4,))),
+        (1, ((1, -2),)),  # a negative shift count would raise ValueError
+        (2, ((1,), (2,), (-3,))),
+    ],
+)
+def test_satisfying_assignments_reject_a_literal_outside_the_variables(num_vars, clauses):
+    f = RestrictedFormula(num_vars, clauses)
+    with pytest.raises(KeyError) as reference:
+        _product_satisfying(f)
+    with pytest.raises(KeyError) as bitmask:
+        f.satisfying_assignments()
+    assert bitmask.value.args == reference.value.args
+
+
+def test_sweep_enumerates_once_and_evaluates_no_clause(reference, monkeypatch):
+    calls = {"satisfying_assignments": 0, "is_satisfied_by": 0}
+    for name in calls:
+        method = getattr(RestrictedFormula, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(RestrictedFormula, name, counted)
+    verify_choice_patterns(reference)
+    assert calls == {"satisfying_assignments": 1, "is_satisfied_by": 0}
+
+
+def test_each_consistent_verdict_is_the_formula_s():
+    rng = random.Random(4102)
+    for num_vars in [3] * 10 + [6] * 2:
+        f = random_restricted_formula(rng, num_vars)
+        report = verify_choice_patterns(build_instance(f))
+        consistent = [o for o in report.outcomes if o.consistent]
+        assert len(consistent) == 2 ** num_vars
+        for outcome in report.outcomes:
+            if outcome.consistent:
+                assert outcome.satisfies is f.is_satisfied_by(outcome.assignment), outcome.kinds
+            else:
+                assert (outcome.assignment, outcome.satisfies) == (None, None), outcome.kinds
+
+
+def test_sweep_at_a_utility_scale_of_three(reference):
+    """Every value and T divided by 3: the integer view's scale is 3, the
+    verdicts are the scale-1 sweep's and each utility is a third of its."""
+    thirds = _with_values(reference, scale=3)
+    thirds = ReductionOutput(
+        thirds.formula, thirds.instance, thirds.utility, reference.target / 3, thirds.registry
+    )
+    assert integer_values(thirds.utility, MANIPULATOR, thirds.instance.items)[1] == 3
+    whole, third = verify_choice_patterns(reference), verify_choice_patterns(thirds)
+    assert len(third.outcomes) == 64
+    assert (third.satisfiable, third.sat_enumeration_agrees) == (True, True)
+    for a, b in zip(whole.outcomes, third.outcomes):
+        assert (b.kinds, b.meets_target, b.consistent, b.satisfies) == (
+            a.kinds, a.meets_target, a.consistent, a.satisfies
+        )
+        assert b.utility == a.utility / 3 and b.utility.denominator in (1, 3)
+    assert sum(o.utility.denominator == 3 for o in third.outcomes) > 0
+
+
 def test_pattern_budget_guard():
     rng = random.Random(64)
     out = build_instance(random_restricted_formula(rng, num_vars=6))
