@@ -102,8 +102,11 @@ class RestrictedFormula(Record):
         enumeration runs over ``range(2^|X|)``. A clause is a pair of masks,
         its positive and its negative literals' bits, and i satisfies it iff
         ``~i & pos or i & neg``; a dict is built only for an assignment that
-        satisfies every clause. A literal outside +-1..|X| raises KeyError,
-        as a lookup in an assignment over x1..x|X| would.
+        satisfies every clause. Any literal outside +-1..|X| raises KeyError
+        (the key a lookup in an assignment over x1..x|X| would miss), also
+        one that clause-by-clause evaluation would never reach because an
+        earlier literal already decides its clause or an earlier clause
+        already fails; a validated formula holds no such literal.
         """
         n = self.num_vars
         masks = []
@@ -510,22 +513,23 @@ def audit_utilities(out: ReductionOutput) -> None:
 # --- report construction and verification ----------------------------------
 
 
-def _picks(kinds: Iterable[str], first: int = 0) -> list[int]:
-    """The manipulator's picks of one kind per choice round, from round
-    ``first`` (0-based) on, as item indices in pick order: the one place
-    that turns ``_QUADRUPLES`` into items."""
-    size = len(_ROUND_ITEMS)
-    return [
-        base + k
-        for base, kind in zip(itertools.count(size * first, size), kinds)
-        for k in _QUADRUPLES[kind]
-    ]
-
-
 def _quadruple_indices(num_vars: int) -> list[dict[str, list[int]]]:
     """Per choice round, each kind's four picks as item indices, in pick
     order (see ``_QUADRUPLES``)."""
-    return [{kind: _picks((kind,), r) for kind in _QUADRUPLES} for r in range(num_vars)]
+    size = len(_ROUND_ITEMS)
+    return [
+        {kind: [base + k for k in quad] for kind, quad in _QUADRUPLES.items()}
+        for base in range(0, size * num_vars, size)
+    ]
+
+
+def _picks(kinds: Iterable[str]) -> list[int]:
+    """The manipulator's picks of one kind per choice round, round 1 first,
+    as item indices in pick order (see ``_QUADRUPLES``)."""
+    size = len(_ROUND_ITEMS)
+    return [
+        base + k for base, kind in zip(itertools.count(0, size), kinds) for k in _QUADRUPLES[kind]
+    ]
 
 
 def _pattern_report(out: ReductionOutput, kinds: Sequence[str]) -> tuple[str, ...]:
@@ -620,8 +624,7 @@ def verify_choice_patterns(
     satisfying assignments are enumerated once, before the first replay: a
     consistent pattern's ``satisfies`` is whether its T/F kinds are one of
     them, so no clause is evaluated per pattern, and the same enumeration
-    gives ``sat_enumeration_agrees``. At scale 1 a utility is the integer
-    worth as a ``Fraction``, with nothing to normalise.
+    gives ``sat_enumeration_agrees``.
 
     Each pattern resumes from a saved ``PickState`` instead of stage 0. The
     choice rounds are the first blocks of ``len(_ROUND_STAGES)`` stages, and
@@ -666,8 +669,6 @@ def verify_choice_patterns(
     row += range(size * f.num_vars, len(items), 3)
     row += range(len(items))
     enc = shared.with_row(manip, row)
-    # per round: its six consistency items and the middle pair that an
-    # inconsistent choice must leave the manipulator with
     checks = [
         (v, frozenset(base + k for k in _CONSISTENCY_SLOTS), {base + k for k in _MIDDLE_PAIR})
         for v, base in zip(variables, range(0, size * f.num_vars, size))
@@ -695,8 +696,7 @@ def verify_choice_patterns(
         picks[span * last :] = state.advance(len(picks))
         mine = mine_of(picks)
         worth_sum = sum(map(worth.__getitem__, mine))
-        utility = Fraction(worth_sum) if scale == 1 else Fraction(worth_sum, scale)
-        meets = worth_sum >= need
+        utility, meets = Fraction(worth_sum, scale), worth_sum >= need
         satisfies = verdicts.get(kinds)  # None for an inconsistent pattern
         assignment = None
         if satisfies is not None:

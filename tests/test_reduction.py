@@ -926,6 +926,26 @@ def test_satisfying_assignments_reject_a_literal_outside_the_variables(num_vars,
     assert bitmask.value.args == reference.value.args
 
 
+@pytest.mark.parametrize(
+    "num_vars, clauses, unreached",
+    [
+        (1, ((1,), (-1,), (2,)), 2),  # an earlier clause fails for every assignment
+        (2, ((1, -1, 3),), 3),  # an earlier literal decides the clause
+    ],
+)
+def test_satisfying_assignments_reject_a_literal_that_evaluation_never_reaches(
+    num_vars, clauses, unreached
+):
+    """The reference evaluates clause by clause and never looks up such a
+    literal, so it returns a list; the bit masks are built from every
+    literal first."""
+    f = RestrictedFormula(num_vars, clauses)
+    assert isinstance(_product_satisfying(f), list)
+    with pytest.raises(KeyError) as bitmask:
+        f.satisfying_assignments()
+    assert bitmask.value.args == (unreached,)
+
+
 def test_sweep_enumerates_once_and_evaluates_no_clause(reference, monkeypatch):
     calls = {"satisfying_assignments": 0, "is_satisfied_by": 0}
     for name in calls:
